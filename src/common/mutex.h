@@ -67,8 +67,9 @@ enum class LockRank : int {
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,
   /// Terminal rank: first-error slots, ParallelFor completion sync, the
-  /// metrics registry. Anything may be held when acquiring a leaf; nothing
-  /// may be acquired while holding one (two leaves never nest).
+  /// metrics registry, SketchStore's per-shard view pins. Anything may be
+  /// held when acquiring a leaf; nothing may be acquired while holding one
+  /// (two leaves never nest).
   kLeaf = 100,
 };
 

@@ -135,10 +135,9 @@ Result<double> EstimateIcwsInnerProduct(const IcwsSketch& a,
 /// Span-level core of `EstimateIcwsInnerProduct`: the match-rate estimator
 /// over the raw fingerprint/value lanes of two sketches the caller has
 /// already verified to be mutually comparable (equal m, seed, engine, L,
-/// dimension). Both the pairwise estimator above and the slab catalog's
-/// 1-vs-many re-rank path (`SketchFamily::NewSlab`) run through this one
-/// function, which is what makes their estimates bit-identical. `m` must be
-/// positive.
+/// dimension). The pairwise estimator above is a thin wrapper over it, so a
+/// caller holding the lanes in another layout gets bit-identical estimates
+/// by calling this directly. `m` must be positive.
 Result<double> EstimateIcwsSpans(
     const uint64_t* a_fingerprints, const double* a_values, double a_norm,
     const uint64_t* b_fingerprints, const double* b_values, double b_norm,

@@ -52,10 +52,10 @@ Result<double> EstimateWmhInnerProduct(
 
 /// Span-level core of `EstimateWmhInnerProduct`: Algorithm 5 over the raw
 /// hash/value lanes of two sketches the caller has already verified to be
-/// mutually comparable (equal m, seed, L, engine, dimension). Both the
-/// pairwise estimator above and the slab catalog's 1-vs-many re-rank path
-/// (`SketchFamily::NewSlab`) run through this one function — that is what
-/// makes slab and pairwise estimates bit-identical. `m` must be positive.
+/// mutually comparable (equal m, seed, L, engine, dimension). The pairwise
+/// estimator above is a thin wrapper over it, so a caller holding the lanes
+/// in another layout gets bit-identical estimates by calling this directly.
+/// `m` must be positive.
 Result<double> EstimateWmhSpans(
     const double* a_hashes, const double* a_values, double a_norm,
     const double* b_hashes, const double* b_values, double b_norm, size_t m,

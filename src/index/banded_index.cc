@@ -20,30 +20,19 @@ uint64_t BandKey(const uint64_t* codes, size_t rows, size_t band,
   return h;
 }
 
-/// Swap-removes one occurrence of `slot` from the bucket under `key`,
+/// Swap-removes one occurrence of `id` from the bucket under `key`,
 /// dropping the bucket entirely when it empties.
 void EraseBucketEntry(
-    std::unordered_map<uint64_t, std::vector<uint32_t>>* buckets,
-    uint64_t key, uint32_t slot) {
+    std::unordered_map<uint64_t, std::vector<uint64_t>>* buckets,
+    uint64_t key, uint64_t id) {
   auto it = buckets->find(key);
   IPS_CHECK(it != buckets->end());
-  auto& slots = it->second;
-  auto pos = std::find(slots.begin(), slots.end(), slot);
-  IPS_CHECK(pos != slots.end());
-  *pos = slots.back();
-  slots.pop_back();
-  if (slots.empty()) buckets->erase(it);
-}
-
-/// Repoints one occurrence of `from` to `to` in the bucket under `key`.
-void RewireBucketEntry(
-    std::unordered_map<uint64_t, std::vector<uint32_t>>* buckets,
-    uint64_t key, uint32_t from, uint32_t to) {
-  auto it = buckets->find(key);
-  IPS_CHECK(it != buckets->end());
-  auto pos = std::find(it->second.begin(), it->second.end(), from);
-  IPS_CHECK(pos != it->second.end());
-  *pos = to;
+  auto& ids = it->second;
+  auto pos = std::find(ids.begin(), ids.end(), id);
+  IPS_CHECK(pos != ids.end());
+  *pos = ids.back();
+  ids.pop_back();
+  if (ids.empty()) buckets->erase(it);
 }
 
 }  // namespace
@@ -61,11 +50,9 @@ Status BandedLshParams::Validate(size_t num_samples) const {
   return Status::Ok();
 }
 
-BandedIndex::BandedIndex(SketchStore* store, const BandedLshParams& params,
-                         SlabCatalog catalog)
+BandedIndex::BandedIndex(SketchStore* store, const BandedLshParams& params)
     : store_(store),
       params_(params),
-      catalog_(std::move(catalog)),
       key_seed_(store->options().sketch.seed) {
   shards_.reserve(store->num_shards());
   for (size_t i = 0; i < store->num_shards(); ++i) {
@@ -97,10 +84,7 @@ Result<std::unique_ptr<BandedIndex>> BandedIndex::MakeAttached(
         "positionally coordinated samples)");
   }
   IPS_RETURN_IF_ERROR(params.Validate(family.options().num_samples));
-  auto catalog = SlabCatalog::Make(&family, store->num_shards());
-  IPS_RETURN_IF_ERROR(catalog.status());
-  std::unique_ptr<BandedIndex> index(
-      new BandedIndex(store, params, std::move(catalog).value()));
+  std::unique_ptr<BandedIndex> index(new BandedIndex(store, params));
   // Attach replays every resident sketch through OnInsert, so the index
   // comes back consistent with the store no matter when it is created.
   IPS_RETURN_IF_ERROR(store->AttachListener(index.get()));
@@ -119,75 +103,55 @@ BandedIndex::~BandedIndex() {
 
 size_t BandedIndex::size() const {
   size_t total = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    MutexLock lock(&shards_[s]->mu);
-    total += catalog_.size(s);
+  for (const auto& shard : shards_) {
+    MutexLock lock(&shard->mu);
+    total += shard->band_keys.size();
   }
   return total;
 }
 
+std::vector<uint64_t> BandedIndex::BandKeys(
+    const std::vector<uint64_t>& codes) const {
+  std::vector<uint64_t> keys;
+  keys.reserve(params_.bands);
+  for (size_t j = 0; j < params_.bands; ++j) {
+    keys.push_back(
+        BandKey(codes.data() + j * params_.rows, params_.rows, j, key_seed_));
+  }
+  return keys;
+}
+
 void BandedIndex::OnInsert(uint64_t id, const AnySketch& sketch) {
-  const size_t shard_index = store_->ShardOf(id);
-  Shard& shard = *shards_[shard_index];
+  // Every sketch reaching a listener already passed the store's
+  // CheckCompatible, and the family supports banding (MakeAttached), so
+  // this cannot fail. The keys are computed before taking the lock.
+  std::vector<uint64_t> codes;
+  IPS_CHECK(store_->family().AppendLshCodes(sketch, &codes).ok());
+  std::vector<uint64_t> keys = BandKeys(codes);
+  Shard& shard = *shards_[store_->ShardOf(id)];
   MutexLock lock(&shard.mu);
-  // insert_or_assign replaces silently; mirror that by removing any stale
-  // entry first.
-  const bool replaced = RemoveLocked(shard, shard_index, id);
-  InsertLocked(shard, shard_index, id, sketch);
+  // A replace re-files the id under its new keys.
+  const bool replaced = RemoveLocked(shard, id);
+  for (uint64_t key : keys) shard.buckets[key].push_back(id);
+  shard.band_keys.emplace(id, std::move(keys));
   inserts_->Add(1);
   if (!replaced) size_gauge_->Add(1);
 }
 
 void BandedIndex::OnErase(uint64_t id) {
-  const size_t shard_index = store_->ShardOf(id);
-  Shard& shard = *shards_[shard_index];
+  Shard& shard = *shards_[store_->ShardOf(id)];
   MutexLock lock(&shard.mu);
-  if (RemoveLocked(shard, shard_index, id)) {
+  if (RemoveLocked(shard, id)) {
     erases_->Add(1);
     size_gauge_->Add(-1);
   }
 }
 
-void BandedIndex::InsertLocked(Shard& shard, size_t shard_index, uint64_t id,
-                               const AnySketch& sketch) {
-  // Every sketch reaching a listener already passed the store's
-  // CheckCompatible, and the family supports banding (MakeAttached), so
-  // neither call below can fail.
-  std::vector<uint64_t> codes;
-  IPS_CHECK(store_->family().AppendLshCodes(sketch, &codes).ok());
-  auto slot = catalog_.Append(shard_index, id, sketch);
-  IPS_CHECK(slot.ok());
-  for (size_t j = 0; j < params_.bands; ++j) {
-    const uint64_t key =
-        BandKey(codes.data() + j * params_.rows, params_.rows, j, key_seed_);
-    shard.keys.push_back(key);
-    shard.buckets[key].push_back(slot.value());
-  }
-}
-
-bool BandedIndex::RemoveLocked(Shard& shard, size_t shard_index,
-                               uint64_t id) {
-  auto found = catalog_.SlotOf(shard_index, id);
-  if (!found.ok()) return false;
-  const uint32_t slot = found.value();
-  const size_t bands = params_.bands;
-  for (size_t j = 0; j < bands; ++j) {
-    EraseBucketEntry(&shard.buckets, shard.keys[slot * bands + j], slot);
-  }
-  auto removed = catalog_.Remove(shard_index, id);
-  IPS_CHECK(removed.ok());
-  if (removed.value().moved) {
-    // The old last slot's lanes now live at `slot`; move its band keys down
-    // and repoint its bucket entries.
-    const size_t last = catalog_.size(shard_index);
-    for (size_t j = 0; j < bands; ++j) {
-      const uint64_t key = shard.keys[last * bands + j];
-      RewireBucketEntry(&shard.buckets, key, static_cast<uint32_t>(last),
-                        slot);
-      shard.keys[slot * bands + j] = key;
-    }
-  }
-  shard.keys.resize(catalog_.size(shard_index) * bands);
+bool BandedIndex::RemoveLocked(Shard& shard, uint64_t id) {
+  auto it = shard.band_keys.find(id);
+  if (it == shard.band_keys.end()) return false;
+  for (uint64_t key : it->second) EraseBucketEntry(&shard.buckets, key, id);
+  shard.band_keys.erase(it);
   return true;
 }
 
@@ -195,12 +159,7 @@ Status BandedIndex::QueryBandKeys(const AnySketch& query,
                                   std::vector<uint64_t>* keys) const {
   std::vector<uint64_t> codes;
   IPS_RETURN_IF_ERROR(store_->family().AppendLshCodes(query, &codes));
-  keys->clear();
-  keys->reserve(params_.bands);
-  for (size_t j = 0; j < params_.bands; ++j) {
-    keys->push_back(
-        BandKey(codes.data() + j * params_.rows, params_.rows, j, key_seed_));
-  }
+  *keys = BandKeys(codes);
   return Status::Ok();
 }
 
@@ -209,76 +168,40 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
                                size_t shard_index, TopKHeap* heap,
                                IndexProbeStats* stats) const {
   IPS_CHECK(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  MutexLock lock(&shard.mu);
-  std::vector<uint32_t> candidates;
+  std::vector<uint64_t> candidates;
   uint64_t buckets_hit = 0;
-  for (uint64_t key : keys) {
-    auto it = shard.buckets.find(key);
-    if (it == shard.buckets.end()) continue;
-    ++buckets_hit;
-    candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+  {
+    const Shard& shard = *shards_[shard_index];
+    MutexLock lock(&shard.mu);
+    for (uint64_t key : keys) {
+      auto it = shard.buckets.find(key);
+      if (it == shard.buckets.end()) continue;
+      ++buckets_hit;
+      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+    }
   }
   stats->buckets_probed += buckets_hit;
   buckets_probed_->Add(buckets_hit);
   if (candidates.empty()) return Status::Ok();
   // A sketch colliding in several bands appears once per collision; dedup
-  // before the (much more expensive) re-rank.
+  // (outside the lock) before the much more expensive re-rank.
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  stats->candidates += candidates.size();
-  candidates_->Add(candidates.size());
-  std::vector<double> estimates(candidates.size());
-  IPS_RETURN_IF_ERROR(catalog_.EstimateMany(shard_index, query,
-                                            candidates.data(),
-                                            candidates.size(),
-                                            estimates.data()));
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    heap->Offer(static_cast<size_t>(catalog_.IdAt(shard_index, candidates[i])),
-                estimates[i]);
-  }
-  return Status::Ok();
-}
 
-Status BandedIndex::ScanShard(const AnySketch& query, size_t shard_index,
-                              TopKHeap* heap, size_t* scanned) const {
-  IPS_CHECK(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  MutexLock lock(&shard.mu);
-  const size_t resident = catalog_.size(shard_index);
-  if (resident == 0) return Status::Ok();
-  std::vector<double> estimates(resident);
-  IPS_RETURN_IF_ERROR(
-      catalog_.EstimateAll(shard_index, query, estimates.data()));
-  for (size_t slot = 0; slot < resident; ++slot) {
-    heap->Offer(static_cast<size_t>(catalog_.IdAt(shard_index, slot)),
-                estimates[slot]);
+  const ShardViewPtr view = store_->PinShard(shard_index);
+  IPS_RETURN_IF_ERROR(view->family->CheckCompatible(query));
+  uint64_t scored = 0;
+  for (uint64_t id : candidates) {
+    const AnySketch* sketch = view->Find(id);
+    if (sketch == nullptr) continue;  // erased since the probe
+    auto est = view->family->Estimate(query, *sketch);
+    IPS_RETURN_IF_ERROR(est.status());
+    heap->Offer(static_cast<size_t>(id), est.value());
+    ++scored;
   }
-  *scanned += resident;
-  return Status::Ok();
-}
-
-Status BandedIndex::ScanShardBatch(
-    const std::vector<const AnySketch*>& queries, size_t shard_index,
-    const std::vector<TopKHeap*>& heaps, size_t* scanned) const {
-  IPS_CHECK(shard_index < shards_.size());
-  IPS_CHECK(queries.size() == heaps.size());
-  const Shard& shard = *shards_[shard_index];
-  MutexLock lock(&shard.mu);
-  const size_t resident = catalog_.size(shard_index);
-  if (resident == 0 || queries.empty()) return Status::Ok();
-  std::vector<double> estimates(resident);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    IPS_RETURN_IF_ERROR(
-        catalog_.EstimateAll(shard_index, *queries[q], estimates.data()));
-    for (size_t slot = 0; slot < resident; ++slot) {
-      heaps[q]->Offer(
-          static_cast<size_t>(catalog_.IdAt(shard_index, slot)),
-          estimates[slot]);
-    }
-  }
-  *scanned += resident;
+  stats->candidates += scored;
+  candidates_->Add(scored);
   return Status::Ok();
 }
 

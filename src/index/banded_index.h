@@ -7,18 +7,22 @@
 // all r samples match, which for (weighted) Jaccard similarity J happens
 // with probability J^r per band, so a sketch becomes a candidate with
 // probability 1 − (1 − J^r)^b — the classic LSH S-curve: (b, r) is the
-// recall/cost knob. Candidates are re-ranked exactly (through the family's
-// span estimator core over the slab catalog, bit-identical to the pairwise
-// estimator), so banding only ever *misses* true hits, never mis-scores
-// them.
+// recall/cost knob.
+//
+// The index holds ids, never sketches. Candidates come from the buckets;
+// scores come from the store's pinned ShardView, through the same
+// SketchFamily::Estimate the exact scan calls, so a banded hit's estimate
+// is bit-identical to the exact scan's for that id — banding only ever
+// *misses* true hits, never mis-scores them.
 //
 // The index is a SketchStore::Listener: MakeAttached subscribes it to the
 // store and replays what is already resident, after which every insert,
 // replace, and erase is mirrored synchronously under the store's shard lock
 // for that id. The index's shard partition mirrors the store's
 // (SketchStore::ShardOf), and each index shard has its own mutex; the only
-// lock order is store-shard → index-shard, so queries (which take only
-// index locks) never deadlock against writers.
+// lock order is store-shard → index-shard. A probe holds one index-shard
+// lock while it collects candidate ids and releases it before scoring, so
+// queries never deadlock against writers.
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -38,7 +42,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "core/similarity_search.h"
-#include "index/slab_catalog.h"
 #include "service/metrics.h"
 #include "service/sketch_store.h"
 
@@ -62,8 +65,8 @@ struct IndexProbeStats {
   uint64_t candidates = 0;      ///< deduped candidates re-ranked
 };
 
-/// The banded index + slab catalog over one store. Thread-safe; see the
-/// file comment for the locking model.
+/// The banded index over one store. Thread-safe; see the file comment for
+/// the locking model.
 class BandedIndex final : public SketchStore::Listener {
  public:
   /// Builds an index over `store` and attaches it as the store's mutation
@@ -100,68 +103,42 @@ class BandedIndex final : public SketchStore::Listener {
   Status QueryBandKeys(const AnySketch& query,
                        std::vector<uint64_t>* keys) const;
 
-  /// Probes one shard's buckets with `keys` (from QueryBandKeys), re-ranks
-  /// the deduped candidates through the slab, and offers (id, estimate)
-  /// pairs to `heap`. Holds the index shard's lock for the duration.
+  /// Probes one shard's buckets with `keys` (from QueryBandKeys): collects
+  /// the candidate ids under the index shard's lock and releases it, then —
+  /// only if there are candidates — pins the store shard's view and offers
+  /// (id, estimate) to `heap` for every deduped candidate the view holds
+  /// (an id erased since the probe is skipped). InvalidArgument unless
+  /// `query` passes the view family's CheckCompatible.
   Status ProbeShard(const AnySketch& query,
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;
-
-  /// Estimates `query` against every resident sketch of one shard through
-  /// the slab arena (no banding filter) and offers all of them to `heap` —
-  /// the exact-scan path over slab layout. `*scanned` grows by the shard's
-  /// resident count.
-  Status ScanShard(const AnySketch& query, size_t shard, TopKHeap* heap,
-                   size_t* scanned) const;
-
-  /// Batch form of ScanShard: estimates every query of `queries` against
-  /// the shard's resident slab under ONE shard-lock hold, reusing the
-  /// estimate buffer across queries — the 1-vs-many coalescing entry point
-  /// the FrontDoor's admission queue feeds (SlabCatalog::EstimateAll per
-  /// query over contiguous lanes). `heaps[i]` receives query i's offers;
-  /// `*scanned` grows by the shard's resident count (entries, not
-  /// entry × query pairs). Fails on the first bad query, leaving heaps of
-  /// earlier queries populated.
-  Status ScanShardBatch(const std::vector<const AnySketch*>& queries,
-                        size_t shard, const std::vector<TopKHeap*>& heaps,
-                        size_t* scanned) const;
 
  private:
   struct Shard {
     /// kIndexShard: acquired inside listener callbacks while the store's
     /// shard lock (kStoreShard) is held — the mirror protocol's only order.
     mutable Mutex mu{LockRank::kIndexShard};
-    /// Band keys of resident slots, slot-major: slot s's key for band j at
-    /// s·bands + j. Swap-removed in step with the slab catalog's slots.
-    std::vector<uint64_t> keys IPS_GUARDED_BY(mu);
-    /// Band key → slots filed under it (across all bands; keys are salted
+    /// Band key → ids filed under it (across all bands; keys are salted
     /// per band, so cross-band collisions are as unlikely as any other).
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets
+    std::unordered_map<uint64_t, std::vector<uint64_t>> buckets
+        IPS_GUARDED_BY(mu);
+    /// Resident id → its b band keys in band order: the buckets a replace
+    /// or erase must unfile the id from.
+    std::unordered_map<uint64_t, std::vector<uint64_t>> band_keys
         IPS_GUARDED_BY(mu);
   };
 
-  BandedIndex(SketchStore* store, const BandedLshParams& params,
-              SlabCatalog catalog);
+  BandedIndex(SketchStore* store, const BandedLshParams& params);
 
-  /// Appends `sketch` under `id` to `shard` (which is
-  /// shards_[shard_index]; the index is still needed for the catalog side).
-  void InsertLocked(Shard& shard, size_t shard_index, uint64_t id,
-                    const AnySketch& sketch) IPS_REQUIRES(shard.mu);
+  /// The b band keys of `codes` (one LSH code per sample), in band order.
+  std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& codes) const;
 
-  /// Removes `id` from `shard` if resident (swap-remove: bucket references
-  /// to the moved last slot are rewired). Returns false if the id was not
-  /// resident.
-  bool RemoveLocked(Shard& shard, size_t shard_index, uint64_t id)
-      IPS_REQUIRES(shard.mu);
+  /// Unfiles `id` from every bucket of `shard`. Returns false if the id was
+  /// not resident.
+  bool RemoveLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
 
   SketchStore* store_;
   BandedLshParams params_;
-  /// Partitioned exactly like shards_: slab s is only ever touched with
-  /// shards_[s]->mu held. The analysis cannot express "guarded by the
-  /// same-indexed mutex", so the discipline here rests on the REQUIRES
-  /// contracts of the *Locked helpers plus the per-shard lock in every
-  /// public read path.
-  SlabCatalog catalog_;
   std::vector<std::unique_ptr<Shard>> shards_;
   uint64_t key_seed_ = 0;
   bool attached_ = false;

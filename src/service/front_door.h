@@ -15,13 +15,13 @@
 //      waiting for;
 //   3. drains the queue in batches and runs each batch through
 //      QueryEngine::TopKSketchBatch, which traverses the catalog once per
-//      *batch* — shards are pinned/locked once for all queries, raw query
-//      vectors are sketched with one shared Sketcher, and with a banded
-//      index attached the SlabCatalog 1-vs-many kernels
-//      (EstimateMany/EstimateAll) run over contiguous lanes;
-//   4. reads the store exclusively through the epoch-snapshot path
-//      (ReadMode::kSnapshot): zero shard-mutex acquisitions, so query
-//      traffic never contends with ingest.
+//      *batch* — shards are pinned once for all queries, raw query vectors
+//      are sketched with one shared Sketcher, and with a banded index
+//      attached each query's band keys are computed once for every shard
+//      probe;
+//   4. reads the store through the engine's only read path, pinned epoch
+//      views: no store shard writer-mutex acquisitions, so query traffic
+//      never waits on ingest.
 //
 // Locking (common/mutex.h): the admission queue is guarded by a
 // kFrontDoorQueue Mutex held only for push/pop and dispatch bookkeeping.
@@ -195,8 +195,8 @@ class FrontDoor {
   const SketchStore* store_;
   ThreadPool* pool_;
   FrontDoorOptions options_;
-  /// Snapshot-mode engine; serial inside a batch (parallelism comes from
-  /// concurrent batches, each on its own pool worker).
+  /// Serial inside a batch (parallelism comes from concurrent batches, each
+  /// on its own pool worker).
   QueryEngine engine_;
 
   mutable Mutex mu_{LockRank::kFrontDoorQueue};

@@ -119,23 +119,20 @@ std::string EncodeSketchStore(const SketchStore& store) {
   wire::AppendU64(&out, opts.num_shards);
   AppendFamilyOptions(&out, opts.sketch);
 
-  // Count first, then entries in (shard, id) order. Snapshots are taken per
+  // Count first, then entries in (shard, id) order. Views are pinned per
   // shard, so a concurrently-written store encodes *some* consistent-per-
   // shard state; quiesce writers for a point-in-time image.
-  std::vector<std::vector<StoreEntry>> shards;
-  shards.reserve(store.num_shards());
+  const std::vector<ShardViewPtr> views = store.PinStore();
   uint64_t count = 0;
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    shards.push_back(store.ShardSnapshot(s));
-    count += shards.back().size();
-  }
+  for (const ShardViewPtr& view : views) count += view->ids.size();
   wire::AppendU64(&out, count);
-  for (const auto& entries : shards) {
-    for (const StoreEntry& e : entries) {
-      wire::AppendU64(&out, e.id);
+  for (const ShardViewPtr& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const AnySketch& sketch = *view->sketches[i];
+      wire::AppendU64(&out, view->ids[i]);
       // Serialize cannot fail here: every stored sketch passed the family's
       // CheckCompatible on insert, so it is of the family's concrete type.
-      wire::AppendBytes(&out, store.family().Serialize(*e.sketch).value());
+      wire::AppendBytes(&out, view->family->Serialize(sketch).value());
     }
   }
   wire::AppendU64(&out, Checksum(out));

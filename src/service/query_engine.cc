@@ -58,40 +58,30 @@ Result<double> QueryEngine::EstimateInnerProduct(uint64_t id_a,
                                                  uint64_t id_b) const {
   metrics::ScopedLatency latency(estimate_pair_ns_);
   queries_->Add(1);
-  if (read_mode_ == ReadMode::kSnapshot) {
-    // Pinned views instead of Lookup: no shard mutex, no sketch clones.
-    const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
-    const AnySketch* a = va->Find(id_a);
-    if (a == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_a));
-    }
-    const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
-    const AnySketch* b = vb->Find(id_b);
-    if (b == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_b));
-    }
-    return va->family->Estimate(*a, *b);
+  // Pinned views: no shard mutex, no sketch clones.
+  const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
+  const AnySketch* a = va->Find(id_a);
+  if (a == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_a));
   }
-  auto a = store_->Lookup(id_a);
-  IPS_RETURN_IF_ERROR(a.status());
-  auto b = store_->Lookup(id_b);
-  IPS_RETURN_IF_ERROR(b.status());
-  return store_->family().Estimate(*a.value(), *b.value());
+  const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
+  const AnySketch* b = vb->Find(id_b);
+  if (b == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_b));
+  }
+  return va->family->Estimate(*a, *b);
 }
 
 bool QueryEngine::ScanStoreShard(
     size_t shard,
     const std::function<bool(uint64_t, const AnySketch&)>& fn) const {
-  if (read_mode_ == ReadMode::kSnapshot) {
-    const ShardViewPtr view = store_->PinShard(shard);
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      if (!fn(view->ids[i], *view->sketches[i])) return false;
-    }
-    return true;
+  const ShardViewPtr view = store_->PinShard(shard);
+  for (size_t i = 0; i < view->ids.size(); ++i) {
+    if (!fn(view->ids[i], *view->sketches[i])) return false;
   }
-  return store_->ForEachInShard(shard, fn);
+  return true;
 }
 
 Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
@@ -125,17 +115,13 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
   const SketchFamily& family = store_->family();
 
   std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
-  // kLeaf: acquired while a store shard lock (kStoreShard) is held inside
-  // the scan callback; nothing nests under it.
+  // kLeaf: taken from scan callbacks, which hold no lock; nothing nests
+  // under it.
   Mutex error_mu;
   Status first_error;
   {
     metrics::ScopedSpan span(trace, "shard-scan");
     ForEachShard([&](size_t s) {
-      // In kLockedScan mode estimation runs under the shard lock: copying
-      // whole shards out per query would cost far more than briefly
-      // blocking that shard's writers — the estimator is O(m) per entry
-      // and read-only. kSnapshot trades that contention for a pinned view.
       ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
         auto est = family.Estimate(qs, sketch);
         if (!est.ok()) {
@@ -204,8 +190,8 @@ Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
   heaps.reserve(n);
   for (size_t s = 0; s < n; ++s) heaps.emplace_back(k);
   std::vector<size_t> scanned(n, 0);
-  // kLeaf: record_error runs inside shard-scan callbacks with a store or
-  // index shard lock held; nothing nests under it.
+  // kLeaf: record_error runs from shard workers that hold no lock; nothing
+  // nests under it.
   Mutex error_mu;
   Status first_error;
   auto record_error = [&](const Status& st) {
@@ -227,14 +213,6 @@ Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
           ++scanned[s];
           return true;
         });
-      });
-      break;
-    }
-    case IndexPolicy::kSlabScan: {
-      metrics::ScopedSpan span(trace, "shard-scan");
-      ForEachShard([&](size_t s) {
-        Status st = index_->ScanShard(query, s, &heaps[s], &scanned[s]);
-        if (!st.ok()) record_error(st);
       });
       break;
     }
@@ -319,12 +297,12 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     heaps[q].reserve(n);
     for (size_t s = 0; s < n; ++s) heaps[q].emplace_back(ks[q]);
   }
-  // Shared by exact/slab (every live query scans the same entries);
+  // Shared by the exact scan (every live query scans the same entries);
   // per-query candidate counts for the banded path come from probe stats.
   std::vector<size_t> entries_per_shard(n, 0);
   std::vector<std::vector<IndexProbeStats>> probe_stats;
-  // kLeaf: record_error runs inside scan callbacks with a store or index
-  // shard lock held; nothing nests under it.
+  // kLeaf: record_error runs from shard workers that hold no lock; nothing
+  // nests under it.
   Mutex error_mu;
   std::vector<Status> errors(q_count);
   auto record_error = [&](size_t q, const Status& st) {
@@ -351,27 +329,6 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
       });
       break;
     }
-    case IndexPolicy::kSlabScan: {
-      ForEachShard([&](size_t s) {
-        std::vector<const AnySketch*> shard_queries;
-        std::vector<TopKHeap*> shard_heaps;
-        shard_queries.reserve(live_count);
-        shard_heaps.reserve(live_count);
-        for (size_t q = 0; q < q_count; ++q) {
-          if (!live[q]) continue;
-          shard_queries.push_back(queries[q]);
-          shard_heaps.push_back(&heaps[q][s]);
-        }
-        Status st = index_->ScanShardBatch(shard_queries, s, shard_heaps,
-                                           &entries_per_shard[s]);
-        if (!st.ok()) {
-          for (size_t q = 0; q < q_count; ++q) {
-            if (live[q]) record_error(q, st);
-          }
-        }
-      });
-      break;
-    }
     case IndexPolicy::kBandedRerank: {
       // Band keys once per query, shared across every shard probe.
       std::vector<std::vector<uint64_t>> keys(q_count);
@@ -381,7 +338,6 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
         if (!st.ok()) {
           results[q] = st;
           live[q] = false;
-          --live_count;
         }
       }
       probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));

@@ -34,7 +34,9 @@ SketchStore::SketchStore(SketchStoreOptions options,
     // Publish the empty epoch-0 view so PinShard never observes null.
     auto empty = std::make_shared<ShardView>();
     empty->family = family_;
-    shards_.back()->view.store(std::move(empty));
+    Shard& shard = *shards_.back();
+    MutexLock pin(&shard.pin_mu);
+    shard.view = std::move(empty);
   }
   auto& registry = metrics::MetricsRegistry::Global();
   inserts_ = &registry.GetCounter("ipsketch_store_inserts_total",
@@ -44,9 +46,6 @@ SketchStore::SketchStore(SketchStoreOptions options,
   ingest_ns_ = &registry.GetHistogram(
       "ipsketch_store_ingest_ns",
       "Per-vector ingest latency: sketch build plus shard insert");
-  scan_lock_ns_ = &registry.GetHistogram(
-      "ipsketch_store_scan_lock_ns",
-      "Shard-lock acquire plus hold time of in-place shard scans");
   size_gauge_ = &registry.GetGauge("ipsketch_store_size",
                                    "Live sketches across all stores");
   shard_occupancy_.reserve(options_.num_shards);
@@ -59,8 +58,7 @@ SketchStore::SketchStore(SketchStoreOptions options,
 
 void SketchStore::RetireOccupancy() {
   for (size_t s = 0; s < shards_.size(); ++s) {
-    MutexLock lock(&shards_[s]->mu);
-    const int64_t n = static_cast<int64_t>(shards_[s]->map.size());
+    const int64_t n = static_cast<int64_t>(PinShard(s)->ids.size());
     if (n == 0) continue;
     size_gauge_->Add(-n);
     shard_occupancy_[s]->Add(-n);
@@ -78,7 +76,6 @@ SketchStore& SketchStore::operator=(SketchStore&& other) noexcept {
     inserts_ = other.inserts_;
     erases_ = other.erases_;
     ingest_ns_ = other.ingest_ns_;
-    scan_lock_ns_ = other.scan_lock_ns_;
     size_gauge_ = other.size_gauge_;
     shard_occupancy_ = std::move(other.shard_occupancy_);
     // The header contract forbids moving while a listener is attached (the
@@ -104,12 +101,17 @@ Result<SketchStore> SketchStore::Make(const SketchStoreOptions& options) {
   return SketchStore(std::move(resolved), std::move(family).value());
 }
 
-void SketchStore::PublishInsertLocked(
-    Shard& shard, uint64_t id,
-    const std::shared_ptr<const AnySketch>& sketch) {
-  const ShardViewPtr prev = shard.view.load(std::memory_order_relaxed);
-  auto next = std::make_shared<ShardView>();
+void SketchStore::PublishLocked(Shard& shard, std::shared_ptr<ShardView> next) {
   next->epoch = ++shard.version;
+  ShardViewPtr superseded = std::move(next);
+  MutexLock pin(&shard.pin_mu);
+  shard.view.swap(superseded);
+}
+
+bool SketchStore::PublishInsertLocked(
+    Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch) {
+  const ShardViewPtr prev = shard.Pin();
+  auto next = std::make_shared<ShardView>();
   next->family = family_;
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
@@ -120,21 +122,21 @@ void SketchStore::PublishInsertLocked(
   next->ids.assign(prev->ids.begin(), pos);
   next->sketches.assign(prev->sketches.begin(), prev->sketches.begin() + i);
   next->ids.push_back(id);
-  next->sketches.push_back(sketch);
+  next->sketches.push_back(std::move(sketch));
   next->ids.insert(next->ids.end(), pos + (replace ? 1 : 0), prev->ids.end());
   next->sketches.insert(next->sketches.end(),
                         prev->sketches.begin() + i + (replace ? 1 : 0),
                         prev->sketches.end());
-  shard.view.store(std::move(next));
+  PublishLocked(shard, std::move(next));
+  return !replace;
 }
 
-void SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
-  const ShardViewPtr prev = shard.view.load(std::memory_order_relaxed);
-  auto next = std::make_shared<ShardView>();
-  next->epoch = ++shard.version;
-  next->family = family_;
+bool SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
+  const ShardViewPtr prev = shard.Pin();
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
-  IPS_CHECK(pos != prev->ids.end() && *pos == id);
+  if (pos == prev->ids.end() || *pos != id) return false;
+  auto next = std::make_shared<ShardView>();
+  next->family = family_;
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
   next->ids.reserve(prev->ids.size() - 1);
   next->sketches.reserve(prev->ids.size() - 1);
@@ -143,25 +145,13 @@ void SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
   next->sketches.assign(prev->sketches.begin(), prev->sketches.begin() + i);
   next->sketches.insert(next->sketches.end(), prev->sketches.begin() + i + 1,
                         prev->sketches.end());
-  shard.view.store(std::move(next));
-}
-
-void SketchStore::PublishRebuildLocked(
-    Shard& shard, std::shared_ptr<const SketchFamily> family) {
-  auto next = std::make_shared<ShardView>();
-  next->epoch = ++shard.version;
-  next->family = std::move(family);
-  next->ids.reserve(shard.map.size());
-  for (const auto& [id, sketch] : shard.map) next->ids.push_back(id);
-  std::sort(next->ids.begin(), next->ids.end());
-  next->sketches.reserve(next->ids.size());
-  for (uint64_t id : next->ids) next->sketches.push_back(shard.map.at(id));
-  shard.view.store(std::move(next));
+  PublishLocked(shard, std::move(next));
+  return true;
 }
 
 ShardViewPtr SketchStore::PinShard(size_t shard) const {
   IPS_CHECK(shard < shards_.size());
-  return shards_[shard]->view.load(std::memory_order_acquire);
+  return shards_[shard]->Pin();
 }
 
 std::vector<ShardViewPtr> SketchStore::PinStore() const {
@@ -179,10 +169,7 @@ size_t SketchStore::ShardOf(uint64_t id) const {
 
 size_t SketchStore::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    total += shard->map.size();
-  }
+  for (size_t s = 0; s < shards_.size(); ++s) total += PinShard(s)->ids.size();
   return total;
 }
 
@@ -196,11 +183,9 @@ Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
   bool is_new = false;
   {
     MutexLock lock(&shard.mu);
-    std::shared_ptr<const AnySketch> shared = std::move(sketch);
-    auto [it, inserted] = shard.map.insert_or_assign(id, shared);
-    is_new = inserted;
-    PublishInsertLocked(shard, id, shared);
-    if (shard.listener != nullptr) shard.listener->OnInsert(id, *it->second);
+    const AnySketch& stored = *sketch;
+    is_new = PublishInsertLocked(shard, id, std::move(sketch));
+    if (shard.listener != nullptr) shard.listener->OnInsert(id, stored);
   }
   inserts_->Add(1);
   if (is_new) {
@@ -240,8 +225,8 @@ Status SketchStore::BuildAndInsertBatch(
   // Carve the batch into one contiguous chunk per worker: each chunk gets
   // its own Sketcher (scratch reuse across its vectors) and inserts as it
   // goes, so sketching — the expensive part — runs fully in parallel and
-  // shard locks are held only for map writes. Chunks share no state except
-  // the first-error slot.
+  // shard locks are held only for view publication. Chunks share no state
+  // except the first-error slot.
   const size_t chunks = std::min(batch.size(), pool->num_threads());
   const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
   // kLeaf: taken only from chunk bodies, which hold nothing at that point.
@@ -274,19 +259,16 @@ Status SketchStore::BuildAndInsertBatch(
 }
 
 bool SketchStore::Contains(uint64_t id) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  return shard.map.find(id) != shard.map.end();
+  return PinShard(ShardOf(id))->Find(id) != nullptr;
 }
 
 Result<std::unique_ptr<AnySketch>> SketchStore::Lookup(uint64_t id) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  auto it = shard.map.find(id);
-  if (it == shard.map.end()) {
+  const ShardViewPtr view = PinShard(ShardOf(id));
+  const AnySketch* sketch = view->Find(id);
+  if (sketch == nullptr) {
     return Status::NotFound("no sketch stored under id " + std::to_string(id));
   }
-  return it->second->Clone();
+  return sketch->Clone();
 }
 
 Status SketchStore::Erase(uint64_t id) {
@@ -294,14 +276,11 @@ Status SketchStore::Erase(uint64_t id) {
   Shard& shard = *shards_[shard_index];
   {
     MutexLock lock(&shard.mu);
-    auto it = shard.map.find(id);
-    if (it == shard.map.end()) {
+    if (!PublishEraseLocked(shard, id)) {
       return Status::NotFound("no sketch stored under id " +
                               std::to_string(id));
     }
     if (shard.listener != nullptr) shard.listener->OnErase(id);
-    shard.map.erase(it);
-    PublishEraseLocked(shard, id);
   }
   erases_->Add(1);
   size_gauge_->Add(-1);
@@ -325,8 +304,9 @@ Status SketchStore::AttachListener(Listener* listener) {
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     shard->listener = listener;
-    for (const auto& [id, sketch] : shard->map) {
-      listener->OnInsert(id, *sketch);
+    const ShardViewPtr view = shard->Pin();
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      listener->OnInsert(view->ids[i], *view->sketches[i]);
     }
   }
   return Status::Ok();
@@ -345,55 +325,10 @@ Status SketchStore::DetachListener(Listener* listener) {
   return Status::Ok();
 }
 
-bool SketchStore::ForEachInShard(
-    size_t shard_index,
-    const std::function<bool(uint64_t, const AnySketch&)>& fn) const {
-  IPS_CHECK(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  // The timer covers acquire + hold: lock *wait* inflates these numbers
-  // exactly when writers contend, which is the skew signal the metric is
-  // for.
-  metrics::ScopedLatency lock_timer(scan_lock_ns_);
-  MutexLock lock(&shard.mu);
-  for (const auto& [id, sketch] : shard.map) {
-    if (!fn(id, *sketch)) return false;
-  }
-  return true;
-}
-
-std::vector<StoreEntry> SketchStore::ShardSnapshot(size_t shard_index) const {
-  IPS_CHECK(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  std::vector<StoreEntry> out;
-  {
-    MutexLock lock(&shard.mu);
-    out.reserve(shard.map.size());
-    for (const auto& [id, sketch] : shard.map) {
-      out.push_back({id, sketch->Clone()});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StoreEntry& a, const StoreEntry& b) { return a.id < b.id; });
-  return out;
-}
-
-std::vector<StoreEntry> SketchStore::Snapshot() const {
-  std::vector<StoreEntry> out;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    auto shard_entries = ShardSnapshot(s);
-    out.insert(out.end(), std::make_move_iterator(shard_entries.begin()),
-               std::make_move_iterator(shard_entries.end()));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StoreEntry& a, const StoreEntry& b) { return a.id < b.id; });
-  return out;
-}
-
 std::vector<uint64_t> SketchStore::Ids() const {
   std::vector<uint64_t> out;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [id, sketch] : shard->map) out.push_back(id);
+  for (const ShardViewPtr& view : PinStore()) {
+    out.insert(out.end(), view->ids.begin(), view->ids.end());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -401,12 +336,11 @@ std::vector<uint64_t> SketchStore::Ids() const {
 
 double SketchStore::TotalStorageWords() const {
   double total = 0.0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [id, sketch] : shard->map) {
+  for (const ShardViewPtr& view : PinStore()) {
+    for (const auto& sketch : view->sketches) {
       // Every stored sketch passed CheckCompatible on insert, so the
       // family-side cast cannot fail.
-      total += family_->StorageWords(*sketch).value();
+      total += view->family->StorageWords(*sketch).value();
     }
   }
   return total;
@@ -414,10 +348,9 @@ double SketchStore::TotalStorageWords() const {
 
 double SketchStore::TotalResidentWords() const {
   double total = 0.0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [id, sketch] : shard->map) {
-      total += family_->ResidentWords(*sketch).value();
+  for (const ShardViewPtr& view : PinStore()) {
+    for (const auto& sketch : view->sketches) {
+      total += view->family->ResidentWords(*sketch).value();
     }
   }
   return total;
@@ -451,8 +384,9 @@ Status SketchStore::CompactifyInPlace(
         family_->name() + "'");
   }
   {
-    // A listener mirrors the current family's sketches; swapping the family
-    // identity under it would corrupt the mirror. Detach first.
+    // A listener mirrors the store under the current family's identity (the
+    // index's band keys are its LSH codes); swapping the family under it
+    // would corrupt the mirror. Detach first.
     MutexLock attach_lock(&*listener_mu_);
     if (listener_ != nullptr) {
       return Status::FailedPrecondition(
@@ -470,32 +404,30 @@ Status SketchStore::CompactifyInPlace(
   IPS_RETURN_IF_ERROR(made.status());
   IPS_RETURN_IF_ERROR(CheckQuantizedTarget(*made.value()));
 
-  // Stage every conversion first so any failure leaves the store unchanged,
-  // then commit. Callers quiesce writers, so nothing lands between the two
-  // passes (see the header contract).
-  std::vector<std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>>>
-      staged(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
-    staged[s].reserve(shard.map.size());
-    for (const auto& [id, sketch] : shard.map) {
+  // Stage every shard's successor view first so any failure leaves the
+  // store unchanged, then commit. Callers quiesce writers, so nothing lands
+  // between the two passes (see the header contract).
+  std::vector<std::shared_ptr<ShardView>> staged;
+  staged.reserve(shards_.size());
+  for (const ShardViewPtr& view : PinStore()) {
+    auto next = std::make_shared<ShardView>();
+    next->family = made.value();
+    next->ids = view->ids;
+    next->sketches.reserve(view->sketches.size());
+    for (const auto& sketch : view->sketches) {
       auto quantized = QuantizeWmhSketch(*made.value(), *sketch);
       IPS_RETURN_IF_ERROR(quantized.status());
-      staged[s].emplace_back(id, std::move(quantized).value());
+      next->sketches.push_back(std::move(quantized).value());
     }
+    staged.push_back(std::move(next));
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
-    shard.map.clear();
-    for (auto& [id, sketch] : staged[s]) {
-      shard.map.emplace(id, std::move(sketch));
-    }
     // Republish under the *target* family: a view pinned before this line
     // keeps serving the old family + old sketches coherently, a view pinned
     // after serves the compact pair — never a mix.
-    PublishRebuildLocked(shard, made.value());
+    PublishLocked(shard, std::move(staged[s]));
   }
   family_ = std::move(made).value();
   options_.family = family_->name();
@@ -521,31 +453,17 @@ Result<SketchStore> QuantizeStore(
   IPS_RETURN_IF_ERROR(made.status());
   SketchStore out = std::move(made).value();
   IPS_RETURN_IF_ERROR(CheckQuantizedTarget(out.family()));
-  // Quantize over the allocation-free shard scan: each source sketch is
-  // read once under its shard lock and only the compact form is
-  // materialized, so peak memory stays source + compact copy, never a
-  // second full-precision clone. The compact forms are staged per shard and
-  // inserted only after the scan returns: `out` is a distinct store, but
-  // its shard locks share the kStoreShard rank with the source's, and
-  // same-rank nesting is exactly the cross-store ABBA shape the lock-rank
-  // discipline forbids (two concurrent QuantizeStore calls in opposite
-  // directions would deadlock).
-  Status first_error;
-  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> staged;
-  for (size_t s = 0; s < source.num_shards(); ++s) {
-    staged.clear();
-    source.ForEachInShard(s, [&](uint64_t id, const AnySketch& sketch) {
-      auto quantized = QuantizeWmhSketch(out.family(), sketch);
-      if (!quantized.ok()) {
-        first_error = quantized.status();
-        return false;  // stop this shard's scan
-      }
-      staged.emplace_back(id, std::move(quantized).value());
-      return true;
-    });
-    IPS_RETURN_IF_ERROR(first_error);
-    for (auto& [id, sketch] : staged) {
-      IPS_RETURN_IF_ERROR(out.Insert(id, std::move(sketch)));
+  // Quantize straight off the source's pinned views: each source sketch is
+  // read once and only the compact form is materialized, so peak memory
+  // stays source + compact copy, never a second full-precision clone. No
+  // source shard lock is ever held, so inserting into `out` (whose shard
+  // locks share the kStoreShard rank) cannot nest two store-shard locks.
+  for (const ShardViewPtr& view : source.PinStore()) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const uint64_t id = view->ids[i];
+      auto quantized = QuantizeWmhSketch(out.family(), *view->sketches[i]);
+      IPS_RETURN_IF_ERROR(quantized.status());
+      IPS_RETURN_IF_ERROR(out.Insert(id, std::move(quantized).value()));
     }
   }
   return out;

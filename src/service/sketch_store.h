@@ -9,15 +9,16 @@
 // a CountSketch catalog and a Weighted MinHash catalog run through exactly
 // the same code.
 //
-// Concurrency model: N shards (hash-on-id), one mutex per shard. Writers to
-// different shards never contend; readers either copy sketches out under
-// the shard lock (Lookup, Snapshot), scan in place while holding it
-// (ForEachInShard), or — the heavy-read path — pin an immutable epoch view
-// published by writers and never take the shard mutex at all (PinShard;
-// see ShardView and docs/ARCHITECTURE.md's snapshot-epoch protocol). Batch
-// ingest sketches *outside* any lock (sketching is the expensive part)
-// with one family Sketcher per worker thread, then takes each shard lock
-// only for the map insert and the copy-on-write view publication.
+// Concurrency model: N shards (hash-on-id). Each shard is one immutable
+// epoch view (ShardView), and that view is the shard's only copy of its
+// sketches. Every read — size, Contains, Lookup, Ids, the storage totals,
+// query scans — pins views and never takes a shard's writer mutex (see
+// docs/ARCHITECTURE.md's snapshot-epoch protocol). One mutex per shard
+// serializes that shard's writers, which splice and publish the successor
+// view; writers to different shards never contend.
+// Batch ingest sketches *outside* any lock (sketching is the expensive
+// part) with one family Sketcher per worker thread, then takes each shard
+// lock only for the copy-on-write view publication.
 //
 // Every sketch in a store shares the family's resolved options — the
 // estimator's compatibility requirement — enforced at construction and on
@@ -26,14 +27,11 @@
 #ifndef IPSKETCH_SERVICE_SKETCH_STORE_H_
 #define IPSKETCH_SERVICE_SKETCH_STORE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,18 +61,13 @@ struct SketchStoreOptions {
   Status Validate() const;
 };
 
-/// One (id, sketch) element of a store snapshot.
-struct StoreEntry {
-  uint64_t id = 0;
-  std::unique_ptr<AnySketch> sketch;
-};
-
-/// An immutable point-in-time view of one shard — the epoch-snapshot read
-/// path. Writers copy-on-write: every mutation builds the successor view
-/// under the shard lock and publishes it with one atomic shared_ptr swap,
-/// so readers pin an epoch with a single atomic load and never touch the
-/// shard mutex (RCU-style; a pinned view keeps its sketches alive however
-/// many epochs the shard advances past it).
+/// An immutable point-in-time view of one shard — the store's only
+/// representation of the shard and its only read path. Writers
+/// copy-on-write: every mutation builds the successor view under the shard
+/// lock and publishes it with one shared_ptr swap, so readers pin an epoch
+/// with one shared_ptr copy and never touch the shard's writer mutex
+/// (RCU-style; a pinned view keeps its sketches alive however many epochs
+/// the shard advances past it).
 ///
 /// `family` is the store's family at publication time, so a pinned view
 /// stays internally consistent — sketches and the estimator that understands
@@ -94,20 +87,22 @@ struct ShardView {
 
 using ShardViewPtr = std::shared_ptr<const ShardView>;
 
-/// The sharded concurrent map. All public methods are thread-safe.
+/// The sharded concurrent id → sketch store. All public methods are
+/// thread-safe.
 class SketchStore {
  public:
   /// Receives synchronous mutation notifications (see AttachListener). Both
-  /// callbacks run *under the shard lock* of the mutated id's shard, so a
-  /// listener observing one shard's stream sees its mutations in order and
-  /// can mirror the shard consistently. Callbacks must be fast and must
-  /// never call back into the store (the lock is held — deadlock).
+  /// callbacks run *under the shard lock* of the mutated id's shard, right
+  /// after the successor view is published, so a listener observing one
+  /// shard's stream sees its mutations in order and can mirror the shard
+  /// consistently. Callbacks must be fast and must never mutate the store
+  /// (the lock is held — deadlock); reads, which only pin views, are fine.
   class Listener {
    public:
     virtual ~Listener() = default;
     /// After `sketch` was stored (insert or replace) under `id`.
     virtual void OnInsert(uint64_t id, const AnySketch& sketch) = 0;
-    /// Before `id` is removed.
+    /// After `id` was removed.
     virtual void OnErase(uint64_t id) = 0;
   };
 
@@ -139,7 +134,8 @@ class SketchStore {
   /// Number of shards.
   size_t num_shards() const { return shards_.size(); }
 
-  /// Total number of stored sketches.
+  /// Total number of stored sketches (sums pinned views; not a
+  /// point-in-time snapshot across shards).
   size_t size() const;
 
   /// Inserts (or replaces) a pre-built sketch. Fails with InvalidArgument
@@ -182,36 +178,17 @@ class SketchStore {
   /// Detaches `listener`. InvalidArgument if it is not the attached one.
   Status DetachListener(Listener* listener);
 
-  /// Copies out one shard's contents, sorted by id. Each shard snapshot is
-  /// internally consistent (taken under the shard lock); a full-store
-  /// iteration built from per-shard snapshots is *not* a point-in-time view
-  /// across shards — concurrent writers may land between shard copies.
-  std::vector<StoreEntry> ShardSnapshot(size_t shard) const;
-
-  /// Invokes fn(id, sketch) for every entry of one shard, *under that
-  /// shard's lock*, in unspecified order; returns false iff `fn` ever did
-  /// (which stops the scan early). The allocation-free scan path used by
-  /// query scans: nothing is copied, at the price that writers to this
-  /// shard block until the scan finishes — keep `fn` read-only and cheap,
-  /// and never touch the store from inside it (the lock is held).
-  bool ForEachInShard(
-      size_t shard,
-      const std::function<bool(uint64_t, const AnySketch&)>& fn) const;
-
-  /// Pins the currently published view of one shard: one atomic load, no
-  /// shard-mutex acquisition, never null. The view is immutable and sorted
-  /// by id; holding the pointer keeps its epoch's sketches alive while
-  /// writers publish newer epochs. This is the read path heavy query
-  /// traffic should use — it cannot contend with ingest.
+  /// Pins the currently published view of one shard: one shared_ptr copy
+  /// under the shard's pin lock, never the writer mutex, never null. The
+  /// view is immutable and sorted by id; holding the pointer keeps its
+  /// epoch's sketches alive while writers publish newer epochs, so reads
+  /// never wait on ingest.
   ShardViewPtr PinShard(size_t shard) const;
 
-  /// Pins every shard's current view. Each view is internally consistent;
-  /// the cross-shard caveat of Snapshot() applies (views may be pinned at
-  /// different epochs relative to concurrent writers).
+  /// Pins every shard's current view, in shard order. Each view is
+  /// internally consistent, but the set is *not* a point-in-time image
+  /// across shards: concurrent writers may publish between two pins.
   std::vector<ShardViewPtr> PinStore() const;
-
-  /// All (id, sketch) pairs, sorted by id: the per-shard snapshots merged.
-  std::vector<StoreEntry> Snapshot() const;
 
   /// All ids, sorted.
   std::vector<uint64_t> Ids() const;
@@ -248,21 +225,30 @@ class SketchStore {
 
  private:
   struct Shard {
+    /// Serializes this shard's writers: epoch, publication, and the
+    /// listener pointer. Readers never take it.
     mutable Mutex mu{LockRank::kStoreShard};
-    /// Values are shared so the published views can reference them without
-    /// cloning; the map itself stays the single mutable source of truth.
-    std::unordered_map<uint64_t, std::shared_ptr<const AnySketch>> map
-        IPS_GUARDED_BY(mu);
     /// Mirror of the store-level listener, guarded by `mu` so mutation
     /// paths need no second lock to find it.
     Listener* listener IPS_GUARDED_BY(mu) = nullptr;
     /// Publication count — the epoch stamped into the next view.
     uint64_t version IPS_GUARDED_BY(mu) = 0;
-    /// The published immutable view. Written by mutators under `mu`
-    /// (copy-on-write from the previous view), read lock-free by PinShard.
+    /// Guards only the `view` pointer: held for one shared_ptr copy (Pin)
+    /// or swap (PublishLocked), never across a splice, so readers and
+    /// writers never wait on each other's work. A plain lock rather than
+    /// std::atomic<std::shared_ptr>, whose libstdc++ 12 load releases its
+    /// internal spinlock with relaxed ordering — a data race ThreadSanitizer
+    /// reports. kLeaf: nothing is acquired under it.
+    mutable Mutex pin_mu{LockRank::kLeaf};
+    /// The published immutable view, copy-on-write from its predecessor.
     /// Initialized to the empty epoch-0 view at construction, so readers
     /// never observe null.
-    std::atomic<ShardViewPtr> view;
+    ShardViewPtr view IPS_GUARDED_BY(pin_mu);
+
+    ShardViewPtr Pin() const {
+      MutexLock lock(&pin_mu);
+      return view;
+    }
   };
 
   SketchStore(SketchStoreOptions options,
@@ -270,19 +256,19 @@ class SketchStore {
 
   /// Publishes the successor view of `shard` with `id` inserted or
   /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one atomic swap.
-  void PublishInsertLocked(Shard& shard, uint64_t id,
-                           const std::shared_ptr<const AnySketch>& sketch)
+  /// sorted-position splice, one atomic swap. Returns true iff `id` is new
+  /// to the shard (false: it replaced a stored sketch).
+  bool PublishInsertLocked(Shard& shard, uint64_t id,
+                           std::shared_ptr<const AnySketch> sketch)
       IPS_REQUIRES(shard.mu);
 
-  /// Publishes the successor view of `shard` with `id` removed.
-  void PublishEraseLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
+  /// Publishes the successor view of `shard` with `id` removed. Returns
+  /// false, publishing nothing, iff `id` is not stored in the shard.
+  bool PublishEraseLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
 
-  /// Rebuilds and publishes `shard`'s view from its map under `family` —
-  /// the bulk path CompactifyInPlace uses after swapping a shard's
-  /// contents wholesale.
-  void PublishRebuildLocked(Shard& shard,
-                            std::shared_ptr<const SketchFamily> family)
+  /// Stamps `next` with the shard's next epoch and publishes it; the
+  /// superseded view is released after the pin lock is dropped.
+  void PublishLocked(Shard& shard, std::shared_ptr<ShardView> next)
       IPS_REQUIRES(shard.mu);
 
   /// Subtracts every shard's current occupancy from the gauges — the
@@ -306,7 +292,6 @@ class SketchStore {
   metrics::Counter* inserts_ = nullptr;
   metrics::Counter* erases_ = nullptr;
   metrics::Histogram* ingest_ns_ = nullptr;
-  metrics::Histogram* scan_lock_ns_ = nullptr;
   metrics::Gauge* size_gauge_ = nullptr;
   // One gauge per shard index, named ...{shard="i"} — per-shard skew is
   // visible directly in the exposition.

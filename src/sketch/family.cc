@@ -1,7 +1,7 @@
 #include "sketch/family.h"
 
-#include <algorithm>
 #include <bit>
+#include <type_traits>
 #include <utility>
 
 #include "core/icws.h"
@@ -96,12 +96,6 @@ Status SketchFamily::AppendLshCodes(const AnySketch& /*sketch*/,
       "' does not expose positional LSH codes (supports_banding is false)");
 }
 
-Result<std::unique_ptr<SketchSlab>> SketchFamily::NewSlab() const {
-  return Status::FailedPrecondition(
-      "family '" + name() +
-      "' does not support slab catalogs (supports_banding is false)");
-}
-
 namespace {
 
 // --- param parsing helpers --------------------------------------------------
@@ -189,224 +183,24 @@ std::unique_ptr<AnySketch> Wrap(T sketch) {
   return std::make_unique<TypedSketch<T>>(std::move(sketch));
 }
 
-// --- SoA slab + LSH codes for the banding families ---------------------------
-//
-// Each banding family binds the generic pieces below through a small traits
-// struct: the concrete sketch type, its lane types, span accessors, the
-// per-sample 64-bit collision code, and the family's span-level estimator
-// core. Routing both this slab path and the pairwise Estimate through that
-// one core is what makes their results bit-identical.
+// --- LSH codes for the banding families --------------------------------------
 
-/// Traits for "wmh": double hash/value lanes, FM union estimate needs L.
-struct WmhSlabTraits {
-  using SketchT = WmhSketch;
-  using HashT = double;
-  using ValueT = double;
-  uint64_t L = 0;
-
-  static const std::vector<double>& Hashes(const SketchT& s) {
-    return s.hashes;
-  }
-  static const std::vector<double>& Values(const SketchT& s) {
-    return s.values;
-  }
-  static double Norm(const SketchT& s) { return s.norm; }
-  /// Equal doubles have equal bit patterns (minimum hashes are never -0.0 or
-  /// NaN), so the raw pattern is a collision-exact code.
-  static uint64_t Code(double h) { return std::bit_cast<uint64_t>(h); }
-  Result<double> Estimate(const double* qh, const double* qv, double qn,
-                          const double* sh, const double* sv, double sn,
-                          size_t m) const {
-    return EstimateWmhSpans(qh, qv, qn, sh, sv, sn, m, L);
-  }
-};
-
-/// Traits for "icws": 64-bit fingerprints are already collision codes.
-struct IcwsSlabTraits {
-  using SketchT = IcwsSketch;
-  using HashT = uint64_t;
-  using ValueT = double;
-
-  static const std::vector<uint64_t>& Hashes(const SketchT& s) {
-    return s.fingerprints;
-  }
-  static const std::vector<double>& Values(const SketchT& s) {
-    return s.values;
-  }
-  static double Norm(const SketchT& s) { return s.norm; }
-  static uint64_t Code(uint64_t fingerprint) { return fingerprint; }
-  Result<double> Estimate(const uint64_t* qh, const double* qv, double qn,
-                          const uint64_t* sh, const double* sv, double sn,
-                          size_t m) const {
-    return EstimateIcwsSpans(qh, qv, qn, sh, sv, sn, m);
-  }
-};
-
-/// Traits for "mh": unweighted sketches carry no norm (the estimator never
-/// reads it; the slab stores a 0.0 placeholder per slot).
-struct MhSlabTraits {
-  using SketchT = MhSketch;
-  using HashT = double;
-  using ValueT = double;
-
-  static const std::vector<double>& Hashes(const SketchT& s) {
-    return s.hashes;
-  }
-  static const std::vector<double>& Values(const SketchT& s) {
-    return s.values;
-  }
-  static double Norm(const SketchT&) { return 0.0; }
-  static uint64_t Code(double h) { return std::bit_cast<uint64_t>(h); }
-  Result<double> Estimate(const double* qh, const double* qv, double /*qn*/,
-                          const double* sh, const double* sv, double /*sn*/,
-                          size_t m) const {
-    return EstimateMhSpans(qh, qv, sh, sv, m);
-  }
-};
-
-/// Traits for "wmh_compact": 32-bit fixed-point hashes, float32 values.
-struct CompactWmhSlabTraits {
-  using SketchT = CompactWmhSketch;
-  using HashT = uint32_t;
-  using ValueT = float;
-  uint64_t L = 0;
-
-  static const std::vector<uint32_t>& Hashes(const SketchT& s) {
-    return s.hashes;
-  }
-  static const std::vector<float>& Values(const SketchT& s) {
-    return s.values;
-  }
-  static double Norm(const SketchT& s) { return s.norm; }
-  static uint64_t Code(uint32_t h) { return h; }
-  Result<double> Estimate(const uint32_t* qh, const float* qv, double qn,
-                          const uint32_t* sh, const float* sv, double sn,
-                          size_t m) const {
-    return EstimateCompactWmhSpans(qh, qv, qn, sh, sv, sn, m, L);
-  }
-};
-
-/// Traits for "wmh_bbit": b-bit fingerprints in uint32_t slots. Fingerprint
-/// equality is exactly the estimator's match event (spurious rate 2⁻ᵇ — the
-/// re-rank estimator corrects the rate; banding just sees more candidates).
-struct BbitWmhSlabTraits {
-  using SketchT = BbitWmhSketch;
-  using HashT = uint32_t;
-  using ValueT = float;
-  uint32_t bits = 0;
-
-  static const std::vector<uint32_t>& Hashes(const SketchT& s) {
-    return s.fingerprints;
-  }
-  static const std::vector<float>& Values(const SketchT& s) {
-    return s.values;
-  }
-  static double Norm(const SketchT& s) { return s.norm; }
-  static uint64_t Code(uint32_t fingerprint) { return fingerprint; }
-  Result<double> Estimate(const uint32_t* qh, const float* qv, double qn,
-                          const uint32_t* sh, const float* sv, double sn,
-                          size_t m) const {
-    return EstimateBbitWmhSpans(qh, qv, qn, sh, sv, sn, m, bits);
-  }
-};
-
-/// The generic structure-of-arrays block: hash and value lanes of slot s at
-/// flat offset s·m, norms in a parallel array. Estimation walks the arena
-/// slot after slot through the family's span core (which runs the dispatched
-/// SIMD kernels), with no per-sketch pointer chasing.
-template <typename Traits>
-class SoaSlab final : public SketchSlab {
- public:
-  SoaSlab(const SketchFamily* family, Traits traits)
-      : family_(family),
-        m_(family->options().num_samples),
-        traits_(traits) {}
-
-  size_t size() const override { return norms_.size(); }
-
-  Status Append(const AnySketch& sketch) override {
-    IPS_RETURN_IF_ERROR(family_->CheckCompatible(sketch));
-    const auto& s = *GetSketchAs<typename Traits::SketchT>(sketch);
-    const auto& hashes = Traits::Hashes(s);
-    const auto& values = Traits::Values(s);
-    hashes_.insert(hashes_.end(), hashes.begin(), hashes.end());
-    values_.insert(values_.end(), values.begin(), values.end());
-    norms_.push_back(Traits::Norm(s));
-    return Status::Ok();
-  }
-
-  void SwapRemove(size_t slot) override {
-    IPS_CHECK(slot < norms_.size());
-    const size_t last = norms_.size() - 1;
-    if (slot != last) {
-      std::copy_n(hashes_.begin() + static_cast<ptrdiff_t>(last * m_), m_,
-                  hashes_.begin() + static_cast<ptrdiff_t>(slot * m_));
-      std::copy_n(values_.begin() + static_cast<ptrdiff_t>(last * m_), m_,
-                  values_.begin() + static_cast<ptrdiff_t>(slot * m_));
-      norms_[slot] = norms_[last];
+/// Appends one 64-bit collision code per sample of a hash (or fingerprint)
+/// lane. Equal doubles have equal bit patterns (minimum hashes are never
+/// -0.0 or NaN), so a double hash's raw pattern is a collision-exact code;
+/// integer hashes and fingerprints are codes already. For b-bit
+/// fingerprints, equality is exactly the estimator's match event (spurious
+/// rate 2⁻ᵇ — banding just sees more candidates).
+template <typename T>
+void AppendLaneCodes(const std::vector<T>& lane, std::vector<uint64_t>* out) {
+  out->reserve(out->size() + lane.size());
+  for (const T h : lane) {
+    if constexpr (std::is_same_v<T, double>) {
+      out->push_back(std::bit_cast<uint64_t>(h));
+    } else {
+      out->push_back(static_cast<uint64_t>(h));
     }
-    hashes_.resize(last * m_);
-    values_.resize(last * m_);
-    norms_.pop_back();
   }
-
-  Result<double> EstimateAt(const AnySketch& query,
-                            size_t slot) const override {
-    IPS_RETURN_IF_ERROR(family_->CheckCompatible(query));
-    IPS_CHECK(slot < norms_.size());
-    return EstimateSlot(*GetSketchAs<typename Traits::SketchT>(query), slot);
-  }
-
-  Status EstimateMany(const AnySketch& query, const uint32_t* slots,
-                      size_t count, double* out) const override {
-    IPS_RETURN_IF_ERROR(family_->CheckCompatible(query));
-    const auto& q = *GetSketchAs<typename Traits::SketchT>(query);
-    for (size_t i = 0; i < count; ++i) {
-      IPS_CHECK(slots[i] < norms_.size());
-      auto est = EstimateSlot(q, slots[i]);
-      IPS_RETURN_IF_ERROR(est.status());
-      out[i] = est.value();
-    }
-    return Status::Ok();
-  }
-
-  Status EstimateAll(const AnySketch& query, double* out) const override {
-    IPS_RETURN_IF_ERROR(family_->CheckCompatible(query));
-    const auto& q = *GetSketchAs<typename Traits::SketchT>(query);
-    for (size_t slot = 0; slot < norms_.size(); ++slot) {
-      auto est = EstimateSlot(q, slot);
-      IPS_RETURN_IF_ERROR(est.status());
-      out[slot] = est.value();
-    }
-    return Status::Ok();
-  }
-
- private:
-  Result<double> EstimateSlot(const typename Traits::SketchT& q,
-                              size_t slot) const {
-    return traits_.Estimate(Traits::Hashes(q).data(), Traits::Values(q).data(),
-                            Traits::Norm(q), hashes_.data() + slot * m_,
-                            values_.data() + slot * m_, norms_[slot], m_);
-  }
-
-  const SketchFamily* family_;
-  size_t m_;
-  Traits traits_;
-  std::vector<typename Traits::HashT> hashes_;
-  std::vector<typename Traits::ValueT> values_;
-  std::vector<double> norms_;
-};
-
-/// Shared body of the per-family AppendLshCodes overrides.
-template <typename Traits>
-Status AppendCodesImpl(const SketchFamily& family, const AnySketch& sketch,
-                       std::vector<uint64_t>* out) {
-  IPS_RETURN_IF_ERROR(family.CheckCompatible(sketch));
-  const auto& hashes =
-      Traits::Hashes(*GetSketchAs<typename Traits::SketchT>(sketch));
-  out->reserve(out->size() + hashes.size());
-  for (const auto h : hashes) out->push_back(Traits::Code(h));
-  return Status::Ok();
 }
 
 // --- generic sketcher for the stateless families ----------------------------
@@ -540,12 +334,9 @@ class WmhFamily final : public SketchFamily {
 
   Status AppendLshCodes(const AnySketch& sketch,
                         std::vector<uint64_t>* out) const override {
-    return AppendCodesImpl<WmhSlabTraits>(*this, sketch, out);
-  }
-
-  Result<std::unique_ptr<SketchSlab>> NewSlab() const override {
-    return std::unique_ptr<SketchSlab>(
-        new SoaSlab<WmhSlabTraits>(this, WmhSlabTraits{concrete_.L}));
+    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+    AppendLaneCodes(GetSketchAs<WmhSketch>(sketch)->hashes, out);
+    return Status::Ok();
   }
 
   Result<std::string> Serialize(const AnySketch& sketch) const override {
@@ -669,12 +460,9 @@ class IcwsFamily final : public SketchFamily {
 
   Status AppendLshCodes(const AnySketch& sketch,
                         std::vector<uint64_t>* out) const override {
-    return AppendCodesImpl<IcwsSlabTraits>(*this, sketch, out);
-  }
-
-  Result<std::unique_ptr<SketchSlab>> NewSlab() const override {
-    return std::unique_ptr<SketchSlab>(
-        new SoaSlab<IcwsSlabTraits>(this, IcwsSlabTraits{}));
+    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+    AppendLaneCodes(GetSketchAs<IcwsSketch>(sketch)->fingerprints, out);
+    return Status::Ok();
   }
 
   Result<std::string> Serialize(const AnySketch& sketch) const override {
@@ -763,12 +551,9 @@ class MhFamily final : public SketchFamily {
 
   Status AppendLshCodes(const AnySketch& sketch,
                         std::vector<uint64_t>* out) const override {
-    return AppendCodesImpl<MhSlabTraits>(*this, sketch, out);
-  }
-
-  Result<std::unique_ptr<SketchSlab>> NewSlab() const override {
-    return std::unique_ptr<SketchSlab>(
-        new SoaSlab<MhSlabTraits>(this, MhSlabTraits{}));
+    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+    AppendLaneCodes(GetSketchAs<MhSketch>(sketch)->hashes, out);
+    return Status::Ok();
   }
 
   Result<std::string> Serialize(const AnySketch& sketch) const override {
@@ -1174,12 +959,9 @@ class CompactWmhFamily final : public SketchFamily,
 
   Status AppendLshCodes(const AnySketch& sketch,
                         std::vector<uint64_t>* out) const override {
-    return AppendCodesImpl<CompactWmhSlabTraits>(*this, sketch, out);
-  }
-
-  Result<std::unique_ptr<SketchSlab>> NewSlab() const override {
-    return std::unique_ptr<SketchSlab>(new SoaSlab<CompactWmhSlabTraits>(
-        this, CompactWmhSlabTraits{concrete_.L}));
+    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+    AppendLaneCodes(GetSketchAs<CompactWmhSketch>(sketch)->hashes, out);
+    return Status::Ok();
   }
 
   Result<std::string> Serialize(const AnySketch& sketch) const override {
@@ -1282,12 +1064,9 @@ class BbitWmhFamily final : public SketchFamily, public WmhQuantizingFamily {
 
   Status AppendLshCodes(const AnySketch& sketch,
                         std::vector<uint64_t>* out) const override {
-    return AppendCodesImpl<BbitWmhSlabTraits>(*this, sketch, out);
-  }
-
-  Result<std::unique_ptr<SketchSlab>> NewSlab() const override {
-    return std::unique_ptr<SketchSlab>(
-        new SoaSlab<BbitWmhSlabTraits>(this, BbitWmhSlabTraits{bits_}));
+    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+    AppendLaneCodes(GetSketchAs<BbitWmhSketch>(sketch)->fingerprints, out);
+    return Status::Ok();
   }
 
   Result<std::string> Serialize(const AnySketch& sketch) const override {

@@ -140,55 +140,12 @@ struct FamilyInfo {
   bool supports_truncation = false;
   /// True iff sample i of two comparable sketches collides exactly when the
   /// vectors agree on hash function i — the positional-coordination property
-  /// MinHash-LSH banding needs (`AppendLshCodes`/`NewSlab` are implemented).
+  /// MinHash-LSH banding needs (`AppendLshCodes` is implemented).
   /// Holds for the minwise samplers (wmh, icws, mh, wmh_compact, wmh_bbit);
   /// not for the linear sketches (cs, jl — coordinates are projections, not
   /// samples) nor kmv (bottom-k samples are order statistics of one hash,
   /// not positionally aligned).
   bool supports_banding = false;
-};
-
-/// A structure-of-arrays catalog block: the hash/value lanes of many
-/// sketches of one family stored contiguously (lane i of sketch s at flat
-/// offset s·m + i), so a query estimates against slot after slot through
-/// the dispatched SIMD kernels with no per-sketch pointer chasing. Created
-/// by `SketchFamily::NewSlab` for families with `supports_banding()`; the
-/// service-layer index (index/slab_catalog.h) builds on it.
-///
-/// Estimates are **bit-identical** to `SketchFamily::Estimate` on the same
-/// pair — both run the family's span-level estimator core.
-///
-/// NOT thread-safe: callers synchronize externally (the banded index holds
-/// one block per shard under the shard's lock).
-class SketchSlab {
- public:
-  virtual ~SketchSlab() = default;
-
-  /// Number of sketches resident in the block.
-  virtual size_t size() const = 0;
-
-  /// Appends `sketch`'s lanes as slot `size()`. InvalidArgument unless the
-  /// sketch passes the family's CheckCompatible.
-  virtual Status Append(const AnySketch& sketch) = 0;
-
-  /// Removes slot `slot` by moving the last slot into it (the caller tracks
-  /// the slot renumbering). Dies if `slot >= size()`.
-  virtual void SwapRemove(size_t slot) = 0;
-
-  /// Estimated inner product of `query` against resident slot `slot`.
-  /// InvalidArgument unless `query` is family-compatible; dies if `slot` is
-  /// out of range.
-  virtual Result<double> EstimateAt(const AnySketch& query,
-                                    size_t slot) const = 0;
-
-  /// Estimates `query` against `slots[0..count)` into `out[0..count)` — the
-  /// candidate re-rank path. Every slot must be in range.
-  virtual Status EstimateMany(const AnySketch& query, const uint32_t* slots,
-                              size_t count, double* out) const = 0;
-
-  /// Estimates `query` against every resident slot into `out[0..size())` —
-  /// the exact-scan path.
-  virtual Status EstimateAll(const AnySketch& query, double* out) const = 0;
 };
 
 /// A reusable per-thread sketching context (scratch buffers, validated
@@ -225,7 +182,7 @@ class SketchFamily {
   bool supports_merge() const { return info_.supports_merge; }
   /// True iff `Truncate` is implemented.
   bool supports_truncation() const { return info_.supports_truncation; }
-  /// True iff `AppendLshCodes` and `NewSlab` are implemented (see
+  /// True iff `AppendLshCodes` is implemented (see
   /// FamilyInfo::supports_banding).
   bool supports_banding() const { return info_.supports_banding; }
   /// The resolved options this family was constructed with.
@@ -245,7 +202,9 @@ class SketchFamily {
 
   /// Estimates ⟨a, b⟩ from two sketches of this family. The sketches must
   /// be mutually comparable (equal parameters); they need not match this
-  /// family's `options()` — e.g. truncated sketches estimate fine.
+  /// family's `options()` — e.g. truncated sketches estimate fine. Every
+  /// served path (pairwise, exact scan, banded re-rank, FrontDoor) scores
+  /// through this one call, so their estimates are bit-identical.
   virtual Result<double> Estimate(const AnySketch& a,
                                   const AnySketch& b) const = 0;
 
@@ -282,13 +241,9 @@ class SketchFamily {
   ///
   /// Empty-slot sentinels (a sample no entry hashed into) share one code,
   /// so near-empty sketches collide spuriously; the re-rank estimator
-  /// scores such candidates correctly, they just cost a candidate slot.
+  /// scores such candidates correctly, they just cost a candidate.
   virtual Status AppendLshCodes(const AnySketch& sketch,
                                 std::vector<uint64_t>* out) const;
-
-  /// An empty structure-of-arrays block for this family's lanes, for
-  /// families with `supports_banding()`; FailedPrecondition otherwise.
-  virtual Result<std::unique_ptr<SketchSlab>> NewSlab() const;
 
   /// Type-tagged wire encoding (sketch/serialize.h); stable across runs.
   virtual Result<std::string> Serialize(const AnySketch& sketch) const = 0;

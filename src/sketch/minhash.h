@@ -69,10 +69,10 @@ Result<double> EstimateMhInnerProduct(const MhSketch& a, const MhSketch& b);
 
 /// Span-level core of `EstimateMhInnerProduct`: Algorithm 2 over the raw
 /// hash/value lanes of two sketches the caller has already verified to be
-/// mutually comparable (equal m, seed, hash family, dimension). Both the
-/// pairwise estimator above and the slab catalog's 1-vs-many re-rank path
-/// (`SketchFamily::NewSlab`) run through this one function, which is what
-/// makes their estimates bit-identical. `m` must be positive.
+/// mutually comparable (equal m, seed, hash family, dimension). The
+/// pairwise estimator above is a thin wrapper over it, so a caller holding
+/// the lanes in another layout gets bit-identical estimates by calling this
+/// directly. `m` must be positive.
 Result<double> EstimateMhSpans(const double* a_hashes, const double* a_values,
                                const double* b_hashes, const double* b_values,
                                size_t m);

@@ -84,10 +84,10 @@ Result<double> EstimateCompactWmhInnerProduct(const CompactWmhSketch& a,
 
 /// Span-level core of `EstimateCompactWmhInnerProduct`: the compact
 /// estimator over raw hash/value lanes of two sketches the caller has
-/// already verified to be mutually comparable. Both the pairwise estimator
-/// above and the slab catalog's 1-vs-many re-rank path
-/// (`SketchFamily::NewSlab`) run through this one function, which is what
-/// makes their estimates bit-identical. `m` must be positive.
+/// already verified to be mutually comparable. The pairwise estimator above
+/// is a thin wrapper over it, so a caller holding the lanes in another
+/// layout gets bit-identical estimates by calling this directly. `m` must
+/// be positive.
 Result<double> EstimateCompactWmhSpans(
     const uint32_t* a_hashes, const float* a_values, double a_norm,
     const uint32_t* b_hashes, const float* b_values, double b_norm, size_t m,
@@ -143,8 +143,8 @@ Result<double> EstimateBbitWmhInnerProduct(const BbitWmhSketch& a,
 
 /// Span-level core of `EstimateBbitWmhInnerProduct` (same contract as
 /// `EstimateCompactWmhSpans`: callers have verified comparability, `m`
-/// positive, shared by the pairwise and slab re-rank paths for bit-identical
-/// estimates). `bits` is the fingerprint width b in [1, 32].
+/// positive, and the pairwise estimator above is a thin wrapper over it).
+/// `bits` is the fingerprint width b in [1, 32].
 Result<double> EstimateBbitWmhSpans(
     const uint32_t* a_fingerprints, const float* a_values, double a_norm,
     const uint32_t* b_fingerprints, const float* b_values, double b_norm,

@@ -1,13 +1,16 @@
 // BandedIndex + index-aware QueryEngine: listener attach/replay coherence
-// under insert/erase/replace, banded and slab-scan top-k against the exact
-// scan (slab-scan must be bit-identical; banded must find planted
-// neighbors), TopK edge cases on both paths, deterministic tie-breaks,
-// null-index fallback accounting, recall probes, and a concurrent
-// insert/erase/query stress the TSAN job runs.
+// under insert/erase/replace, banded hits bit-identical to the exact scan
+// and to the pairwise estimator for every banding family and kernel tier,
+// TopK edge cases on both paths, deterministic tie-breaks, null-index
+// fallback accounting, recall probes, a concurrent insert/erase/query
+// stress the TSAN job runs, and the family-side LSH code contract.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,17 +18,41 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/simd/dispatch.h"
 #include "data/synthetic.h"
 #include "index/banded_index.h"
 #include "service/metrics.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
+#include "sketch/family.h"
 
 namespace ipsketch {
 namespace {
 
 constexpr uint64_t kDim = 512;
+constexpr size_t kOddSamples = 67;  // odd: every kernel tier runs its tail
+
+struct FamilyConfig {
+  std::string family;
+  std::map<std::string, std::string> params;
+};
+
+// Names the parameter in gtest failure messages.
+void PrintTo(const FamilyConfig& config, std::ostream* os) {
+  *os << config.family;
+}
+
+/// Exactly the families with FamilyInfo::supports_banding.
+std::vector<FamilyConfig> BandingConfigs() {
+  return {
+      {"wmh", {{"engine", "dart"}}},
+      {"icws", {{"engine", "dart"}}},
+      {"mh", {}},
+      {"wmh_compact", {{"engine", "dart"}}},
+      {"wmh_bbit", {{"engine", "dart"}, {"bits", "12"}}},
+  };
+}
 
 SketchStoreOptions SmallStoreOptions(const std::string& family = "wmh") {
   SketchStoreOptions opts;
@@ -37,11 +64,12 @@ SketchStoreOptions SmallStoreOptions(const std::string& family = "wmh") {
   return opts;
 }
 
-// A deterministic random sparse vector with ~24 non-zeros.
-SparseVector RandomVector(uint64_t seed) {
+// A deterministic random sparse vector with ~24 non-zeros among the first
+// `support` coordinates (a small support makes any two vectors overlap).
+SparseVector RandomVector(uint64_t seed, uint64_t support = kDim) {
   Xoshiro256StarStar rng(seed);
   std::vector<Entry> entries;
-  for (uint64_t index : SampleDistinctIndices(kDim, 24, seed)) {
+  for (uint64_t index : SampleDistinctIndices(support, 24, seed)) {
     entries.push_back({index, rng.NextUnit() * 2.0 - 1.0});
   }
   return SparseVector::MakeOrDie(kDim, std::move(entries));
@@ -60,6 +88,44 @@ SketchStore MakeFilledStore(size_t count, uint64_t seed_base = 100) {
 uint64_t CounterValue(const std::string& name) {
   return metrics::MetricsRegistry::Global().GetCounter(name, "").Value();
 }
+
+std::shared_ptr<const SketchFamily> MakeFamilyOrDie(
+    const FamilyConfig& config) {
+  FamilyOptions options;
+  options.dimension = kDim;
+  options.num_samples = kOddSamples;
+  options.seed = 7;
+  options.params = config.params;
+  auto family = MakeFamily(config.family, options);
+  IPS_CHECK(family.ok());
+  return std::move(family).value();
+}
+
+std::unique_ptr<AnySketch> SketchOrDie(const SketchFamily& family,
+                                       const SparseVector& vec) {
+  auto sketcher = family.MakeSketcher();
+  IPS_CHECK(sketcher.ok());
+  auto sketch = family.NewSketch();
+  IPS_CHECK(sketcher.value()->Sketch(vec, sketch.get()).ok());
+  return sketch;
+}
+
+/// The exact-scan row for `id` in `all` (sorted by id), or nullptr.
+const QueryHit* FindRow(const std::vector<QueryHit>& all, uint64_t id) {
+  const auto by_id = [](const QueryHit& hit, uint64_t key) {
+    return hit.id < key;
+  };
+  auto it = std::lower_bound(all.begin(), all.end(), id, by_id);
+  return it != all.end() && it->id == id ? &*it : nullptr;
+}
+
+class ScopedKernel {
+ public:
+  explicit ScopedKernel(const simd::EstimateKernel* kernel) {
+    simd::SetActiveKernelForTesting(kernel);
+  }
+  ~ScopedKernel() { simd::SetActiveKernelForTesting(nullptr); }
+};
 
 TEST(BandedLshParamsTest, ValidateEnforcesTheBandsTimesRowsBudget) {
   EXPECT_TRUE((BandedLshParams{16, 4}).Validate(64).ok());
@@ -100,7 +166,7 @@ TEST(BandedIndexTest, OnlyOneListenerMayAttach) {
   auto second = BandedIndex::MakeAttached(&store, {8, 8});
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
   // Compactify must refuse too: it would swap the family out from under
-  // the attached mirror.
+  // the attached index's band keys.
   EXPECT_EQ(store.CompactifyInPlace("wmh_compact").code(),
             StatusCode::kFailedPrecondition);
   // Destroying the index detaches; the slot frees up.
@@ -158,33 +224,89 @@ TEST(BandedIndexTest, BandedSelfQueriesFindEveryStoredVector) {
   }
 }
 
-TEST(BandedIndexTest, SlabScanMatchesExactScanBitForBit) {
-  constexpr size_t kCorpus = 50;  // > num_shards, so every shard is populated
-  SketchStore store = MakeFilledStore(kCorpus);
-  auto index = BandedIndex::MakeAttached(&store, {16, 4});
-  ASSERT_TRUE(index.ok());
-  ThreadPool pool(4);
-  QueryEngine exact(&store, &pool);
-  QueryEngine slab(&store, &pool, index.value().get(), IndexPolicy::kSlabScan);
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const SparseVector query = RandomVector(9000 + seed);
-    for (size_t k : {1u, 10u, 17u}) {
-      auto a = exact.TopK(query, k);
-      auto b = slab.TopK(query, k);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a.value().size(), b.value().size());
-      for (size_t i = 0; i < a.value().size(); ++i) {
-        EXPECT_EQ(a.value()[i].id, b.value()[i].id) << "rank " << i;
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-                  std::bit_cast<uint64_t>(b.value()[i].estimate))
-            << "rank " << i;
-      }
-    }
+// The banded path's one bit-identity contract, per banding family and per
+// available kernel tier: every banded hit's estimate equals, bit for bit,
+// both the exact scan's estimate for that id and SketchFamily::Estimate on
+// the stored sketch — before and after a replace and an erase.
+class BandedBitIdentityTest : public ::testing::TestWithParam<FamilyConfig> {};
+
+TEST_P(BandedBitIdentityTest, HitsMatchExactScanAndPairwiseBitForBit) {
+  const FamilyConfig& config = GetParam();
+  SketchStoreOptions opts = SmallStoreOptions(config.family);
+  opts.sketch.num_samples = kOddSamples;
+  opts.sketch.params = config.params;
+  auto made = SketchStore::Make(opts);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  SketchStore store = std::move(made).value();
+  constexpr uint64_t kCorpus = 40;  // > num_shards: every shard populated
+  constexpr uint64_t kSupport = 64;
+  for (uint64_t id = 1; id <= kCorpus; ++id) {
+    const SparseVector vec = RandomVector(1000 + id, kSupport);
+    ASSERT_TRUE(store.BuildAndInsert(id, vec).ok());
   }
+  // A small support and one-row bands make most stored sketches come back
+  // as candidates, so the comparison covers many hits.
+  auto index = BandedIndex::MakeAttached(&store, {/*bands=*/32, /*rows=*/1});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  QueryEngine exact(&store);
+  QueryEngine banded(&store, nullptr, index.value().get(),
+                     IndexPolicy::kBandedRerank);
+
+  // Runs `query_seed`'s vector through both paths under every kernel tier;
+  // `twin` (0 = none) must be among the banded hits, `absent` must not.
+  auto check = [&](uint64_t query_seed, uint64_t twin, uint64_t absent) {
+    SCOPED_TRACE("query seed " + std::to_string(query_seed));
+    const SparseVector query = RandomVector(query_seed, kSupport);
+    const auto query_sketch = SketchOrDie(store.family(), query);
+    for (const simd::EstimateKernel* kernel : simd::AvailableKernels()) {
+      ScopedKernel scoped(kernel);
+      auto all = exact.EstimateAgainstQuery(query);
+      ASSERT_TRUE(all.status().ok());
+      auto hits = banded.TopKSketch(*query_sketch, kCorpus);
+      ASSERT_TRUE(hits.status().ok()) << hits.status().ToString();
+      bool twin_found = false;
+      for (const QueryHit& hit : hits.value()) {
+        EXPECT_NE(hit.id, absent);
+        twin_found = twin_found || hit.id == twin;
+        const QueryHit* row = FindRow(all.value(), hit.id);
+        ASSERT_NE(row, nullptr) << "id " << hit.id;
+        EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
+                  std::bit_cast<uint64_t>(row->estimate))
+            << "id " << hit.id;
+        auto stored = store.Lookup(hit.id);
+        ASSERT_TRUE(stored.ok());
+        auto pairwise = store.family().Estimate(*query_sketch, *stored.value());
+        ASSERT_TRUE(pairwise.ok());
+        EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
+                  std::bit_cast<uint64_t>(pairwise.value()))
+            << "id " << hit.id;
+      }
+      EXPECT_TRUE(twin == 0 || twin_found) << "twin " << twin;
+      EXPECT_GT(hits.value().size(), kCorpus / 4);
+    }
+  };
+  check(1003, /*twin=*/3, /*absent=*/0);
+  check(1017, /*twin=*/17, /*absent=*/0);
+  check(77777, /*twin=*/0, /*absent=*/0);
+
+  // Replace id 3 with a new vector and erase id 17: the index re-files and
+  // unfiles them, and scores still come from the live view.
+  ASSERT_TRUE(store.BuildAndInsert(3, RandomVector(5003, kSupport)).ok());
+  ASSERT_TRUE(store.Erase(17).ok());
+  EXPECT_EQ(index.value()->size(), kCorpus - 1);
+  check(5003, /*twin=*/3, /*absent=*/17);
+  check(1017, /*twin=*/0, /*absent=*/17);
+  check(77777, /*twin=*/0, /*absent=*/17);
 }
 
-TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
+INSTANTIATE_TEST_SUITE_P(
+    BandingFamilies, BandedBitIdentityTest,
+    ::testing::ValuesIn(BandingConfigs()),
+    [](const ::testing::TestParamInfo<FamilyConfig>& info) {
+      return info.param.family;
+    });
+
+TEST(BandedIndexTest, TopKEdgeCasesOnExactAndBandedPaths) {
   SketchStore empty_store = MakeFilledStore(0);
   auto empty_index = BandedIndex::MakeAttached(&empty_store, {16, 4});
   ASSERT_TRUE(empty_index.ok());
@@ -195,7 +317,6 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
   const SparseVector query = RandomVector(777);
 
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -215,9 +336,9 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
     ASSERT_TRUE(none.ok());
     EXPECT_TRUE(none.value().empty());
 
-    // k > corpus: at most the corpus comes back (exact/slab return all of
-    // it; banded returns its candidates), sorted best-first with no
-    // duplicate ids.
+    // k > corpus: at most the corpus comes back (exact returns all of it;
+    // banded returns its candidates), sorted best-first with no duplicate
+    // ids.
     auto all = engine.TopK(query, kCorpus + 100);
     ASSERT_TRUE(all.ok());
     EXPECT_LE(all.value().size(), kCorpus);
@@ -257,7 +378,6 @@ TEST(BandedIndexTest, TiedEstimatesBreakTowardSmallerIdsOnEveryPath) {
   }
   ThreadPool pool(4);
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -341,16 +461,17 @@ TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
 }
 
 // TSAN coverage: writers mutating the store (and, through the listener, the
-// index) while readers run banded, slab, and exact queries concurrently.
+// index) while readers run banded queries and the store's view-pinning point
+// reads concurrently.
 TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   SketchStore store = MakeFilledStore(32);
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
   ASSERT_TRUE(index.ok());
   ThreadPool pool(2);
-  QueryEngine engine(&store, &pool, index.value().get(),
+  QueryEngine pooled(&store, &pool, index.value().get(),
                      IndexPolicy::kBandedRerank);
-  QueryEngine slab(&store, nullptr, index.value().get(),
-                   IndexPolicy::kSlabScan);
+  QueryEngine serial(&store, nullptr, index.value().get(),
+                     IndexPolicy::kBandedRerank);
 
   constexpr size_t kOps = 150;
   std::thread writer([&] {
@@ -365,36 +486,93 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
       store.Erase(1 + (i % 32));  // NotFound races are expected and fine
     }
   });
-  std::thread banded_reader([&] {
+  auto read = [&](const QueryEngine& engine, uint64_t seed_base) {
     for (size_t i = 0; i < 40; ++i) {
-      auto hits = engine.TopK(RandomVector(8000 + i), 5);
+      auto hits = engine.TopK(RandomVector(seed_base + i), 5);
       ASSERT_TRUE(hits.ok());
+      // Racing the eraser: the sketch or NotFound, never anything else.
+      const uint64_t id = 1 + (i % 32);
+      auto looked_up = store.Lookup(id);
+      ASSERT_TRUE(looked_up.ok() ||
+                  looked_up.status().code() == StatusCode::kNotFound);
+      static_cast<void>(store.Contains(id));
+      ASSERT_LE(store.size(), 32 + kOps);
     }
-  });
-  std::thread slab_reader([&] {
-    for (size_t i = 0; i < 40; ++i) {
-      auto hits = slab.TopK(RandomVector(8500 + i), 5);
-      ASSERT_TRUE(hits.ok());
-    }
-  });
+  };
+  std::thread pooled_reader([&] { read(pooled, 8000); });
+  std::thread serial_reader([&] { read(serial, 8500); });
   writer.join();
   eraser.join();
-  banded_reader.join();
-  slab_reader.join();
+  pooled_reader.join();
+  serial_reader.join();
 
-  // Quiesced: the index mirrors the store exactly, and a full slab scan
-  // agrees with the exact scan bit for bit.
+  // Quiesced: the index mirrors the store exactly, and every banded hit
+  // scores bit-identically to the exact scan. Id 1148 (written last by an
+  // even op, never erased) is the stored twin of the query.
   EXPECT_EQ(index.value()->size(), store.size());
+  const SparseVector query = RandomVector(7148);
   QueryEngine exact(&store, nullptr);
-  auto a = exact.TopK(RandomVector(9999), 20);
-  auto b = slab.TopK(RandomVector(9999), 20);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].id, b.value()[i].id);
-    EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-              std::bit_cast<uint64_t>(b.value()[i].estimate));
+  auto all = exact.EstimateAgainstQuery(query);
+  auto hits = serial.TopK(query, store.size());
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(hits.ok());
+  ASSERT_FALSE(hits.value().empty());
+  EXPECT_EQ(hits.value()[0].id, 1148u);
+  for (const QueryHit& hit : hits.value()) {
+    const QueryHit* row = FindRow(all.value(), hit.id);
+    ASSERT_NE(row, nullptr) << "id " << hit.id;
+    EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
+              std::bit_cast<uint64_t>(row->estimate));
+  }
+}
+
+// --- the family-side LSH contract the index is built on ---------------------
+
+TEST(BandingFamiliesTest, LshCodesAreOnePerSampleAndCollisionExact) {
+  for (const FamilyConfig& config : BandingConfigs()) {
+    SCOPED_TRACE(config.family);
+    auto family = MakeFamilyOrDie(config);
+    ASSERT_TRUE(family->supports_banding());
+    const auto a = SketchOrDie(*family, RandomVector(4000));
+    const auto b = SketchOrDie(*family, RandomVector(4001));
+
+    std::vector<uint64_t> codes_a, codes_b;
+    ASSERT_TRUE(family->AppendLshCodes(*a, &codes_a).ok());
+    ASSERT_TRUE(family->AppendLshCodes(*b, &codes_b).ok());
+    EXPECT_EQ(codes_a.size(), kOddSamples);
+    EXPECT_EQ(codes_b.size(), kOddSamples);
+
+    // Two sketches of the same vector collide on every sample.
+    const auto duplicate = SketchOrDie(*family, RandomVector(4000));
+    std::vector<uint64_t> codes_dup;
+    ASSERT_TRUE(family->AppendLshCodes(*duplicate, &codes_dup).ok());
+    EXPECT_EQ(codes_a, codes_dup);
+
+    // Append accumulates rather than clearing.
+    ASSERT_TRUE(family->AppendLshCodes(*b, &codes_a).ok());
+    EXPECT_EQ(codes_a.size(), 2 * kOddSamples);
+  }
+}
+
+TEST(BandingFamiliesTest, NonBandingFamiliesRefuseCodes) {
+  for (const char* name : {"kmv", "cs", "jl"}) {
+    SCOPED_TRACE(name);
+    auto family = MakeFamilyOrDie({name, {}});
+    EXPECT_FALSE(family->supports_banding());
+    std::vector<uint64_t> codes;
+    const auto sketch = SketchOrDie(*family, RandomVector(5000));
+    EXPECT_EQ(family->AppendLshCodes(*sketch, &codes).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(codes.empty());
+  }
+}
+
+TEST(BandingFamiliesTest, RegistryBandingFlagsMatchTheSamplingFamilies) {
+  for (const FamilyInfo& info : RegisteredFamilies()) {
+    const bool expected = info.name == "wmh" || info.name == "icws" ||
+                          info.name == "mh" || info.name == "wmh_compact" ||
+                          info.name == "wmh_bbit";
+    EXPECT_EQ(info.supports_banding, expected) << info.name;
   }
 }
 

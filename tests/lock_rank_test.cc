@@ -134,12 +134,12 @@ TEST(LockRankTest, StoreToIndexMirrorChainPasses) {
 
 TEST(LockRankTest, QuantizeStoreRegression) {
   // Regression for a genuine lock-order bug the rank checker surfaced:
-  // QuantizeStore used to Insert into the destination store from inside the
-  // source's ForEachInShard scan — two kStoreShard locks nested, the
+  // QuantizeStore used to Insert into the destination store while holding
+  // a source shard lock for its scan — two kStoreShard locks nested, the
   // cross-store ABBA shape (two concurrent QuantizeStore calls in opposite
-  // directions could deadlock). The compact forms are now staged per shard
-  // and inserted after the scan; under the debug checker this test aborts
-  // if the nesting ever comes back.
+  // directions could deadlock). It now reads the source through pinned
+  // views and holds no source lock; under the debug checker this test
+  // aborts if the nesting ever comes back.
   auto source = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(source.BuildAndInsert(i, TestVector(i)).ok());

@@ -229,13 +229,13 @@ TEST(StorePersistenceTest, ReadsLegacyV1WmhFile) {
   wire::AppendU64(&v1, wmh_options.seed);
   wire::AppendU64(&v1, wmh_options.L);
   wire::AppendU8(&v1, 0);  // kActiveIndex
-  const auto entries = store.Snapshot();
-  wire::AppendU64(&v1, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
+  const auto views = store.PinStore();
+  wire::AppendU64(&v1, store.size());
+  for (const auto& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*view->sketches[i]);
       ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, entry.id);
+      wire::AppendU64(&v1, view->ids[i]);
       wire::AppendBytes(&v1, V1WmhPayload(*wmh));
     }
   }
@@ -282,13 +282,13 @@ TEST(StorePersistenceTest, ReadsLegacyV1ExpandedReferenceFile) {
   wire::AppendU64(&v1, store.options().sketch.seed);
   wire::AppendU64(&v1, 2048);
   wire::AppendU8(&v1, 1);  // kExpandedReference
-  const auto entries = store.Snapshot();
-  wire::AppendU64(&v1, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
+  const auto views = store.PinStore();
+  wire::AppendU64(&v1, store.size());
+  for (const auto& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*view->sketches[i]);
       ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, entry.id);
+      wire::AppendU64(&v1, view->ids[i]);
       wire::AppendBytes(&v1, V1WmhPayload(*wmh));
     }
   }
@@ -332,11 +332,11 @@ TEST(StorePersistenceTest, ReadsEnginelessV2IcwsFile) {
   wire::AppendU64(&old_file, store.options().sketch.num_samples);
   wire::AppendU64(&old_file, store.options().sketch.seed);
   wire::AppendU64(&old_file, 0);  // param count: engine-less era
-  const auto entries = store.Snapshot();
-  wire::AppendU64(&old_file, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const IcwsSketch* icws = GetSketchAs<IcwsSketch>(*entry.sketch);
+  const auto views = store.PinStore();
+  wire::AppendU64(&old_file, store.size());
+  for (const auto& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const IcwsSketch* icws = GetSketchAs<IcwsSketch>(*view->sketches[i]);
       ASSERT_NE(icws, nullptr);
       std::string blob;
       wire::AppendU32(&blob, 0x49505348);  // "IPSH"
@@ -349,7 +349,7 @@ TEST(StorePersistenceTest, ReadsEnginelessV2IcwsFile) {
       for (uint64_t fp : icws->fingerprints) wire::AppendU64(&blob, fp);
       wire::AppendU64(&blob, icws->values.size());
       for (double v : icws->values) wire::AppendDouble(&blob, v);
-      wire::AppendU64(&old_file, entry.id);
+      wire::AppendU64(&old_file, view->ids[i]);
       wire::AppendBytes(&old_file, blob);
     }
   }

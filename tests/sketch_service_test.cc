@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -240,19 +242,22 @@ TEST(SketchStoreTest, BatchIngestMatchesSerialIngest) {
   ASSERT_EQ(serial.size(), batch.size());
   ASSERT_EQ(parallel.size(), batch.size());
   // Engines are deterministic in (seed, sample, block), so parallel and
-  // serial ingest must produce bit-identical sketches.
-  const auto a = serial.Snapshot();
-  const auto b = parallel.Snapshot();
+  // serial ingest must produce bit-identical sketches. Both stores shard
+  // alike, so their views line up shard by shard.
+  const auto a = serial.PinStore();
+  const auto b = parallel.PinStore();
   ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].id, b[i].id);
-    const WmhSketch* sa = GetSketchAs<WmhSketch>(*a[i].sketch);
-    const WmhSketch* sb = GetSketchAs<WmhSketch>(*b[i].sketch);
-    ASSERT_NE(sa, nullptr);
-    ASSERT_NE(sb, nullptr);
-    EXPECT_EQ(sa->hashes, sb->hashes);
-    EXPECT_EQ(sa->values, sb->values);
-    EXPECT_EQ(sa->norm, sb->norm);
+  for (size_t s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a[s]->ids, b[s]->ids);
+    for (size_t i = 0; i < a[s]->ids.size(); ++i) {
+      const WmhSketch* sa = GetSketchAs<WmhSketch>(*a[s]->sketches[i]);
+      const WmhSketch* sb = GetSketchAs<WmhSketch>(*b[s]->sketches[i]);
+      ASSERT_NE(sa, nullptr);
+      ASSERT_NE(sb, nullptr);
+      EXPECT_EQ(sa->hashes, sb->hashes);
+      EXPECT_EQ(sa->values, sb->values);
+      EXPECT_EQ(sa->norm, sb->norm);
+    }
   }
 }
 
@@ -560,10 +565,15 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> insert_failures{0};
   std::atomic<size_t> reader_errors{0};
+  // Writers start only once every reader has finished a round, so each
+  // reader is demonstrably live while ingest runs; otherwise fast writers
+  // can finish before a reader thread is ever scheduled.
+  std::atomic<size_t> readers_live{0};
 
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      while (readers_live.load() < kReaders) std::this_thread::yield();
       for (size_t i = 0; i < kPerWriter; ++i) {
         const uint64_t id = w * kPerWriter + i;
         if (!store.BuildAndInsert(id, RandomVector(id)).ok()) {
@@ -588,7 +598,7 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
             lookup.status().code() != StatusCode::kNotFound) {
           reader_errors.fetch_add(1);
         }
-        ++rounds;
+        if (++rounds == 1) readers_live.fetch_add(1);
       }
       EXPECT_GT(rounds, 0u);
     });
@@ -613,12 +623,22 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   const auto parallel_hits = engine.TopK(query, 10).value();
   const auto query_sketch =
       SketchWmh(query, StoreWmhOptions(store)).value();
+  // Id order, so the brute-force tie-break (smaller index) agrees with the
+  // engine's (smaller id).
+  std::vector<std::pair<uint64_t, const AnySketch*>> entries;
+  const auto views = store.PinStore();
+  for (const auto& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      entries.emplace_back(view->ids[i], view->sketches[i].get());
+    }
+  }
+  std::sort(entries.begin(), entries.end());
   std::vector<WmhSketch> all;
   std::vector<uint64_t> all_ids;
-  for (const auto& entry : store.Snapshot()) {
-    const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
+  for (const auto& [id, sketch] : entries) {
+    const WmhSketch* wmh = GetSketchAs<WmhSketch>(*sketch);
     ASSERT_NE(wmh, nullptr);
-    all_ids.push_back(entry.id);
+    all_ids.push_back(id);
     all.push_back(*wmh);
   }
   const auto expected = TopKByInnerProduct(query_sketch, all, 10).value();

@@ -1,7 +1,7 @@
 // Epoch-snapshot read path of SketchStore (PinShard / ShardView) and the
 // batch top-k API that rides on it: copy-on-write publication semantics,
-// RCU liveness of pinned views, zero shard-mutex reads, and coherence
-// across CompactifyInPlace.
+// RCU liveness of pinned views, pinned reads racing writers, and
+// coherence across CompactifyInPlace.
 
 #include <atomic>
 #include <cmath>
@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "data/synthetic.h"
-#include "service/metrics.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 
@@ -132,66 +131,6 @@ TEST(StoreSnapshotTest, PinnedViewKeepsSketchesAliveAcrossMutations) {
   EXPECT_TRUE(std::isfinite(est.value()));  // ...but the pin still serves
 }
 
-TEST(StoreSnapshotTest, SnapshotReadsTakeZeroShardMutexAcquisitions) {
-  if (!metrics::kCompiledIn) {
-    GTEST_SKIP() << "metrics compiled out; no scan-lock histogram to watch";
-  }
-  metrics::SetEnabledForTesting(true);
-  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
-  for (uint64_t id = 0; id < 48; ++id) {
-    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
-  }
-  auto& scan_lock = metrics::MetricsRegistry::Global().GetHistogram(
-      "ipsketch_store_scan_lock_ns",
-      "Shard-lock acquire plus hold time of in-place shard scans");
-
-  QueryEngine snapshot_engine(&store);
-  snapshot_engine.set_read_mode(ReadMode::kSnapshot);
-  const uint64_t before = scan_lock.Count();
-  for (int i = 0; i < 25; ++i) {
-    auto hits = snapshot_engine.TopK(RandomVector(1000 + i), 5);
-    ASSERT_TRUE(hits.status().ok());
-    auto est = snapshot_engine.EstimateInnerProduct(1, 2);
-    ASSERT_TRUE(est.ok());
-    auto all = snapshot_engine.EstimateAgainstQuery(RandomVector(2000 + i));
-    ASSERT_TRUE(all.status().ok());
-  }
-  // The whole read-only burst never touched a shard mutex.
-  EXPECT_EQ(scan_lock.Count(), before);
-
-  // Control: the locked path does count, so the histogram is live.
-  QueryEngine locked_engine(&store);
-  auto hits = locked_engine.TopK(RandomVector(99), 5);
-  ASSERT_TRUE(hits.status().ok());
-  EXPECT_GT(scan_lock.Count(), before);
-}
-
-TEST(StoreSnapshotTest, SnapshotModeMatchesLockedModeExactly) {
-  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
-  for (uint64_t id = 0; id < 40; ++id) {
-    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
-  }
-  QueryEngine locked(&store);
-  QueryEngine snapshot(&store);
-  snapshot.set_read_mode(ReadMode::kSnapshot);
-  const SparseVector query = RandomVector(777);
-  auto locked_hits = locked.TopK(query, 10);
-  auto snapshot_hits = snapshot.TopK(query, 10);
-  ASSERT_TRUE(locked_hits.status().ok());
-  ASSERT_TRUE(snapshot_hits.status().ok());
-  ASSERT_EQ(locked_hits.value().size(), snapshot_hits.value().size());
-  for (size_t i = 0; i < locked_hits.value().size(); ++i) {
-    EXPECT_EQ(locked_hits.value()[i].id, snapshot_hits.value()[i].id);
-    EXPECT_EQ(locked_hits.value()[i].estimate,
-              snapshot_hits.value()[i].estimate);
-  }
-  auto le = locked.EstimateInnerProduct(3, 5);
-  auto se = snapshot.EstimateInnerProduct(3, 5);
-  ASSERT_TRUE(le.ok());
-  ASSERT_TRUE(se.ok());
-  EXPECT_EQ(le.value(), se.value());
-}
-
 TEST(StoreSnapshotTest, CompactifyRepublishesCoherentViews) {
   SketchStore store = MakeStoreOrDie(SmallStoreOptions());
   for (uint64_t id = 0; id < 32; ++id) {
@@ -228,7 +167,6 @@ TEST(StoreSnapshotTest, TopKSketchBatchMatchesSingleQueries) {
     ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
   }
   QueryEngine engine(&store);
-  engine.set_read_mode(ReadMode::kSnapshot);
 
   auto sketcher = store.family().MakeSketcher();
   ASSERT_TRUE(sketcher.ok());
@@ -313,7 +251,6 @@ TEST(StoreSnapshotTest, ConcurrentIngestAndSnapshotReads) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       QueryEngine engine(&store);
-      engine.set_read_mode(ReadMode::kSnapshot);
       uint64_t last_epoch = 0;
       while (!stop.load()) {
         ShardViewPtr view = store.PinShard(static_cast<size_t>(t) %

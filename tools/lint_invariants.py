@@ -27,10 +27,12 @@ point-wise but a static scan can prove tree-wide:
                  FamilyOptions harnesses) — a wire decoder that is not
                  fuzzed is an untrusted-input surface nobody is probing.
   docs-freshness Every ipsketch_* metric registered in src/ appears in
-                 docs/OPERATIONS.md (the operator runbook) and every
-                 SketchTypeTag enumerator appears in docs/WIRE_FORMAT.md
-                 (the normative wire spec) — the docs/ tree cannot silently
-                 rot behind the code.
+                 docs/OPERATIONS.md (the operator runbook), every metric
+                 OPERATIONS.md documents is still registered in src/, and
+                 every SketchTypeTag enumerator appears in
+                 docs/WIRE_FORMAT.md (the normative wire spec) — the docs/
+                 tree cannot silently rot behind the code, in either
+                 direction.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -192,6 +194,9 @@ def check_families(root: Path):
 METRIC_CALL = re.compile(
     r"Get(?:Counter|Gauge|Histogram)\(\s*\"((?:[^\"\\]|\\.)*)\"")
 METRIC_NAME = re.compile(r"^ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*$")
+# A backticked, fully spelled-out metric name in the docs (not a prefix
+# such as `ipsketch_` or a pattern such as `ipsketch_*`).
+DOCUMENTED_METRIC = re.compile(r"`(ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*)`")
 
 
 def check_metrics(root: Path):
@@ -294,20 +299,30 @@ def check_docs_freshness(root: Path):
     # documented fully prefixed (unlike README's inventory, which strips
     # the ipsketch_ prefix).
     ops = read(root, OPERATIONS_MD)
+    registered = set()
     reported = set()
     for path in sorted((root / "src").rglob("*.cc")):
         rel = path.relative_to(root).as_posix()
         for match in METRIC_CALL.finditer(path.read_text(encoding="utf-8")):
             base = match.group(1).split("{")[0]
             # Malformed names are the metrics rule's finding, not ours.
-            if not METRIC_NAME.match(base) or base in reported:
+            if not METRIC_NAME.match(base):
                 continue
-            if f"`{base}`" not in ops:
+            registered.add(base)
+            if f"`{base}`" not in ops and base not in reported:
                 reported.add(base)
                 findings.append(
                     f"docs-freshness: {rel}: metric '{base}' is not "
                     f"documented in {OPERATIONS_MD} — operators cannot "
                     "alert on a metric they cannot look up")
+
+    # ...and every metric the runbook documents is still registered, so a
+    # deleted metric's row cannot outlive it.
+    for name in sorted(set(DOCUMENTED_METRIC.findall(ops)) - registered):
+        findings.append(
+            f"docs-freshness: {OPERATIONS_MD}: metric '{name}' is "
+            "documented but registered nowhere in src/ — operators would "
+            "alert on a series that never appears")
 
     # Every wire tag enumerator is specified in the wire-format doc.
     header = read(root, SERIALIZE_H)
@@ -408,6 +423,18 @@ def seed_docs_metric(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_docs_phantom_metric(root: Path):
+    # A documented metric row that nothing in src/ registers.
+    path = root / OPERATIONS_MD
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace(
+        "| `ipsketch_store_size` |",
+        "| `ipsketch_store_phantom_ns` | histogram | seeded |\n"
+        "| `ipsketch_store_size` |", 1)
+    assert seeded != text, "docs phantom-metric seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
 def seed_docs_wire_tag(root: Path):
     # A new wire tag the wire-format doc has never heard of.
     path = root / SERIALIZE_H
@@ -428,6 +455,7 @@ SEEDS = {
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
     "docs-freshness": [
         ("undocumented metric", seed_docs_metric),
+        ("phantom documented metric", seed_docs_phantom_metric),
         ("undocumented wire tag", seed_docs_wire_tag),
     ],
 }
