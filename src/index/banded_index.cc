@@ -20,22 +20,82 @@ uint64_t BandKey(const uint64_t* codes, size_t rows, size_t band,
   return h;
 }
 
-/// Swap-removes one occurrence of `id` from the bucket under `key`,
-/// dropping the bucket entirely when it empties.
-void EraseBucketEntry(
-    std::unordered_map<uint64_t, std::vector<uint64_t>>* buckets,
-    uint64_t key, uint64_t id) {
-  auto it = buckets->find(key);
-  IPS_CHECK(it != buckets->end());
-  auto& ids = it->second;
-  auto pos = std::find(ids.begin(), ids.end(), id);
-  IPS_CHECK(pos != ids.end());
-  *pos = ids.back();
-  ids.pop_back();
-  if (ids.empty()) buckets->erase(it);
+}  // namespace
+
+BandPostings::BandPostings() { Reset(kInitialCapacity); }
+
+// Doubling keeps the capacity a power of two (for the mask) and a multiple
+// of the 64-slot occupancy words.
+static_assert(BandPostings::kInitialCapacity >= 64 &&
+              (BandPostings::kInitialCapacity &
+               (BandPostings::kInitialCapacity - 1)) == 0);
+
+void BandPostings::Reset(size_t capacity) {
+  slots_.assign(capacity, Posting{});
+  occupied_.assign(capacity / 64, 0);
+  mask_ = capacity - 1;
+  size_ = 0;
 }
 
-}  // namespace
+void BandPostings::Place(const Posting& posting) {
+  size_t slot = Home(posting.key);
+  while (Occupied(slot)) slot = (slot + 1) & mask_;
+  slots_[slot] = posting;
+  occupied_[slot >> 6] |= uint64_t{1} << (slot & 63);
+  ++size_;
+}
+
+void BandPostings::Insert(uint64_t key, uint64_t id) {
+  if ((size_ + 1) * kMaxLoadDen > capacity() * kMaxLoadNum) {
+    // Double and re-place every posting; the probe runs re-form around
+    // the new mask.
+    const BandPostings old = std::move(*this);
+    Reset(old.capacity() * 2);
+    for (size_t slot = 0; slot < old.capacity(); ++slot) {
+      if (old.Occupied(slot)) Place(old.slots_[slot]);
+    }
+  }
+  Place({key, id});
+}
+
+bool BandPostings::Erase(uint64_t key, uint64_t id) {
+  size_t hole = Home(key);
+  for (;; hole = (hole + 1) & mask_) {
+    if (!Occupied(hole)) return false;
+    if (slots_[hole].key == key && slots_[hole].id == id) break;
+  }
+  // Backward shift: walk the rest of the probe run and pull back into the
+  // hole every posting whose home is not cyclically in (hole, slot] — one
+  // that could not have been placed past the hole — so every posting stays
+  // reachable from its home without tombstones.
+  for (size_t slot = (hole + 1) & mask_; Occupied(slot);
+       slot = (slot + 1) & mask_) {
+    const size_t from_home = (slot - Home(slots_[slot].key)) & mask_;
+    if (from_home >= ((slot - hole) & mask_)) {
+      slots_[hole] = slots_[slot];
+      hole = slot;
+    }
+  }
+  occupied_[hole >> 6] &= ~(uint64_t{1} << (hole & 63));
+  --size_;
+  return true;
+}
+
+size_t BandPostings::Append(uint64_t key, std::vector<uint64_t>* ids) const {
+  size_t found = 0;
+  for (size_t slot = Home(key); Occupied(slot); slot = (slot + 1) & mask_) {
+    if (slots_[slot].key != key) continue;
+    ids->push_back(slots_[slot].id);
+    ++found;
+  }
+  return found;
+}
+
+void BandPostings::Prefetch(uint64_t key) const {
+  const size_t slot = Home(key);
+  __builtin_prefetch(&occupied_[slot >> 6]);
+  __builtin_prefetch(&slots_[slot]);
+}
 
 Status BandedLshParams::Validate(size_t num_samples) const {
   if (bands == 0 || rows == 0) {
@@ -102,12 +162,13 @@ BandedIndex::~BandedIndex() {
 }
 
 size_t BandedIndex::size() const {
-  size_t total = 0;
+  size_t postings = 0;
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    total += shard->band_keys.size();
+    postings += shard->postings.size();
   }
-  return total;
+  // Every resident id is filed under exactly b keys.
+  return postings / params_.bands;
 }
 
 std::vector<uint64_t> BandedIndex::BandKeys(
@@ -121,38 +182,34 @@ std::vector<uint64_t> BandedIndex::BandKeys(
   return keys;
 }
 
-void BandedIndex::OnInsert(uint64_t id, const AnySketch& sketch) {
-  // Every sketch reaching a listener already passed the store's
-  // CheckCompatible, and the family supports banding (MakeAttached), so
-  // this cannot fail. The keys are computed before taking the lock.
-  std::vector<uint64_t> codes;
-  IPS_CHECK(store_->family().AppendLshCodes(sketch, &codes).ok());
-  std::vector<uint64_t> keys = BandKeys(codes);
+std::vector<uint64_t> BandedIndex::SketchKeys(const AnySketch& sketch) const {
+  std::vector<uint64_t> keys;
+  IPS_CHECK(QueryBandKeys(sketch, &keys).ok());
+  return keys;
+}
+
+void BandedIndex::OnInsert(uint64_t id, const AnySketch& sketch,
+                           const AnySketch* replaced) {
+  // Keys are computed before taking the lock. A replace unfiles the id
+  // under the displaced sketch's keys, then files it under the new ones.
+  const std::vector<uint64_t> keys = SketchKeys(sketch);
+  const std::vector<uint64_t> stale =
+      replaced != nullptr ? SketchKeys(*replaced) : std::vector<uint64_t>{};
   Shard& shard = *shards_[store_->ShardOf(id)];
   MutexLock lock(&shard.mu);
-  // A replace re-files the id under its new keys.
-  const bool replaced = RemoveLocked(shard, id);
-  for (uint64_t key : keys) shard.buckets[key].push_back(id);
-  shard.band_keys.emplace(id, std::move(keys));
+  for (uint64_t key : stale) IPS_CHECK(shard.postings.Erase(key, id));
+  for (uint64_t key : keys) shard.postings.Insert(key, id);
   inserts_->Add(1);
-  if (!replaced) size_gauge_->Add(1);
+  if (replaced == nullptr) size_gauge_->Add(1);
 }
 
-void BandedIndex::OnErase(uint64_t id) {
+void BandedIndex::OnErase(uint64_t id, const AnySketch& erased) {
+  const std::vector<uint64_t> keys = SketchKeys(erased);
   Shard& shard = *shards_[store_->ShardOf(id)];
   MutexLock lock(&shard.mu);
-  if (RemoveLocked(shard, id)) {
-    erases_->Add(1);
-    size_gauge_->Add(-1);
-  }
-}
-
-bool BandedIndex::RemoveLocked(Shard& shard, uint64_t id) {
-  auto it = shard.band_keys.find(id);
-  if (it == shard.band_keys.end()) return false;
-  for (uint64_t key : it->second) EraseBucketEntry(&shard.buckets, key, id);
-  shard.band_keys.erase(it);
-  return true;
+  for (uint64_t key : keys) IPS_CHECK(shard.postings.Erase(key, id));
+  erases_->Add(1);
+  size_gauge_->Add(-1);
 }
 
 Status BandedIndex::QueryBandKeys(const AnySketch& query,
@@ -173,11 +230,11 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   {
     const Shard& shard = *shards_[shard_index];
     MutexLock lock(&shard.mu);
+    // Issue every home-slot load before walking any run, so the b cache
+    // misses overlap instead of queueing behind one another.
+    for (uint64_t key : keys) shard.postings.Prefetch(key);
     for (uint64_t key : keys) {
-      auto it = shard.buckets.find(key);
-      if (it == shard.buckets.end()) continue;
-      ++buckets_hit;
-      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+      if (shard.postings.Append(key, &candidates) != 0) ++buckets_hit;
     }
   }
   stats->buckets_probed += buckets_hit;

@@ -15,6 +15,12 @@
 // is bit-identical to the exact scan's for that id — banding only ever
 // *misses* true hits, never mis-scores them.
 //
+// Each index shard is one flat BandPostings table of 16-byte (band key, id)
+// postings — no per-bucket or per-id allocation, and no record of which
+// keys an id was filed under: the store hands the listener the sketch a
+// replace displaced or an erase removed, and the index recomputes that
+// sketch's b keys to unfile it.
+//
 // The index is a SketchStore::Listener: MakeAttached subscribes it to the
 // store and replays what is already resident, after which every insert,
 // replace, and erase is mirrored synchronously under the store's shard lock
@@ -36,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -63,6 +68,69 @@ struct BandedLshParams {
 struct IndexProbeStats {
   uint64_t buckets_probed = 0;  ///< non-empty buckets hit
   uint64_t candidates = 0;      ///< deduped candidates re-ranked
+};
+
+/// One index shard's postings: an open-addressing multimap from 64-bit band
+/// key to 64-bit id, stored as a flat power-of-two array of 16-byte
+/// (key, id) slots probed linearly from `key & (capacity − 1)` — band keys
+/// are Mix64 outputs, so their low bits are already uniform. Occupancy lives
+/// in a separate one-bit-per-slot bitmap, so no key or id value is reserved
+/// to mean "empty". The table doubles (rehashing every posting) before its
+/// load would pass kMaxLoadNum / kMaxLoadDen, deletion shifts the rest of
+/// the probe run back instead of leaving tombstones, and nothing is
+/// allocated per posting.
+///
+/// Not thread-safe: BandedIndex guards each shard's table with that shard's
+/// mutex. Public so its probing edge cases can be tested directly.
+class BandPostings {
+ public:
+  static constexpr size_t kInitialCapacity = 64;
+  /// Maximum load, as the fraction kMaxLoadNum / kMaxLoadDen.
+  static constexpr size_t kMaxLoadNum = 3;
+  static constexpr size_t kMaxLoadDen = 4;
+
+  BandPostings();
+
+  /// Files one (key, id) posting. Filing the same pair twice keeps two
+  /// postings; each Erase unfiles one.
+  void Insert(uint64_t key, uint64_t id);
+
+  /// Unfiles one (key, id) posting. Returns false if none is filed.
+  bool Erase(uint64_t key, uint64_t id);
+
+  /// Appends every id filed under `key` to `ids`; returns how many.
+  size_t Append(uint64_t key, std::vector<uint64_t>* ids) const;
+
+  /// Asks the cache for `key`'s home slot ahead of an Append.
+  void Prefetch(uint64_t key) const;
+
+  /// Postings filed.
+  size_t size() const { return size_; }
+
+  /// Slots allocated (a power of two, at least kInitialCapacity).
+  size_t capacity() const { return slots_.size(); }
+
+ private:
+  struct Posting {
+    uint64_t key;
+    uint64_t id;
+  };
+
+  bool Occupied(size_t slot) const {
+    return (occupied_[slot >> 6] >> (slot & 63)) & 1;
+  }
+  size_t Home(uint64_t key) const { return static_cast<size_t>(key) & mask_; }
+
+  /// Empties the table at `capacity` slots.
+  void Reset(size_t capacity);
+
+  /// Stores `posting` in the first free slot of its probe run.
+  void Place(const Posting& posting);
+
+  std::vector<Posting> slots_;
+  std::vector<uint64_t> occupied_;  ///< bit i set iff slots_[i] is filed
+  size_t mask_ = 0;
+  size_t size_ = 0;
 };
 
 /// The banded index over one store. Thread-safe; see the file comment for
@@ -94,8 +162,9 @@ class BandedIndex final : public SketchStore::Listener {
   size_t size() const;
 
   // SketchStore::Listener — called under the store's shard lock.
-  void OnInsert(uint64_t id, const AnySketch& sketch) override;
-  void OnErase(uint64_t id) override;
+  void OnInsert(uint64_t id, const AnySketch& sketch,
+                const AnySketch* replaced) override;
+  void OnErase(uint64_t id, const AnySketch& erased) override;
 
   /// The query's b band keys, in band order — computed once per query and
   /// shared across shard probes. InvalidArgument unless `query` passes the
@@ -103,7 +172,7 @@ class BandedIndex final : public SketchStore::Listener {
   Status QueryBandKeys(const AnySketch& query,
                        std::vector<uint64_t>* keys) const;
 
-  /// Probes one shard's buckets with `keys` (from QueryBandKeys): collects
+  /// Probes one shard's postings with `keys` (from QueryBandKeys): collects
   /// the candidate ids under the index shard's lock and releases it, then —
   /// only if there are candidates — pins the store shard's view and offers
   /// (id, estimate) to `heap` for every deduped candidate the view holds
@@ -118,24 +187,20 @@ class BandedIndex final : public SketchStore::Listener {
     /// kIndexShard: acquired inside listener callbacks while the store's
     /// shard lock (kStoreShard) is held — the mirror protocol's only order.
     mutable Mutex mu{LockRank::kIndexShard};
-    /// Band key → ids filed under it (across all bands; keys are salted
-    /// per band, so cross-band collisions are as unlikely as any other).
-    std::unordered_map<uint64_t, std::vector<uint64_t>> buckets
-        IPS_GUARDED_BY(mu);
-    /// Resident id → its b band keys in band order: the buckets a replace
-    /// or erase must unfile the id from.
-    std::unordered_map<uint64_t, std::vector<uint64_t>> band_keys
-        IPS_GUARDED_BY(mu);
+    /// One posting per (band, resident id) of this shard. Keys are salted
+    /// per band, so cross-band collisions are as unlikely as any other.
+    BandPostings postings IPS_GUARDED_BY(mu);
   };
 
   BandedIndex(SketchStore* store, const BandedLshParams& params);
 
+  /// QueryBandKeys for a stored sketch. Cannot fail: every sketch reaching
+  /// the listener passed the store's CheckCompatible, and MakeAttached
+  /// admits only banding families.
+  std::vector<uint64_t> SketchKeys(const AnySketch& sketch) const;
+
   /// The b band keys of `codes` (one LSH code per sample), in band order.
   std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& codes) const;
-
-  /// Unfiles `id` from every bucket of `shard`. Returns false if the id was
-  /// not resident.
-  bool RemoveLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
 
   SketchStore* store_;
   BandedLshParams params_;

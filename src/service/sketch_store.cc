@@ -108,7 +108,7 @@ void SketchStore::PublishLocked(Shard& shard, std::shared_ptr<ShardView> next) {
   shard.view.swap(superseded);
 }
 
-bool SketchStore::PublishInsertLocked(
+std::shared_ptr<const AnySketch> SketchStore::PublishInsertLocked(
     Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch) {
   const ShardViewPtr prev = shard.Pin();
   auto next = std::make_shared<ShardView>();
@@ -116,6 +116,8 @@ bool SketchStore::PublishInsertLocked(
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
   const bool replace = pos != prev->ids.end() && *pos == id;
+  std::shared_ptr<const AnySketch> replaced =
+      replace ? prev->sketches[i] : nullptr;
   const size_t new_size = prev->ids.size() + (replace ? 0 : 1);
   next->ids.reserve(new_size);
   next->sketches.reserve(new_size);
@@ -128,16 +130,18 @@ bool SketchStore::PublishInsertLocked(
                         prev->sketches.begin() + i + (replace ? 1 : 0),
                         prev->sketches.end());
   PublishLocked(shard, std::move(next));
-  return !replace;
+  return replaced;
 }
 
-bool SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
+std::shared_ptr<const AnySketch> SketchStore::PublishEraseLocked(
+    Shard& shard, uint64_t id) {
   const ShardViewPtr prev = shard.Pin();
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
-  if (pos == prev->ids.end() || *pos != id) return false;
+  if (pos == prev->ids.end() || *pos != id) return nullptr;
   auto next = std::make_shared<ShardView>();
   next->family = family_;
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
+  std::shared_ptr<const AnySketch> erased = prev->sketches[i];
   next->ids.reserve(prev->ids.size() - 1);
   next->sketches.reserve(prev->ids.size() - 1);
   next->ids.assign(prev->ids.begin(), pos);
@@ -146,7 +150,7 @@ bool SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
   next->sketches.insert(next->sketches.end(), prev->sketches.begin() + i + 1,
                         prev->sketches.end());
   PublishLocked(shard, std::move(next));
-  return true;
+  return erased;
 }
 
 ShardViewPtr SketchStore::PinShard(size_t shard) const {
@@ -184,8 +188,12 @@ Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
   {
     MutexLock lock(&shard.mu);
     const AnySketch& stored = *sketch;
-    is_new = PublishInsertLocked(shard, id, std::move(sketch));
-    if (shard.listener != nullptr) shard.listener->OnInsert(id, stored);
+    const std::shared_ptr<const AnySketch> replaced =
+        PublishInsertLocked(shard, id, std::move(sketch));
+    is_new = replaced == nullptr;
+    if (shard.listener != nullptr) {
+      shard.listener->OnInsert(id, stored, replaced.get());
+    }
   }
   inserts_->Add(1);
   if (is_new) {
@@ -207,26 +215,40 @@ Status SketchStore::BuildAndInsert(uint64_t id, const SparseVector& vec) {
 Status SketchStore::BuildAndInsertBatch(
     const std::vector<std::pair<uint64_t, SparseVector>>& batch,
     ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() == 1 || batch.size() <= 1) {
-    // One sketcher for the whole batch — the same scratch reuse the chunked
-    // path gets, so serial and parallel ingest differ only in parallelism.
-    auto made = family_->MakeSketcher();
-    IPS_RETURN_IF_ERROR(made.status());
-    std::unique_ptr<AnySketch> sketch = family_->NewSketch();
-    for (const auto& [id, vec] : batch) {
-      metrics::ScopedLatency ingest_timer(ingest_ns_);
-      IPS_RETURN_IF_ERROR(made.value()->Sketch(vec, sketch.get()));
-      IPS_RETURN_IF_ERROR(Insert(id, std::move(sketch)));
-      sketch = family_->NewSketch();
-    }
-    return Status::Ok();
+  // Later entries win on duplicate ids. Chunks insert concurrently, so
+  // "later" cannot mean "inserted last": mark the last entry of each id and
+  // insert only those. Every entry is still sketched, so an invalid one
+  // still fails the batch.
+  std::vector<std::pair<uint64_t, size_t>> by_id(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) by_id[i] = {batch[i].first, i};
+  std::sort(by_id.begin(), by_id.end());
+  std::vector<bool> last(batch.size(), true);
+  for (size_t i = 1; i < by_id.size(); ++i) {
+    if (by_id[i].first == by_id[i - 1].first) last[by_id[i - 1].second] = false;
   }
 
-  // Carve the batch into one contiguous chunk per worker: each chunk gets
-  // its own Sketcher (scratch reuse across its vectors) and inserts as it
-  // goes, so sketching — the expensive part — runs fully in parallel and
-  // shard locks are held only for view publication. Chunks share no state
-  // except the first-error slot.
+  // Sketches and inserts entries [begin, end) with one Sketcher (scratch
+  // reuse across its vectors), stopping at the first error.
+  const auto ingest = [&](size_t begin, size_t end) -> Status {
+    auto made = family_->MakeSketcher();
+    IPS_RETURN_IF_ERROR(made.status());
+    for (size_t i = begin; i < end; ++i) {
+      const auto& [id, vec] = batch[i];
+      metrics::ScopedLatency ingest_timer(ingest_ns_);
+      std::unique_ptr<AnySketch> sketch = family_->NewSketch();
+      IPS_RETURN_IF_ERROR(made.value()->Sketch(vec, sketch.get()));
+      if (last[i]) IPS_RETURN_IF_ERROR(Insert(id, std::move(sketch)));
+    }
+    return Status::Ok();
+  };
+  if (pool == nullptr || pool->num_threads() == 1 || batch.size() <= 1) {
+    return ingest(0, batch.size());
+  }
+
+  // Carve the batch into one contiguous chunk per worker, so sketching —
+  // the expensive part — runs fully in parallel and shard locks are held
+  // only for view publication. Chunks share no state except the
+  // first-error slot.
   const size_t chunks = std::min(batch.size(), pool->num_threads());
   const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
   // kLeaf: taken only from chunk bodies, which hold nothing at that point.
@@ -234,25 +256,10 @@ Status SketchStore::BuildAndInsertBatch(
   Status first_error;
   pool->ParallelFor(chunks, [&](size_t c) {
     const size_t begin = c * per_chunk;
-    const size_t end = std::min(begin + per_chunk, batch.size());
-    auto made = family_->MakeSketcher();
-    if (!made.ok()) {
-      MutexLock lock(&error_mu);
-      if (first_error.ok()) first_error = made.status();
-      return;
-    }
-    for (size_t i = begin; i < end; ++i) {
-      const auto& [id, vec] = batch[i];
-      metrics::ScopedLatency ingest_timer(ingest_ns_);
-      std::unique_ptr<AnySketch> sketch = family_->NewSketch();
-      Status st = made.value()->Sketch(vec, sketch.get());
-      if (st.ok()) st = Insert(id, std::move(sketch));
-      if (!st.ok()) {
-        MutexLock lock(&error_mu);
-        if (first_error.ok()) first_error = st;
-        return;
-      }
-    }
+    const Status st = ingest(begin, std::min(begin + per_chunk, batch.size()));
+    if (st.ok()) return;
+    MutexLock lock(&error_mu);
+    if (first_error.ok()) first_error = st;
   });
   MutexLock lock(&error_mu);
   return first_error;
@@ -276,11 +283,13 @@ Status SketchStore::Erase(uint64_t id) {
   Shard& shard = *shards_[shard_index];
   {
     MutexLock lock(&shard.mu);
-    if (!PublishEraseLocked(shard, id)) {
+    const std::shared_ptr<const AnySketch> erased =
+        PublishEraseLocked(shard, id);
+    if (erased == nullptr) {
       return Status::NotFound("no sketch stored under id " +
                               std::to_string(id));
     }
-    if (shard.listener != nullptr) shard.listener->OnErase(id);
+    if (shard.listener != nullptr) shard.listener->OnErase(id, *erased);
   }
   erases_->Add(1);
   size_gauge_->Add(-1);
@@ -306,7 +315,7 @@ Status SketchStore::AttachListener(Listener* listener) {
     shard->listener = listener;
     const ShardViewPtr view = shard->Pin();
     for (size_t i = 0; i < view->ids.size(); ++i) {
-      listener->OnInsert(view->ids[i], *view->sketches[i]);
+      listener->OnInsert(view->ids[i], *view->sketches[i], nullptr);
     }
   }
   return Status::Ok();

@@ -95,15 +95,22 @@ class SketchStore {
   /// callbacks run *under the shard lock* of the mutated id's shard, right
   /// after the successor view is published, so a listener observing one
   /// shard's stream sees its mutations in order and can mirror the shard
-  /// consistently. Callbacks must be fast and must never mutate the store
-  /// (the lock is held — deadlock); reads, which only pin views, are fine.
+  /// consistently. Each callback also carries the sketch the mutation took
+  /// out of the store, so a listener can unfile whatever it derived from
+  /// that sketch without keeping its own per-id record. Callbacks must be
+  /// fast and must never mutate the store (the lock is held — deadlock);
+  /// reads, which only pin views, are fine. The sketch references are valid
+  /// only for the duration of the call.
   class Listener {
    public:
     virtual ~Listener() = default;
-    /// After `sketch` was stored (insert or replace) under `id`.
-    virtual void OnInsert(uint64_t id, const AnySketch& sketch) = 0;
-    /// After `id` was removed.
-    virtual void OnErase(uint64_t id) = 0;
+    /// After `sketch` was stored under `id`. `replaced` is the sketch it
+    /// displaced, or nullptr if `id` was not stored (a new id, or a replay
+    /// at attach).
+    virtual void OnInsert(uint64_t id, const AnySketch& sketch,
+                          const AnySketch* replaced) = 0;
+    /// After `id` was removed; `erased` is the sketch it held.
+    virtual void OnErase(uint64_t id, const AnySketch& erased) = 0;
   };
 
   /// Builds the family from the registry (resolving option defaults) and an
@@ -149,9 +156,10 @@ class SketchStore {
 
   /// Sketches and inserts a whole batch, fanning the sketching work across
   /// `pool` (one Sketcher per worker; nullptr = sketch serially on the
-  /// calling thread). Later batch entries win on duplicate ids. Returns the
-  /// first error encountered; entries after an error in the same batch may
-  /// or may not be inserted.
+  /// calling thread). Later batch entries win on duplicate ids: every entry
+  /// is sketched (so an invalid one fails the batch), but only the last
+  /// entry of each id is inserted. Returns the first error encountered;
+  /// entries after an error in the same batch may or may not be inserted.
   Status BuildAndInsertBatch(
       const std::vector<std::pair<uint64_t, SparseVector>>& batch,
       ThreadPool* pool);
@@ -256,15 +264,18 @@ class SketchStore {
 
   /// Publishes the successor view of `shard` with `id` inserted or
   /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one atomic swap. Returns true iff `id` is new
-  /// to the shard (false: it replaced a stored sketch).
-  bool PublishInsertLocked(Shard& shard, uint64_t id,
-                           std::shared_ptr<const AnySketch> sketch)
+  /// sorted-position splice, one pointer swap. Returns the sketch `id`
+  /// held before, or nullptr if it is new to the shard.
+  std::shared_ptr<const AnySketch> PublishInsertLocked(
+      Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch)
       IPS_REQUIRES(shard.mu);
 
-  /// Publishes the successor view of `shard` with `id` removed. Returns
-  /// false, publishing nothing, iff `id` is not stored in the shard.
-  bool PublishEraseLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
+  /// Publishes the successor view of `shard` with `id` removed and returns
+  /// the sketch it held; returns nullptr, publishing nothing, iff `id` is
+  /// not stored in the shard.
+  std::shared_ptr<const AnySketch> PublishEraseLocked(Shard& shard,
+                                                      uint64_t id)
+      IPS_REQUIRES(shard.mu);
 
   /// Stamps `next` with the shard's next epoch and publishes it; the
   /// superseded view is released after the pin lock is dropped.

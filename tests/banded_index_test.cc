@@ -3,7 +3,10 @@
 // and to the pairwise estimator for every banding family and kernel tier,
 // TopK edge cases on both paths, deterministic tie-breaks, null-index
 // fallback accounting, recall probes, a concurrent insert/erase/query
-// stress the TSAN job runs, and the family-side LSH code contract.
+// stress the TSAN job runs, the flat postings table (reserved-value-free
+// ids and keys, wrap-around deletion, growth, long single-key runs) on its
+// own and through the store against a reference multimap, and the
+// family-side LSH code contract.
 
 #include <algorithm>
 #include <bit>
@@ -11,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -524,6 +528,323 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
     EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
               std::bit_cast<uint64_t>(row->estimate));
   }
+}
+
+// --- the postings table ------------------------------------------------------
+
+/// A reference multimap: band key → ids filed under it, with multiplicity.
+using ReferencePostings = std::map<uint64_t, std::multiset<uint64_t>>;
+
+std::vector<uint64_t> SortedIds(const BandPostings& table, uint64_t key) {
+  std::vector<uint64_t> ids;
+  const size_t appended = table.Append(key, &ids);
+  EXPECT_EQ(appended, ids.size());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Every key `reference` has ever held probes to exactly its ids.
+void ExpectMatches(const BandPostings& table,
+                   const ReferencePostings& reference) {
+  size_t postings = 0;
+  for (const auto& [key, ids] : reference) {
+    EXPECT_EQ(SortedIds(table, key),
+              std::vector<uint64_t>(ids.begin(), ids.end()))
+        << "key " << key;
+    postings += ids.size();
+  }
+  EXPECT_EQ(table.size(), postings);
+  EXPECT_LE(table.size() * BandPostings::kMaxLoadDen,
+            table.capacity() * BandPostings::kMaxLoadNum);
+}
+
+void FileBoth(BandPostings* table, ReferencePostings* reference,
+              uint64_t key, uint64_t id) {
+  table->Insert(key, id);
+  (*reference)[key].insert(id);
+}
+
+void UnfileBoth(BandPostings* table, ReferencePostings* reference,
+                uint64_t key, uint64_t id) {
+  ASSERT_TRUE(table->Erase(key, id)) << key << " " << id;
+  auto& ids = (*reference)[key];
+  ids.erase(ids.find(id));
+}
+
+TEST(BandPostingsTest, NoKeyOrIdValueIsReserved) {
+  constexpr uint64_t kMax = ~uint64_t{0};
+  BandPostings table;
+  ReferencePostings reference;
+  for (uint64_t key : {uint64_t{0}, kMax, uint64_t{1}}) {
+    for (uint64_t id : {uint64_t{0}, kMax, uint64_t{7}}) {
+      FileBoth(&table, &reference, key, id);
+    }
+  }
+  ExpectMatches(table, reference);
+  EXPECT_FALSE(table.Erase(2, 0));     // absent key
+  EXPECT_FALSE(table.Erase(0, 1));     // absent id under a present key
+  UnfileBoth(&table, &reference, kMax, 0);
+  UnfileBoth(&table, &reference, 0, kMax);
+  ExpectMatches(table, reference);
+  EXPECT_FALSE(table.Erase(kMax, 0));  // already unfiled
+}
+
+TEST(BandPostingsTest, DeletionShiftsBackAcrossSlotZero) {
+  BandPostings table;
+  ASSERT_EQ(table.capacity(), 64u);
+  ReferencePostings reference;
+  // Three keys homed at the last slot wrap onto slots 0 and 1, pushing the
+  // keys homed at 0 and 2 to slots 2 and 3; key 4 sits at its home.
+  FileBoth(&table, &reference, 63, 1);   // slot 63
+  FileBoth(&table, &reference, 127, 2);  // slot 0
+  FileBoth(&table, &reference, 191, 3);  // slot 1
+  FileBoth(&table, &reference, 0, 4);    // slot 2
+  FileBoth(&table, &reference, 2, 5);    // slot 3
+  FileBoth(&table, &reference, 4, 6);    // slot 4
+  ExpectMatches(table, reference);
+  // Unfiling slot 63 shifts the rest of the run back over the wrap; key 4,
+  // already home, stays. Every key must still reach its ids.
+  UnfileBoth(&table, &reference, 63, 1);
+  ExpectMatches(table, reference);
+  UnfileBoth(&table, &reference, 0, 4);
+  ExpectMatches(table, reference);
+  UnfileBoth(&table, &reference, 191, 3);
+  ExpectMatches(table, reference);
+  FileBoth(&table, &reference, 63, 7);
+  UnfileBoth(&table, &reference, 127, 2);
+  ExpectMatches(table, reference);
+}
+
+TEST(BandPostingsTest, ManyIdsUnderOneKey) {
+  // Near-duplicates share every band key: one long run under one key,
+  // interleaved with unrelated keys homed inside it.
+  BandPostings table;
+  ReferencePostings reference;
+  constexpr uint64_t kKey = 0x9e3779b97f4a7c15ULL;
+  for (uint64_t id = 0; id < 300; ++id) {
+    FileBoth(&table, &reference, kKey, id);
+    if (id % 10 == 0) FileBoth(&table, &reference, kKey + id + 1, id);
+  }
+  ExpectMatches(table, reference);
+  for (uint64_t id = 0; id < 300; id += 2) {
+    UnfileBoth(&table, &reference, kKey, id);
+  }
+  ExpectMatches(table, reference);
+}
+
+TEST(BandPostingsTest, GrowsWhileIdsAreResident) {
+  BandPostings table;
+  ReferencePostings reference;
+  Xoshiro256StarStar rng(11);
+  size_t capacity = table.capacity();
+  size_t doublings = 0;
+  for (uint64_t id = 0; id < 2000; ++id) {
+    FileBoth(&table, &reference, rng(), id);
+    if (table.capacity() != capacity) {
+      EXPECT_EQ(table.capacity(), 2 * capacity);
+      capacity = table.capacity();
+      ++doublings;
+      ExpectMatches(table, reference);  // right after every rehash
+    }
+  }
+  EXPECT_EQ(table.capacity(), 4096u);  // 2000 > 0.75 · 2048
+  EXPECT_EQ(doublings, 6u);
+  ExpectMatches(table, reference);
+}
+
+TEST(BandPostingsTest, ErasesDownToEmptyAndRefills) {
+  BandPostings table;
+  ReferencePostings reference;
+  Xoshiro256StarStar rng(12);
+  std::vector<std::pair<uint64_t, uint64_t>> filed;
+  for (uint64_t id = 0; id < 200; ++id) {
+    // Few distinct keys, so probe runs are long and overlap.
+    const uint64_t key = rng.NextBounded(16) * 61;
+    FileBoth(&table, &reference, key, id);
+    filed.push_back({key, id});
+  }
+  std::shuffle(filed.begin(), filed.end(), rng);
+  for (const auto& [key, id] : filed) {
+    UnfileBoth(&table, &reference, key, id);
+  }
+  EXPECT_EQ(table.size(), 0u);
+  ExpectMatches(table, reference);  // every key probes empty
+  // An emptied table keeps its capacity and works as new.
+  const size_t capacity = table.capacity();
+  FileBoth(&table, &reference, 61, 5);
+  ExpectMatches(table, reference);
+  EXPECT_EQ(table.capacity(), capacity);
+}
+
+TEST(BandPostingsTest, RandomOperationsMatchAReferenceMultimap) {
+  // Keys whose low bits put their home in the last eight or first four
+  // slots at every capacity, with aliases above bit 32: probe runs
+  // constantly wrap past slot 0, grow, and shift back, and repeated
+  // (key, id) pairs file twice.
+  BandPostings table;
+  ReferencePostings reference;
+  std::vector<std::pair<uint64_t, uint64_t>> filed;
+  Xoshiro256StarStar rng(13);
+  for (size_t op = 0; op < 6000; ++op) {
+    if (filed.empty() || (filed.size() < 150 && rng.NextBounded(2) == 0)) {
+      const uint64_t low = rng.NextBounded(12);
+      const uint64_t key = (rng.NextBounded(3) << 32) |
+                           (low < 8 ? 0xffff - low : low - 8);
+      const uint64_t id = rng.NextBounded(50);
+      FileBoth(&table, &reference, key, id);
+      filed.push_back({key, id});
+    } else {
+      const size_t pick = rng.NextBounded(filed.size());
+      UnfileBoth(&table, &reference, filed[pick].first, filed[pick].second);
+      filed[pick] = filed.back();
+      filed.pop_back();
+    }
+    if (op % 50 == 0) ExpectMatches(table, reference);
+  }
+  ExpectMatches(table, reference);
+}
+
+// --- the index over a store: the postings against a reference ---------------
+
+/// The candidate ids and non-empty-bucket count one shard's probe yields.
+struct ShardProbe {
+  std::vector<uint64_t> ids;  // sorted
+  uint64_t buckets = 0;
+};
+
+ShardProbe ProbeIds(const BandedIndex& index, const AnySketch& query,
+                    size_t shard) {
+  std::vector<uint64_t> keys;
+  IPS_CHECK(index.QueryBandKeys(query, &keys).ok());
+  TopKHeap heap(~size_t{0});
+  IndexProbeStats stats;
+  IPS_CHECK(index.ProbeShard(query, keys, shard, &heap, &stats).ok());
+  ShardProbe probe;
+  for (const SimilarityHit& hit : heap.TakeSorted()) {
+    probe.ids.push_back(static_cast<uint64_t>(hit.index));
+  }
+  std::sort(probe.ids.begin(), probe.ids.end());
+  EXPECT_EQ(stats.candidates, probe.ids.size());
+  probe.buckets = stats.buckets_probed;
+  return probe;
+}
+
+/// Mirrors a store's mutations as (band key, id) postings per shard, with
+/// keys from the index's own QueryBandKeys, and checks every shard's probe
+/// against it.
+class ReferenceIndex {
+ public:
+  ReferenceIndex(const SketchStore* store, const BandedIndex* index)
+      : store_(store), index_(index), shards_(store->num_shards()) {}
+
+  void Insert(uint64_t id, const AnySketch& sketch) {
+    Erase(id);
+    std::vector<uint64_t> keys;
+    IPS_CHECK(index_->QueryBandKeys(sketch, &keys).ok());
+    for (uint64_t key : keys) shards_[store_->ShardOf(id)][key].insert(id);
+    keys_[id] = std::move(keys);
+  }
+
+  void Erase(uint64_t id) {
+    auto it = keys_.find(id);
+    if (it == keys_.end()) return;
+    auto& shard = shards_[store_->ShardOf(id)];
+    for (uint64_t key : it->second) shard[key].erase(shard[key].find(id));
+    keys_.erase(it);
+  }
+
+  size_t size() const { return keys_.size(); }
+
+  void ExpectProbesMatch(const AnySketch& query) const {
+    std::vector<uint64_t> keys;
+    IPS_CHECK(index_->QueryBandKeys(query, &keys).ok());
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      std::set<uint64_t> expected;
+      uint64_t buckets = 0;
+      for (uint64_t key : keys) {
+        auto it = shards_[s].find(key);
+        if (it == shards_[s].end() || it->second.empty()) continue;
+        ++buckets;
+        expected.insert(it->second.begin(), it->second.end());
+      }
+      const ShardProbe probe = ProbeIds(*index_, query, s);
+      EXPECT_EQ(probe.ids,
+                std::vector<uint64_t>(expected.begin(), expected.end()))
+          << "shard " << s;
+      EXPECT_EQ(probe.buckets, buckets) << "shard " << s;
+    }
+  }
+
+ private:
+  const SketchStore* store_;
+  const BandedIndex* index_;
+  std::vector<ReferencePostings> shards_;
+  std::map<uint64_t, std::vector<uint64_t>> keys_;
+};
+
+TEST(BandedIndexTest, ProbesMatchAReferenceMultimapUnderRandomMutations) {
+  SketchStore store = MakeFilledStore(0);
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+  ReferenceIndex reference(&store, index.value().get());
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // Ids include both ends of the range; a small vector pool and support
+  // make near-duplicates, identical replacements and shared buckets common.
+  std::vector<uint64_t> id_pool = {0, kMax, kMax - 1, uint64_t{1} << 63};
+  for (uint64_t id = 1; id <= 16; ++id) id_pool.push_back(id * id);
+  std::vector<std::unique_ptr<AnySketch>> vectors;
+  for (uint64_t v = 0; v < 12; ++v) {
+    vectors.push_back(SketchOrDie(store.family(), RandomVector(300 + v, 48)));
+  }
+  Xoshiro256StarStar rng(2024);
+  for (size_t op = 0; op < 400; ++op) {
+    const uint64_t id = id_pool[rng.NextBounded(id_pool.size())];
+    if (rng.NextBounded(4) == 0) {
+      const bool present = store.Contains(id);
+      EXPECT_EQ(store.Erase(id).ok(), present);
+      reference.Erase(id);
+    } else {
+      const AnySketch& sketch = *vectors[rng.NextBounded(vectors.size())];
+      ASSERT_TRUE(store.Insert(id, sketch.Clone()).ok());
+      reference.Insert(id, sketch);
+    }
+    ASSERT_EQ(index.value()->size(), reference.size());
+    const AnySketch& query = *vectors[op % vectors.size()];
+    reference.ExpectProbesMatch(query);
+    if (HasFailure()) FAIL() << "first mismatch after op " << op;
+  }
+  for (const auto& query : vectors) reference.ExpectProbesMatch(*query);
+}
+
+TEST(BandedIndexTest, IdenticalReplaceAndEraseLeaveNoStalePostings) {
+  SketchStore store = MakeFilledStore(0);
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+  const auto sketch = SketchOrDie(store.family(), RandomVector(4321));
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // Near-duplicates: the same sketch under many ids, 0 and max included,
+  // enough to grow the shards' tables past their initial capacity.
+  std::vector<uint64_t> ids = {0, kMax};
+  for (uint64_t id = 1; id <= 60; ++id) ids.push_back(id * 1000003);
+  for (uint64_t id : ids) ASSERT_TRUE(store.Insert(id, sketch->Clone()).ok());
+  ReferenceIndex reference(&store, index.value().get());
+  for (uint64_t id : ids) reference.Insert(id, *sketch);
+  reference.ExpectProbesMatch(*sketch);
+
+  // Replacing every id with an identical sketch must re-file, not
+  // double-file: the probes and size do not move.
+  for (uint64_t id : ids) ASSERT_TRUE(store.Insert(id, sketch->Clone()).ok());
+  EXPECT_EQ(index.value()->size(), ids.size());
+  reference.ExpectProbesMatch(*sketch);
+
+  // Erasing every id empties every bucket (the reference now expects zero
+  // buckets probed in every shard): nothing stale is left behind.
+  for (uint64_t id : ids) {
+    ASSERT_TRUE(store.Erase(id).ok());
+    reference.Erase(id);
+  }
+  EXPECT_EQ(index.value()->size(), 0u);
+  reference.ExpectProbesMatch(*sketch);
 }
 
 // --- the family-side LSH contract the index is built on ---------------------

@@ -13,6 +13,7 @@
 #include "core/wmh_estimator.h"
 #include "core/wmh_sketch.h"
 #include "data/synthetic.h"
+#include "index/banded_index.h"
 #include "service/metrics.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
@@ -271,6 +272,63 @@ TEST(SketchStoreTest, DuplicateIdsLastWriteWins) {
   const WmhSketch* wmh = GetSketchAs<WmhSketch>(*looked_up);
   ASSERT_NE(wmh, nullptr);
   EXPECT_EQ(wmh->hashes, expected.value().hashes);
+}
+
+TEST(SketchStoreTest, BatchDuplicateIdsLaterEntryWins) {
+  // The parallel path sketches its two chunks concurrently, so the earlier
+  // entry — slow to sketch — finishes last; it must still lose to the later
+  // one, in the store and in the attached index.
+  SketchStoreOptions opts = SmallStoreOptions();
+  opts.sketch.dimension = uint64_t{1} << 16;
+  auto store = SketchStore::Make(opts).value();
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+  std::vector<Entry> entries;
+  for (uint64_t i = 0; i < 20000; ++i) {
+    entries.push_back({100 + 3 * i, 1.0 + static_cast<double>(i % 7)});
+  }
+  const SparseVector earlier =
+      SparseVector::MakeOrDie(opts.sketch.dimension, std::move(entries));
+  const SparseVector later = SparseVector::MakeOrDie(
+      opts.sketch.dimension, {{0, 1.0}, {1, -2.0}, {2, 0.5}});
+  ThreadPool pool(2);
+  ASSERT_TRUE(
+      store.BuildAndInsertBatch({{5, earlier}, {5, later}}, &pool).ok());
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(index.value()->size(), 1u);
+
+  auto sketcher = store.family().MakeSketcher().value();
+  auto later_sketch = store.family().NewSketch();
+  auto earlier_sketch = store.family().NewSketch();
+  ASSERT_TRUE(sketcher->Sketch(later, later_sketch.get()).ok());
+  ASSERT_TRUE(sketcher->Sketch(earlier, earlier_sketch.get()).ok());
+  const auto stored = store.Lookup(5).value();
+  const WmhSketch* got = GetSketchAs<WmhSketch>(*stored);
+  const WmhSketch* want = GetSketchAs<WmhSketch>(*later_sketch);
+  ASSERT_NE(got, nullptr);
+  ASSERT_NE(want, nullptr);
+  EXPECT_EQ(got->hashes, want->hashes);
+  EXPECT_EQ(got->values, want->values);
+  EXPECT_EQ(got->norm, want->norm);
+
+  // Id 5 is filed under every band key of the later sketch and under none
+  // of the earlier one's (their supports are disjoint).
+  const auto probe = [&](const AnySketch& query) {
+    std::vector<uint64_t> keys;
+    IPS_CHECK(index.value()->QueryBandKeys(query, &keys).ok());
+    TopKHeap heap(10);
+    IndexProbeStats stats;
+    IPS_CHECK(index.value()
+                  ->ProbeShard(query, keys, store.ShardOf(5), &heap, &stats)
+                  .ok());
+    return stats;
+  };
+  const IndexProbeStats on_later = probe(*later_sketch);
+  EXPECT_EQ(on_later.buckets_probed, 16u);
+  EXPECT_EQ(on_later.candidates, 1u);
+  const IndexProbeStats on_earlier = probe(*earlier_sketch);
+  EXPECT_EQ(on_earlier.buckets_probed, 0u);
+  EXPECT_EQ(on_earlier.candidates, 0u);
 }
 
 TEST(QueryEngineTest, EstimateInnerProductMatchesDirectEstimator) {
