@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -145,15 +146,19 @@ int main() {
               wrong.ToString().c_str());
   std::remove(path.c_str());
 
-  // 8. Compact catalogs: quantize the reloaded full-precision catalog in
-  //    place (32-bit hashes + float32 values — exactly what the paper's §5
+  // 8. Compact catalogs: quantize the reloaded full-precision catalog
+  //    (32-bit hashes + float32 values — exactly what the paper's §5
   //    accounting charges), halving the resident footprint. Ingest ran on
   //    the fast engine at full precision; quantization is a cheap
-  //    post-pass, and the SAME QueryEngine code keeps serving.
+  //    post-pass into a new store, and the SAME QueryEngine code keeps
+  //    serving. Nothing reads `reloaded` while the quantized copy is
+  //    move-assigned over it.
   const double full_words = reloaded.TotalResidentWords();
-  if (!reloaded.CompactifyInPlace("wmh_compact").ok()) return 1;
+  auto quantized = QuantizeStore(reloaded, "wmh_compact");
+  if (!quantized.ok()) return 1;
+  reloaded = std::move(quantized).value();
   const double compact_words = reloaded.TotalResidentWords();
-  std::printf("\ncompactified to '%s': %.0f -> %.0f resident words "
+  std::printf("\nquantized to '%s': %.0f -> %.0f resident words "
               "(%.2fx)\n",
               reloaded.family().name().c_str(), full_words, compact_words,
               compact_words / full_words);

@@ -41,9 +41,9 @@ namespace ipsketch {
 /// checker turns cross-shard (and cross-store) ABBA orders and accidental
 /// re-entry into deterministic aborts.
 enum class LockRank : int {
-  /// SketchStore::listener_mu_ — serializes listener attach/detach and the
-  /// compactify guard. Held *across* the per-shard replay in
-  /// AttachListener, so it must rank below every shard lock.
+  /// SketchStore::listener_mu_ — serializes listener attach/detach. Held
+  /// *across* the per-shard replay in AttachListener, so it must rank
+  /// below every shard lock.
   kListenerRegistry = 10,
   /// SketchStore per-shard locks. Mutation paths notify the attached
   /// listener while holding one, so everything a listener acquires must
@@ -53,10 +53,6 @@ enum class LockRank : int {
   /// under the store shard lock (the store-shard → index-shard order of
   /// the mirror protocol).
   kIndexShard = 30,
-  /// Locks private to a Listener implementation beyond its mirror shards.
-  /// None exist today; reserved so a future listener-owned lock has a
-  /// rank above the index shards it is taken under.
-  kListener = 40,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
   /// for queue pushes/pops and the batch-slot bookkeeping; batch execution
   /// and completion callbacks run strictly after it is released. Ranked

@@ -50,38 +50,4 @@ Result<std::vector<SimilarityHit>> TopKByInnerProduct(
   return heap.TakeSorted();
 }
 
-Result<std::vector<SimilarityHit>> TopKByCosine(
-    const WmhSketch& query, const std::vector<WmhSketch>& candidates,
-    size_t top_k, const WmhEstimateOptions& options) {
-  TopKHeap heap(top_k);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    auto est = EstimateWmhInnerProduct(query, candidates[i], options);
-    IPS_RETURN_IF_ERROR(est.status());
-    const double denom = query.norm * candidates[i].norm;
-    heap.Offer(i, denom > 0.0 ? est.value() / denom : 0.0);
-  }
-  return heap.TakeSorted();
-}
-
-Result<std::vector<SimilarityPair>> AllPairsTopK(
-    const std::vector<WmhSketch>& sketches, size_t top_k,
-    const WmhEstimateOptions& options) {
-  // Pairs (i, j) are flattened through the heap as index i·n + j so the
-  // shared kernel's deterministic tie-break applies to pairs too.
-  const size_t n = sketches.size();
-  TopKHeap heap(top_k);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      auto est = EstimateWmhInnerProduct(sketches[i], sketches[j], options);
-      IPS_RETURN_IF_ERROR(est.status());
-      heap.Offer(i * n + j, est.value());
-    }
-  }
-  std::vector<SimilarityPair> pairs;
-  for (const SimilarityHit& hit : heap.TakeSorted()) {
-    pairs.push_back({hit.index / n, hit.index % n, hit.estimate});
-  }
-  return pairs;
-}
-
 }  // namespace ipsketch

@@ -1,7 +1,8 @@
 // Sketch-based similarity retrieval: given a collection of pre-computed WMH
-// sketches, find the vectors (or vector pairs) with the largest estimated
-// inner products — the dataset-search / document-retrieval access pattern
-// (§1.2, §5.2) packaged as a library utility.
+// sketches, find the vectors with the largest estimated inner products —
+// the dataset-search / document-retrieval access pattern (§1.2, §5.2). The
+// TopKHeap kernel here is what the service's QueryEngine and BandedIndex
+// rank with; TopKByInnerProduct is the serial brute-force reference.
 
 #ifndef IPSKETCH_CORE_SIMILARITY_SEARCH_H_
 #define IPSKETCH_CORE_SIMILARITY_SEARCH_H_
@@ -34,8 +35,8 @@ inline bool BetterHit(const SimilarityHit& x, const SimilarityHit& y) {
 /// stream. O(log k) per offer against the worst retained hit; the brute-force
 /// scan over n candidates costs O(n log k) instead of the O(n log n) of
 /// sort-everything. This is the single kernel behind every brute-force path:
-/// the serial rankers below feed one heap; the service QueryEngine feeds one
-/// heap per worker thread and merges them at the end.
+/// the serial ranker below feeds one heap; the service QueryEngine feeds one
+/// heap per shard and merges them at the end.
 class TopKHeap {
  public:
   /// A collector retaining at most `top_k` hits. `top_k == 0` retains none.
@@ -58,34 +59,12 @@ class TopKHeap {
   std::vector<SimilarityHit> heap_;  // min-heap: worst retained hit on top
 };
 
-/// One all-pairs hit.
-struct SimilarityPair {
-  size_t first = 0;
-  size_t second = 0;
-  double estimate = 0.0;
-};
-
 /// Ranks all candidates against `query` by estimated inner product and
 /// returns the `top_k` largest. All sketches must share (m, seed, L,
 /// dimension). O(|candidates| · m).
 Result<std::vector<SimilarityHit>> TopKByInnerProduct(
     const WmhSketch& query, const std::vector<WmhSketch>& candidates,
     size_t top_k,
-    const WmhEstimateOptions& options = WmhEstimateOptions());
-
-/// Ranks all candidates by estimated *cosine* similarity — identical to
-/// TopKByInnerProduct on unit-norm inputs, but divides each estimate by
-/// ‖query‖·‖candidate‖ so mixed-norm collections rank sensibly.
-Result<std::vector<SimilarityHit>> TopKByCosine(
-    const WmhSketch& query, const std::vector<WmhSketch>& candidates,
-    size_t top_k,
-    const WmhEstimateOptions& options = WmhEstimateOptions());
-
-/// All-pairs top-k: the `top_k` pairs (i < j) with the largest estimated
-/// inner products. O(n²·m) — intended for corpus-scale n up to a few
-/// thousand, as in the paper's document-similarity experiment.
-Result<std::vector<SimilarityPair>> AllPairsTopK(
-    const std::vector<WmhSketch>& sketches, size_t top_k,
     const WmhEstimateOptions& options = WmhEstimateOptions());
 
 }  // namespace ipsketch

@@ -246,13 +246,14 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
+  const SketchFamily& family = store_->family();
+  IPS_RETURN_IF_ERROR(family.CheckCompatible(query));
   const ShardViewPtr view = store_->PinShard(shard_index);
-  IPS_RETURN_IF_ERROR(view->family->CheckCompatible(query));
   uint64_t scored = 0;
   for (uint64_t id : candidates) {
     const AnySketch* sketch = view->Find(id);
     if (sketch == nullptr) continue;  // erased since the probe
-    auto est = view->family->Estimate(query, *sketch);
+    auto est = family.Estimate(query, *sketch);
     IPS_RETURN_IF_ERROR(est.status());
     heap->Offer(static_cast<size_t>(id), est.value());
     ++scored;

@@ -19,6 +19,8 @@ struct FrontDoor::Request {
   // query_sketch is set.
   std::optional<SparseVector> query_vec;
   std::unique_ptr<AnySketch> query_sketch;
+  /// Why query_vec could not be sketched; the request completes with it.
+  Status sketch_error;
   size_t k = 0;
   TopKCallback topk_done;
 
@@ -175,32 +177,31 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
 
   // Sketch raw top-k query vectors with ONE Sketcher for the whole batch —
   // the scratch-reuse coalescing the per-caller synchronous path never
-  // gets.
-  std::unique_ptr<Sketcher> sketcher;
+  // gets. A vector that fails to sketch (or a family that cannot make a
+  // sketcher) records the status on its request, completed below.
+  std::optional<Result<std::unique_ptr<Sketcher>>> sketcher;
   for (Request* req : live) {
     if (req->kind != Request::Kind::kTopK || !req->query_vec.has_value()) {
       continue;
     }
-    if (sketcher == nullptr) {
-      auto made = store_->family().MakeSketcher();
-      if (!made.ok()) {
-        // Family cannot sketch: fail every raw-vector request up front.
-        for (Request* r : live) {
-          if (r->kind == Request::Kind::kTopK && r->query_vec.has_value() &&
-              r->query_sketch == nullptr) {
-            r->CompleteError(made.status());
-          }
-        }
-        break;
-      }
-      sketcher = std::move(made).value();
+    if (!sketcher.has_value()) {
+      sketcher.emplace(store_->family().MakeSketcher());
+    }
+    if (!sketcher->ok()) {
+      req->sketch_error = sketcher->status();
+      continue;
     }
     std::unique_ptr<AnySketch> sketch = store_->family().NewSketch();
-    Status st = sketcher->Sketch(*req->query_vec, sketch.get());
-    if (st.ok()) req->query_sketch = std::move(sketch);
-    // A failed sketch leaves query_sketch null; completed below.
+    req->sketch_error =
+        sketcher->value()->Sketch(*req->query_vec, sketch.get());
+    if (req->sketch_error.ok()) req->query_sketch = std::move(sketch);
   }
 
+  // Every executed request completes exactly once, counted and timed here.
+  const auto executed = [this](Request* req) {
+    completed_->Add(1);
+    latency_ns_->Record(metrics::NowNs() - req->enqueue_ns);
+  };
   // Partition: estimates run directly (snapshot lookups), top-ks go
   // through the engine's one-traversal batch API.
   std::vector<Request*> topks;
@@ -210,14 +211,13 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
     if (req->kind == Request::Kind::kEstimate) {
       EstimateResult result = engine_.EstimateInnerProduct(req->id_a,
                                                            req->id_b);
-      completed_->Add(1);
-      latency_ns_->Record(metrics::NowNs() - req->enqueue_ns);
+      executed(req);
       req->est_done(std::move(result));
       continue;
     }
     if (req->query_sketch == nullptr) {
-      req->CompleteError(Status::InvalidArgument(
-          "query vector could not be sketched with the store's family"));
+      executed(req);
+      req->topk_done(TopKResult(std::move(req->sketch_error)));
       continue;
     }
     topks.push_back(req);
@@ -230,8 +230,7 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
       engine_.TopKSketchBatch(topk_queries, topk_ks);
   IPS_CHECK(results.size() == topks.size());
   for (size_t i = 0; i < topks.size(); ++i) {
-    completed_->Add(1);
-    latency_ns_->Record(metrics::NowNs() - topks[i]->enqueue_ns);
+    executed(topks[i]);
     topks[i]->topk_done(std::move(results[i]));
   }
 }

@@ -1,6 +1,12 @@
 #include "service/persistence.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 
 #include "service/metrics.h"
 #include "sketch/serialize.h"
@@ -132,7 +138,7 @@ std::string EncodeSketchStore(const SketchStore& store) {
       wire::AppendU64(&out, view->ids[i]);
       // Serialize cannot fail here: every stored sketch passed the family's
       // CheckCompatible on insert, so it is of the family's concrete type.
-      wire::AppendBytes(&out, view->family->Serialize(sketch).value());
+      wire::AppendBytes(&out, store.family().Serialize(sketch).value());
     }
   }
   wire::AppendU64(&out, Checksum(out));
@@ -226,15 +232,50 @@ Status CheckStoreMatches(const SketchStore& store,
 Status SaveSketchStore(const SketchStore& store, const std::string& path) {
   metrics::ScopedLatency latency(&SaveNsHistogram());
   const std::string bytes = EncodeSketchStore(store);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
+  // The temp file lives beside the target so the rename stays within one
+  // file system; pid + counter keep concurrent savers apart.
+  static std::atomic<uint64_t> save_seq{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(save_seq.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::Internal("cannot open " + tmp + " for writing: " +
+                            std::strerror(errno));
   }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
+  size_t written = 0;
+  int err = 0;
+  while (written < bytes.size() && err == 0) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n > 0) {
+      written += static_cast<size_t>(n);
+    } else if (n == 0 || errno != EINTR) {
+      err = n == 0 ? EIO : errno;
+    }
+  }
   BytesWrittenCounter().Add(static_cast<uint64_t>(written));
-  if (written != bytes.size() || !close_ok) {
-    return Status::Internal("short write to " + path);
+  if (err == 0 && ::fsync(fd) != 0) err = errno;
+  if (::close(fd) != 0 && err == 0) err = errno;
+  if (err == 0 && ::rename(tmp.c_str(), path.c_str()) != 0) err = errno;
+  if (err != 0) {
+    // Nothing reached `path`: drop the temp and leave the old file as is.
+    ::unlink(tmp.c_str());
+    return Status::Internal("cannot save " + path + ": " +
+                            std::strerror(err));
+  }
+  // Make the rename itself durable by syncing the directory entry.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash + 1);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) err = errno;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (err != 0) {
+    return Status::Internal("saved " + path +
+                            " but cannot sync its directory: " +
+                            std::strerror(err));
   }
   return Status::Ok();
 }

@@ -60,9 +60,13 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 Status CheckStoreMatches(const SketchStore& store,
                          const SketchStoreOptions& expected);
 
-/// Writes EncodeSketchStore(store) to `path` atomically enough for a single
-/// writer (write to a temp file in place is NOT attempted — this is a plain
-/// truncate-and-write). Internal error statuses on I/O failure.
+/// Writes EncodeSketchStore(store) to `path` crash-safely: the bytes go to
+/// a temp file beside `path` (`<path>.tmp.<pid>.<n>`), which is fsynced and
+/// then renamed over `path`, and the directory is fsynced last. A failed
+/// write, sync, or rename unlinks the temp and leaves any previous file at
+/// `path` untouched, so a crash or a full disk never destroys the last good
+/// catalog. Internal error statuses on I/O failure; if only the final
+/// directory sync fails, the new file is already in place.
 Status SaveSketchStore(const SketchStore& store, const std::string& path);
 
 /// Reads `path` and decodes it. NotFound if the file cannot be opened.

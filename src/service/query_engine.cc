@@ -14,6 +14,20 @@ namespace ipsketch {
 static_assert(sizeof(size_t) >= sizeof(uint64_t),
               "service ids require a 64-bit size_t");
 
+namespace {
+
+// Runs fn(shard) for every shard in [0, n), on the pool when there is one.
+template <typename Fn>
+void ForEachShard(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+  } else {
+    for (size_t s = 0; s < n; ++s) fn(s);
+  }
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(const SketchStore* store, ThreadPool* pool)
     : QueryEngine(store, pool, nullptr, IndexPolicy::kExactScan) {}
 
@@ -71,17 +85,7 @@ Result<double> QueryEngine::EstimateInnerProduct(uint64_t id_a,
     return Status::NotFound("no sketch stored under id " +
                             std::to_string(id_b));
   }
-  return va->family->Estimate(*a, *b);
-}
-
-bool QueryEngine::ScanStoreShard(
-    size_t shard,
-    const std::function<bool(uint64_t, const AnySketch&)>& fn) const {
-  const ShardViewPtr view = store_->PinShard(shard);
-  for (size_t i = 0; i < view->ids.size(); ++i) {
-    if (!fn(view->ids[i], *view->sketches[i])) return false;
-  }
-  return true;
+  return store_->family().Estimate(*a, *b);
 }
 
 Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
@@ -91,15 +95,6 @@ Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
   std::unique_ptr<AnySketch> sketch = store_->family().NewSketch();
   IPS_RETURN_IF_ERROR(sketcher.value()->Sketch(query, sketch.get()));
   return sketch;
-}
-
-void QueryEngine::ForEachShard(const std::function<void(size_t)>& fn) const {
-  const size_t n = store_->num_shards();
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(n, fn);
-  } else {
-    for (size_t s = 0; s < n; ++s) fn(s);
-  }
 }
 
 Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
@@ -115,23 +110,23 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
   const SketchFamily& family = store_->family();
 
   std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
-  // kLeaf: taken from scan callbacks, which hold no lock; nothing nests
+  // kLeaf: taken from shard workers, which hold no lock; nothing nests
   // under it.
   Mutex error_mu;
   Status first_error;
   {
     metrics::ScopedSpan span(trace, "shard-scan");
-    ForEachShard([&](size_t s) {
-      ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-        auto est = family.Estimate(qs, sketch);
+    ForEachShard(pool_, store_->num_shards(), [&](size_t s) {
+      const ShardViewPtr view = store_->PinShard(s);
+      for (size_t i = 0; i < view->ids.size(); ++i) {
+        auto est = family.Estimate(qs, *view->sketches[i]);
         if (!est.ok()) {
           MutexLock lock(&error_mu);
           if (first_error.ok()) first_error = est.status();
-          return false;
+          return;
         }
-        per_shard[s].push_back({id, est.value()});
-        return true;
-      });
+        per_shard[s].push_back({view->ids[i], est.value()});
+      }
     });
   }
   IPS_RETURN_IF_ERROR(first_error);
@@ -158,145 +153,53 @@ Result<std::vector<QueryHit>> QueryEngine::TopK(
 
 Result<std::vector<QueryHit>> QueryEngine::TopKSketch(
     const AnySketch& query, size_t k, metrics::QueryTrace* trace) const {
-  return TopKSketchWithPolicy(query, k, policy_, trace);
-}
-
-Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
-    const AnySketch& query, size_t k, IndexPolicy policy,
-    metrics::QueryTrace* trace) const {
-  metrics::ScopedLatency latency(topk_ns_);
-  queries_->Add(1);
-  const SketchFamily& family = store_->family();
-  {
-    Status compatible = family.CheckCompatible(query);
-    if (!compatible.ok()) {
-      return Status::InvalidArgument(
-          "query sketch does not match the store's family: " +
-          compatible.message());
-    }
-  }
-
-  if (policy != IndexPolicy::kExactScan && index_ == nullptr) {
-    fallbacks_->Add(1);
-    policy = IndexPolicy::kExactScan;
-  }
-
-  // One private heap per shard; each shard is visited by exactly one worker,
-  // so the heaps (and per-shard tallies) are written lock-free and merged
-  // once all shards finish. BetterHit's deterministic tie-break makes the
-  // merged result independent of thread count and shard order.
-  const size_t n = store_->num_shards();
-  std::vector<TopKHeap> heaps;
-  heaps.reserve(n);
-  for (size_t s = 0; s < n; ++s) heaps.emplace_back(k);
-  std::vector<size_t> scanned(n, 0);
-  // kLeaf: record_error runs from shard workers that hold no lock; nothing
-  // nests under it.
-  Mutex error_mu;
-  Status first_error;
-  auto record_error = [&](const Status& st) {
-    MutexLock lock(&error_mu);
-    if (first_error.ok()) first_error = st;
-  };
-
-  switch (policy) {
-    case IndexPolicy::kExactScan: {
-      metrics::ScopedSpan span(trace, "shard-scan");
-      ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          auto est = family.Estimate(query, sketch);
-          if (!est.ok()) {
-            record_error(est.status());
-            return false;
-          }
-          heaps[s].Offer(static_cast<size_t>(id), est.value());
-          ++scanned[s];
-          return true;
-        });
-      });
-      break;
-    }
-    case IndexPolicy::kBandedRerank: {
-      std::vector<uint64_t> band_keys;
-      {
-        metrics::ScopedSpan span(trace, "band-query");
-        IPS_RETURN_IF_ERROR(index_->QueryBandKeys(query, &band_keys));
-      }
-      metrics::ScopedSpan span(trace, "index-probe");
-      metrics::ScopedLatency rerank_latency(rerank_ns_);
-      std::vector<IndexProbeStats> stats(n);
-      ForEachShard([&](size_t s) {
-        Status st =
-            index_->ProbeShard(query, band_keys, s, &heaps[s], &stats[s]);
-        if (!st.ok()) record_error(st);
-      });
-      for (size_t s = 0; s < n; ++s) {
-        scanned[s] = static_cast<size_t>(stats[s].candidates);
-      }
-      break;
-    }
-  }
-  IPS_RETURN_IF_ERROR(first_error);
-
-  metrics::ScopedSpan merge_span(trace, "heap-merge");
-  TopKHeap merged(k);
-  for (const TopKHeap& heap : heaps) merged.Merge(heap);
-  std::vector<QueryHit> hits;
-  for (const SimilarityHit& hit : merged.TakeSorted()) {
-    hits.push_back({static_cast<uint64_t>(hit.index), hit.estimate});
-  }
-  // For the banded path "scanned" counts re-ranked candidates — the work
-  // actually done — so candidates_per_query_ exposes the banding win
-  // directly against the exact scan's corpus-sized numbers.
-  size_t total_scanned = 0;
-  for (size_t s : scanned) total_scanned += s;
-  sketches_scanned_->Add(total_scanned);
-  candidates_per_query_->Record(total_scanned);
-  return hits;
+  return std::move(RunTopK({&query}, {k}, policy_, trace).front());
 }
 
 std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     const std::vector<const AnySketch*>& queries,
     const std::vector<size_t>& ks) const {
+  return RunTopK(queries, ks, policy_, nullptr);
+}
+
+std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
+    const std::vector<const AnySketch*>& queries,
+    const std::vector<size_t>& ks, IndexPolicy policy,
+    metrics::QueryTrace* trace) const {
   IPS_CHECK(queries.size() == ks.size());
   metrics::ScopedLatency latency(topk_ns_);
   const size_t q_count = queries.size();
   queries_->Add(q_count);
   const SketchFamily& family = store_->family();
-  std::vector<Result<std::vector<QueryHit>>> results(
-      q_count, Result<std::vector<QueryHit>>(
-                   Status::Internal("batch slot not filled")));
-  // live[q] marks queries still participating in the traversal; a query
-  // leaves the batch at validation (here) or band-key time, never
-  // mid-scan — scan workers only *record* errors, resolved at the merge.
+  // errors[q] is query q's first failure. live[q] marks queries still in
+  // the traversal: a query leaves it at validation (here) or band-key
+  // time, never mid-scan — shard workers only *record* errors, which the
+  // merge resolves.
+  std::vector<Status> errors(q_count);
   std::vector<bool> live(q_count, false);
-  size_t live_count = 0;
   for (size_t q = 0; q < q_count; ++q) {
     IPS_CHECK(queries[q] != nullptr);
     Status compatible = family.CheckCompatible(*queries[q]);
     if (!compatible.ok()) {
-      results[q] = Status::InvalidArgument(
+      errors[q] = Status::InvalidArgument(
           "query sketch does not match the store's family: " +
           compatible.message());
       continue;
     }
     live[q] = true;
-    ++live_count;
   }
 
-  IndexPolicy policy = policy_;
   if (policy != IndexPolicy::kExactScan && index_ == nullptr) {
-    fallbacks_->Add(live_count);
+    fallbacks_->Add(std::count(live.begin(), live.end(), true));
     policy = IndexPolicy::kExactScan;
   }
 
+  // One private heap per (query, shard); each shard is visited by exactly
+  // one worker, so the heaps are written lock-free and merged once all
+  // shards finish.
   const size_t n = store_->num_shards();
-  std::vector<std::vector<TopKHeap>> heaps(q_count);
-  for (size_t q = 0; q < q_count; ++q) {
-    if (!live[q]) continue;
-    heaps[q].reserve(n);
-    for (size_t s = 0; s < n; ++s) heaps[q].emplace_back(ks[q]);
-  }
+  std::vector<std::vector<TopKHeap>> heaps;
+  for (size_t q = 0; q < q_count; ++q) heaps.emplace_back(n, TopKHeap(ks[q]));
   // Shared by the exact scan (every live query scans the same entries);
   // per-query candidate counts for the banded path come from probe stats.
   std::vector<size_t> entries_per_shard(n, 0);
@@ -304,7 +207,6 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
   // kLeaf: record_error runs from shard workers that hold no lock; nothing
   // nests under it.
   Mutex error_mu;
-  std::vector<Status> errors(q_count);
   auto record_error = [&](size_t q, const Status& st) {
     MutexLock lock(&error_mu);
     if (errors[q].ok()) errors[q] = st;
@@ -312,9 +214,12 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
 
   switch (policy) {
     case IndexPolicy::kExactScan: {
-      ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          ++entries_per_shard[s];
+      metrics::ScopedSpan span(trace, "shard-scan");
+      ForEachShard(pool_, n, [&](size_t s) {
+        const ShardViewPtr view = store_->PinShard(s);
+        entries_per_shard[s] = view->ids.size();
+        for (size_t i = 0; i < view->ids.size(); ++i) {
+          const AnySketch& sketch = *view->sketches[i];
           for (size_t q = 0; q < q_count; ++q) {
             if (!live[q]) continue;
             auto est = family.Estimate(*queries[q], sketch);
@@ -322,27 +227,30 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
               record_error(q, est.status());
               continue;
             }
-            heaps[q][s].Offer(static_cast<size_t>(id), est.value());
+            heaps[q][s].Offer(static_cast<size_t>(view->ids[i]), est.value());
           }
-          return true;
-        });
+        }
       });
       break;
     }
     case IndexPolicy::kBandedRerank: {
       // Band keys once per query, shared across every shard probe.
       std::vector<std::vector<uint64_t>> keys(q_count);
-      for (size_t q = 0; q < q_count; ++q) {
-        if (!live[q]) continue;
-        Status st = index_->QueryBandKeys(*queries[q], &keys[q]);
-        if (!st.ok()) {
-          results[q] = st;
-          live[q] = false;
+      {
+        metrics::ScopedSpan span(trace, "band-query");
+        for (size_t q = 0; q < q_count; ++q) {
+          if (!live[q]) continue;
+          Status st = index_->QueryBandKeys(*queries[q], &keys[q]);
+          if (!st.ok()) {
+            errors[q] = st;
+            live[q] = false;
+          }
         }
       }
-      probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));
+      metrics::ScopedSpan span(trace, "index-probe");
       metrics::ScopedLatency rerank_latency(rerank_ns_);
-      ForEachShard([&](size_t s) {
+      probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));
+      ForEachShard(pool_, n, [&](size_t s) {
         for (size_t q = 0; q < q_count; ++q) {
           if (!live[q]) continue;
           Status st = index_->ProbeShard(*queries[q], keys[q], s,
@@ -354,17 +262,17 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     }
   }
 
+  // Every shard worker has joined, so errors[] is read without the lock.
+  metrics::ScopedSpan merge_span(trace, "heap-merge");
   size_t total_entries = 0;
   for (size_t c : entries_per_shard) total_entries += c;
   size_t total_estimated = 0;
+  std::vector<Result<std::vector<QueryHit>>> results;
+  results.reserve(q_count);
   for (size_t q = 0; q < q_count; ++q) {
-    if (!live[q]) continue;
-    {
-      MutexLock lock(&error_mu);
-      if (!errors[q].ok()) {
-        results[q] = errors[q];
-        continue;
-      }
+    if (!errors[q].ok()) {
+      results.emplace_back(errors[q]);
+      continue;
     }
     TopKHeap merged(ks[q]);
     for (const TopKHeap& heap : heaps[q]) merged.Merge(heap);
@@ -372,6 +280,9 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     for (const SimilarityHit& hit : merged.TakeSorted()) {
       hits.push_back({static_cast<uint64_t>(hit.index), hit.estimate});
     }
+    // For the banded path the count is re-ranked candidates — the work
+    // actually done — so candidates_per_query_ exposes the banding win
+    // directly against the exact scan's corpus-sized numbers.
     size_t candidates = total_entries;
     if (policy == IndexPolicy::kBandedRerank) {
       candidates = 0;
@@ -381,7 +292,7 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     }
     candidates_per_query_->Record(candidates);
     total_estimated += candidates;
-    results[q] = std::move(hits);
+    results.emplace_back(std::move(hits));
   }
   sketches_scanned_->Add(total_estimated);
   return results;
@@ -395,11 +306,12 @@ Result<double> QueryEngine::ProbeRecall(const SparseVector& query,
   }
   auto sketched = SketchQuery(query);
   IPS_RETURN_IF_ERROR(sketched.status());
-  auto exact = TopKSketchWithPolicy(*sketched.value(), k,
-                                    IndexPolicy::kExactScan, nullptr);
+  const std::vector<const AnySketch*> one = {sketched.value().get()};
+  auto exact =
+      std::move(RunTopK(one, {k}, IndexPolicy::kExactScan, nullptr).front());
   IPS_RETURN_IF_ERROR(exact.status());
-  auto banded = TopKSketchWithPolicy(*sketched.value(), k,
-                                     IndexPolicy::kBandedRerank, nullptr);
+  auto banded =
+      std::move(RunTopK(one, {k}, IndexPolicy::kBandedRerank, nullptr).front());
   IPS_RETURN_IF_ERROR(banded.status());
   if (exact.value().empty()) return 1.0;
   std::unordered_set<uint64_t> exact_ids;

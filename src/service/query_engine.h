@@ -4,17 +4,18 @@
 // except to sketch an incoming query exactly once.
 //
 // One read path: every read pins the store's published per-shard views
-// (SketchStore::PinShard) and estimates through the view's family, so no
+// (SketchStore::PinShard) and estimates through the store's family, so no
 // query ever takes a store shard's writer mutex or copies a sketch. Two top-k
-// policies run over it: the exact scan walks every pinned view, and the
-// banded path asks the BandedIndex for candidate ids and scores only those,
-// again from the pinned views.
+// policies run over one top-k traversal: the exact scan walks every pinned
+// view, and the banded path asks the BandedIndex for candidate ids and
+// scores only those, again from the pinned views. TopK, TopKSketch and
+// ProbeRecall run as a batch of one through TopKSketchBatch's body.
 //
 // Parallelism: scans decompose by shard. Each worker thread walks whole
-// shards, feeding a private TopKHeap (core/similarity_search.h), and the
-// per-thread heaps are merged at the end; BetterHit's deterministic
+// shards, feeding a private TopKHeap per query (core/similarity_search.h),
+// and the per-shard heaps are merged at the end; BetterHit's deterministic
 // tie-break makes the merged result identical to a serial scan regardless
-// of thread count or shard order.
+// of thread count, shard order, or batch size.
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
 // it owns no mutex. A banded probe holds one index shard Mutex
@@ -28,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -107,28 +107,30 @@ class QueryEngine {
   /// The `k` stored vectors with the largest estimated inner product
   /// against `query` (sketched once), best first; ties break toward the
   /// smaller id. Returns fewer than `k` hits iff the store is smaller.
-  /// A non-null `trace` receives stage spans (sketch-query, shard-scan,
-  /// heap-merge) showing where this query's time went.
+  /// A non-null `trace` receives stage spans showing where this query's
+  /// time went: sketch-query, then shard-scan (exact) or band-query and
+  /// index-probe (banded), then heap-merge.
   Result<std::vector<QueryHit>> TopK(const SparseVector& query, size_t k,
                                      metrics::QueryTrace* trace = nullptr)
       const;
 
   /// TopK against a pre-built query sketch (must be compatible with the
   /// store's family options) — the path for queries that arrive already
-  /// sketched, e.g. from a remote catalog shard.
+  /// sketched, e.g. from a remote catalog shard. Traced like TopK, minus
+  /// sketch-query.
   Result<std::vector<QueryHit>> TopKSketch(const AnySketch& query, size_t k,
                                            metrics::QueryTrace* trace =
                                                nullptr) const;
 
   /// Runs `queries.size()` top-k queries in ONE traversal of the catalog —
-  /// the batch entry point the FrontDoor's admission queue feeds. Shards
-  /// are visited once per *batch* instead of once per query: the exact
-  /// path pins each shard view once for all queries and estimates every
-  /// query against each stored sketch while it is hot, and the banded path
-  /// computes each query's band keys once up front. `ks[i]` is query i's
-  /// k. Results are per query, in input order; a query whose sketch is
-  /// incompatible (or whose estimates fail) gets an error slot without
-  /// failing the batch.
+  /// the batch entry point the FrontDoor's admission queue feeds, and the
+  /// body TopK and TopKSketch run as a batch of one. Shards are visited
+  /// once per *batch* instead of once per query: the exact path pins each
+  /// shard view once for all queries and estimates every query against
+  /// each stored sketch while it is hot, and the banded path computes each
+  /// query's band keys once up front. `ks[i]` is query i's k. Results are
+  /// per query, in input order; a query whose sketch is incompatible (or
+  /// whose estimates fail) gets an error slot without failing the batch.
   std::vector<Result<std::vector<QueryHit>>> TopKSketchBatch(
       const std::vector<const AnySketch*>& queries,
       const std::vector<size_t>& ks) const;
@@ -146,19 +148,12 @@ class QueryEngine {
   Result<std::unique_ptr<AnySketch>> SketchQuery(
       const SparseVector& query) const;
 
-  /// Invokes fn(id, sketch) for every entry of one shard's pinned view, in
-  /// id order; returns false iff `fn` ever did (which stops the scan).
-  bool ScanStoreShard(
-      size_t shard,
-      const std::function<bool(uint64_t, const AnySketch&)>& fn) const;
-
-  /// Runs fn(shard_index) over all shards, on the pool when available.
-  void ForEachShard(const std::function<void(size_t)>& fn) const;
-
-  /// TopKSketch under an explicit policy — the shared body of TopKSketch
-  /// (which passes policy_) and ProbeRecall (which runs both paths).
-  Result<std::vector<QueryHit>> TopKSketchWithPolicy(
-      const AnySketch& query, size_t k, IndexPolicy policy,
+  /// The one top-k traversal: TopKSketchBatch under an explicit policy,
+  /// recording stage spans into `trace` when it is non-null. TopKSketch
+  /// and TopKSketchBatch pass policy_; ProbeRecall runs both policies.
+  std::vector<Result<std::vector<QueryHit>>> RunTopK(
+      const std::vector<const AnySketch*>& queries,
+      const std::vector<size_t>& ks, IndexPolicy policy,
       metrics::QueryTrace* trace) const;
 
   const SketchStore* store_;

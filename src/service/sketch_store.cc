@@ -32,11 +32,9 @@ SketchStore::SketchStore(SketchStoreOptions options,
   for (size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
     // Publish the empty epoch-0 view so PinShard never observes null.
-    auto empty = std::make_shared<ShardView>();
-    empty->family = family_;
     Shard& shard = *shards_.back();
     MutexLock pin(&shard.pin_mu);
-    shard.view = std::move(empty);
+    shard.view = std::make_shared<ShardView>();
   }
   auto& registry = metrics::MetricsRegistry::Global();
   inserts_ = &registry.GetCounter("ipsketch_store_inserts_total",
@@ -108,11 +106,24 @@ void SketchStore::PublishLocked(Shard& shard, std::shared_ptr<ShardView> next) {
   shard.view.swap(superseded);
 }
 
+void SketchStore::PublishStagedShard(size_t shard_index,
+                                     std::shared_ptr<ShardView> staged) {
+  const int64_t n = static_cast<int64_t>(staged->ids.size());
+  Shard& shard = *shards_[shard_index];
+  {
+    MutexLock lock(&shard.mu);
+    IPS_CHECK(shard.listener == nullptr && shard.Pin()->ids.empty());
+    PublishLocked(shard, std::move(staged));
+  }
+  inserts_->Add(static_cast<uint64_t>(n));
+  size_gauge_->Add(n);
+  shard_occupancy_[shard_index]->Add(n);
+}
+
 std::shared_ptr<const AnySketch> SketchStore::PublishInsertLocked(
     Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch) {
   const ShardViewPtr prev = shard.Pin();
   auto next = std::make_shared<ShardView>();
-  next->family = family_;
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
   const bool replace = pos != prev->ids.end() && *pos == id;
@@ -139,7 +150,6 @@ std::shared_ptr<const AnySketch> SketchStore::PublishEraseLocked(
   const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
   if (pos == prev->ids.end() || *pos != id) return nullptr;
   auto next = std::make_shared<ShardView>();
-  next->family = family_;
   const size_t i = static_cast<size_t>(pos - prev->ids.begin());
   std::shared_ptr<const AnySketch> erased = prev->sketches[i];
   next->ids.reserve(prev->ids.size() - 1);
@@ -349,7 +359,7 @@ double SketchStore::TotalStorageWords() const {
     for (const auto& sketch : view->sketches) {
       // Every stored sketch passed CheckCompatible on insert, so the
       // family-side cast cannot fail.
-      total += view->family->StorageWords(*sketch).value();
+      total += family_->StorageWords(*sketch).value();
     }
   }
   return total;
@@ -359,7 +369,7 @@ double SketchStore::TotalResidentWords() const {
   double total = 0.0;
   for (const ShardViewPtr& view : PinStore()) {
     for (const auto& sketch : view->sketches) {
-      total += view->family->ResidentWords(*sketch).value();
+      total += family_->ResidentWords(*sketch).value();
     }
   }
   return total;
@@ -383,67 +393,6 @@ Status CheckQuantizedTarget(const SketchFamily& family) {
 
 }  // namespace
 
-Status SketchStore::CompactifyInPlace(
-    const std::string& target_family,
-    const std::map<std::string, std::string>& extra_params) {
-  if (family_->name() != "wmh") {
-    return Status::FailedPrecondition(
-        "CompactifyInPlace requires a full-precision 'wmh' store; this "
-        "store holds '" +
-        family_->name() + "'");
-  }
-  {
-    // A listener mirrors the store under the current family's identity (the
-    // index's band keys are its LSH codes); swapping the family under it
-    // would corrupt the mirror. Detach first.
-    MutexLock attach_lock(&*listener_mu_);
-    if (listener_ != nullptr) {
-      return Status::FailedPrecondition(
-          "CompactifyInPlace cannot run while a mutation listener is "
-          "attached; detach it first");
-    }
-  }
-  // The target inherits this store's fully resolved sketch options (seed,
-  // L, engine, ...) so the quantized sketches land on the same identity.
-  FamilyOptions target_options = options_.sketch;
-  for (const auto& [key, value] : extra_params) {
-    target_options.params[key] = value;
-  }
-  auto made = MakeFamily(target_family, target_options);
-  IPS_RETURN_IF_ERROR(made.status());
-  IPS_RETURN_IF_ERROR(CheckQuantizedTarget(*made.value()));
-
-  // Stage every shard's successor view first so any failure leaves the
-  // store unchanged, then commit. Callers quiesce writers, so nothing lands
-  // between the two passes (see the header contract).
-  std::vector<std::shared_ptr<ShardView>> staged;
-  staged.reserve(shards_.size());
-  for (const ShardViewPtr& view : PinStore()) {
-    auto next = std::make_shared<ShardView>();
-    next->family = made.value();
-    next->ids = view->ids;
-    next->sketches.reserve(view->sketches.size());
-    for (const auto& sketch : view->sketches) {
-      auto quantized = QuantizeWmhSketch(*made.value(), *sketch);
-      IPS_RETURN_IF_ERROR(quantized.status());
-      next->sketches.push_back(std::move(quantized).value());
-    }
-    staged.push_back(std::move(next));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
-    // Republish under the *target* family: a view pinned before this line
-    // keeps serving the old family + old sketches coherently, a view pinned
-    // after serves the compact pair — never a mix.
-    PublishLocked(shard, std::move(staged[s]));
-  }
-  family_ = std::move(made).value();
-  options_.family = family_->name();
-  options_.sketch = family_->options();
-  return Status::Ok();
-}
-
 Result<SketchStore> QuantizeStore(
     const SketchStore& source, const std::string& target_family,
     const std::map<std::string, std::string>& extra_params) {
@@ -462,18 +411,23 @@ Result<SketchStore> QuantizeStore(
   IPS_RETURN_IF_ERROR(made.status());
   SketchStore out = std::move(made).value();
   IPS_RETURN_IF_ERROR(CheckQuantizedTarget(out.family()));
-  // Quantize straight off the source's pinned views: each source sketch is
-  // read once and only the compact form is materialized, so peak memory
-  // stays source + compact copy, never a second full-precision clone. No
-  // source shard lock is ever held, so inserting into `out` (whose shard
-  // locks share the kStoreShard rank) cannot nest two store-shard locks.
-  for (const ShardViewPtr& view : source.PinStore()) {
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      const uint64_t id = view->ids[i];
-      auto quantized = QuantizeWmhSketch(out.family(), *view->sketches[i]);
+  // Equal shard counts put every id in the same shard index on both sides,
+  // and a source view is already sorted by id, so each source view
+  // quantizes in one pass into the target shard's staged view. The source
+  // is read from pinned views only: no source shard lock is held while
+  // PublishStagedShard takes a target one (both rank kStoreShard).
+  const std::vector<ShardViewPtr> views = source.PinStore();
+  for (size_t s = 0; s < views.size(); ++s) {
+    const ShardView& view = *views[s];
+    auto staged = std::make_shared<ShardView>();
+    staged->ids = view.ids;
+    staged->sketches.reserve(view.sketches.size());
+    for (const auto& sketch : view.sketches) {
+      auto quantized = QuantizeWmhSketch(out.family(), *sketch);
       IPS_RETURN_IF_ERROR(quantized.status());
-      IPS_RETURN_IF_ERROR(out.Insert(id, std::move(quantized).value()));
+      staged->sketches.push_back(std::move(quantized).value());
     }
+    out.PublishStagedShard(s, std::move(staged));
   }
   return out;
 }

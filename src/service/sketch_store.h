@@ -67,16 +67,12 @@ struct SketchStoreOptions {
 /// lock and publishes it with one shared_ptr swap, so readers pin an epoch
 /// with one shared_ptr copy and never touch the shard's writer mutex
 /// (RCU-style; a pinned view keeps its sketches alive however many epochs
-/// the shard advances past it).
-///
-/// `family` is the store's family at publication time, so a pinned view
-/// stays internally consistent — sketches and the estimator that understands
-/// them travel together — even across CompactifyInPlace.
+/// the shard advances past it). Its sketches belong to the store's family,
+/// which is fixed at Make, so readers estimate through store.family().
 struct ShardView {
   /// Per-shard publication sequence number; the empty pre-insert view is
   /// epoch 0 and every mutation increments it.
   uint64_t epoch = 0;
-  std::shared_ptr<const SketchFamily> family;
   /// Sorted ascending; parallel to `sketches`.
   std::vector<uint64_t> ids;
   std::vector<std::shared_ptr<const AnySketch>> sketches;
@@ -134,8 +130,8 @@ class SketchStore {
   /// The store's options with family defaults resolved.
   const SketchStoreOptions& options() const { return options_; }
 
-  /// The sketch family every entry belongs to. Valid for the store's
-  /// lifetime; query engines estimate through it.
+  /// The sketch family every entry belongs to, fixed at Make. Valid for
+  /// the store's lifetime; query engines estimate through it.
   const SketchFamily& family() const { return *family_; }
 
   /// Number of shards.
@@ -179,8 +175,8 @@ class SketchStore {
   /// same shard-lock hold that replays the shard, so an entry is either
   /// replayed then or notifies on a later mutation, never both.
   /// FailedPrecondition if a listener is already attached. Detach before
-  /// destroying either side; the store must not be moved from or
-  /// compactified while a listener is attached.
+  /// destroying either side; the store must not be moved from or assigned
+  /// to while a listener is attached.
   Status AttachListener(Listener* listener);
 
   /// Detaches `listener`. InvalidArgument if it is not the attached one.
@@ -211,27 +207,15 @@ class SketchStore {
 
   /// Sum of family().ResidentWords over every stored sketch — the actual
   /// in-memory catalog footprint in 64-bit words. For a full-precision
-  /// "wmh" store this is ~2 words/sample; CompactifyInPlace halves it.
+  /// "wmh" store this is ~2 words/sample; QuantizeStore to "wmh_compact"
+  /// halves it.
   double TotalResidentWords() const;
 
-  /// Converts this full-precision "wmh" catalog to a compact one in place:
-  /// every stored sketch is quantized (a cheap post-pass — ingest stays on
-  /// the fast kDart path) and the store's family becomes `target_family`
-  /// ("wmh_compact" or "wmh_bbit"; `extra_params` adds quantizer knobs such
-  /// as {"bits", "8"}). The target inherits this store's resolved sketch
-  /// options, so a reopened compact catalog matches field for field.
-  ///
-  /// One-shot and NOT concurrency-safe: the family identity swaps at the
-  /// end, so callers must quiesce all readers and writers for the duration
-  /// (the intended shape is load → compactify → serve). All-or-nothing: on
-  /// any error the store is left unchanged. FailedPrecondition if the store
-  /// does not hold full-precision "wmh" sketches; InvalidArgument for a
-  /// non-quantized target family or bad params.
-  Status CompactifyInPlace(
-      const std::string& target_family,
-      const std::map<std::string, std::string>& extra_params = {});
-
  private:
+  friend Result<SketchStore> QuantizeStore(
+      const SketchStore& source, const std::string& target_family,
+      const std::map<std::string, std::string>& extra_params);
+
   struct Shard {
     /// Serializes this shard's writers: epoch, publication, and the
     /// listener pointer. Readers never take it.
@@ -282,6 +266,11 @@ class SketchStore {
   void PublishLocked(Shard& shard, std::shared_ptr<ShardView> next)
       IPS_REQUIRES(shard.mu);
 
+  /// Publishes `staged`, sorted by id, over the empty view of a shard with
+  /// no listener, counting each of its sketches as an insert.
+  void PublishStagedShard(size_t shard_index,
+                          std::shared_ptr<ShardView> staged);
+
   /// Subtracts every shard's current occupancy from the gauges — the
   /// shared cleanup of the destructor and move assignment.
   void RetireOccupancy();
@@ -290,10 +279,10 @@ class SketchStore {
   std::shared_ptr<const SketchFamily> family_;
   // unique_ptrs because Shard (mutex) is immovable but the store is not.
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Serializes attach/detach (and the compactify guard); unique_ptr because
-  // the store is movable (Mutex is not). The per-shard mirrors are what
-  // mutations read. kListenerRegistry: AttachListener holds it *across* the
-  // per-shard replay, so it must rank below every shard lock.
+  // Serializes attach/detach; unique_ptr because the store is movable
+  // (Mutex is not). The per-shard mirrors are what mutations read.
+  // kListenerRegistry: AttachListener holds it *across* the per-shard
+  // replay, so it must rank below every shard lock.
   std::unique_ptr<Mutex> listener_mu_ =
       std::make_unique<Mutex>(LockRank::kListenerRegistry);
   Listener* listener_ IPS_GUARDED_BY(*listener_mu_) = nullptr;
@@ -309,12 +298,18 @@ class SketchStore {
   std::vector<metrics::Gauge*> shard_occupancy_;
 };
 
-/// Out-of-place variant of SketchStore::CompactifyInPlace: builds a new
-/// compact store holding the quantized form of every sketch in `source`
-/// (which must be a full-precision "wmh" store and is left untouched). The
-/// result has the same ids, shard layout, seed, L, and engine, so
-/// estimates flow through QueryEngine unchanged. Same error contract as
-/// CompactifyInPlace.
+/// The only way to quantize a catalog: builds a new store of family
+/// `target_family` ("wmh_compact" or "wmh_bbit"; `extra_params` adds
+/// quantizer knobs such as {"bits", "8"}) holding the quantized form of
+/// every sketch in the full-precision "wmh" `source`, which is untouched.
+/// The result inherits the source's resolved options (seed, L, engine),
+/// ids and shard layout, so estimates flow through QueryEngine unchanged.
+/// Each source shard is quantized in one pass into a staged view; peak
+/// memory is the source plus the compact copy. To compact in place,
+/// quiesce the store and move-assign:
+/// `store = QuantizeStore(store, "wmh_compact").value();`.
+/// FailedPrecondition if `source` is not "wmh"; InvalidArgument for a
+/// non-quantized target family or bad params.
 Result<SketchStore> QuantizeStore(
     const SketchStore& source, const std::string& target_family,
     const std::map<std::string, std::string>& extra_params = {});

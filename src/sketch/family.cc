@@ -837,7 +837,7 @@ class JlFamily final : public SketchFamily {
 
 /// Mixin implemented by the compact catalog families: the conversion from a
 /// resident full-precision WmhSketch that QuantizeWmhSketch (and through
-/// it, the service layer's CompactifyInPlace/QuantizeStore) dispatches on.
+/// it, the service layer's QuantizeStore) dispatches on.
 class WmhQuantizingFamily {
  public:
   virtual ~WmhQuantizingFamily() = default;

@@ -284,7 +284,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeFamily(
 /// engine, dimension) match the target's options — the result is verified
 /// with target.CheckCompatible, so a mismatched input is rejected, never
 /// relabeled. This is the one-shot conversion the service layer's
-/// CompactifyInPlace/QuantizeStore run per stored sketch.
+/// QuantizeStore runs per stored sketch.
 Result<std::unique_ptr<AnySketch>> QuantizeWmhSketch(
     const SketchFamily& target, const AnySketch& full);
 

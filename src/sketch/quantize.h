@@ -27,8 +27,8 @@
 // These types are first-class sketch families ("wmh_compact", "wmh_bbit" in
 // sketch/family.h) with wire codecs in sketch/serialize.h, so the service
 // layer can hold and persist compact catalogs; sketch_store.h's
-// CompactifyInPlace/QuantizeStore convert a resident full-precision WMH
-// catalog in one post-pass.
+// QuantizeStore converts a resident full-precision WMH catalog in one
+// post-pass.
 
 #ifndef IPSKETCH_SKETCH_QUANTIZE_H_
 #define IPSKETCH_SKETCH_QUANTIZE_H_

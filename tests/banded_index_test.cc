@@ -169,10 +169,6 @@ TEST(BandedIndexTest, OnlyOneListenerMayAttach) {
   std::unique_ptr<BandedIndex> first = std::move(made).value();
   auto second = BandedIndex::MakeAttached(&store, {8, 8});
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
-  // Compactify must refuse too: it would swap the family out from under
-  // the attached index's band keys.
-  EXPECT_EQ(store.CompactifyInPlace("wmh_compact").code(),
-            StatusCode::kFailedPrecondition);
   // Destroying the index detaches; the slot frees up.
   first.reset();
   auto third = BandedIndex::MakeAttached(&store, {8, 8});

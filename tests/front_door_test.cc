@@ -143,6 +143,15 @@ TEST(FrontDoorTest, MissingIdsAndBadQueriesFailPerRequest) {
   ASSERT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(good_future.Take().ok());
+
+  // A raw query that cannot be sketched fails with the sketcher's own
+  // status, which names the dimension mismatch.
+  auto wide = door.SubmitTopK(SparseVector::MakeOrDie(kDim * 2, {{0, 1.0}}), 3)
+                  .Take();
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide.status().message().find("dimension"), std::string::npos)
+      << wide.status().ToString();
 }
 
 TEST(FrontDoorTest, ShedsOnFullQueueWithUnavailable) {
@@ -228,33 +237,6 @@ TEST(FrontDoorTest, NullPoolDispatchesInline) {
   EXPECT_EQ(r.value().size(), 5u);
 }
 
-TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
-  SketchStore store = MakePopulatedStore();
-  auto index = BandedIndex::MakeAttached(&store, {/*bands=*/8, /*rows=*/2});
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  ThreadPool pool(2);
-  FrontDoor door(&store, &pool, {}, index.value().get(),
-                 IndexPolicy::kBandedRerank);
-
-  auto before = door.SubmitTopK(RandomVector(50), 5).Take();
-  ASSERT_TRUE(before.ok());
-
-  // With a listener attached, in-place compactification must refuse — the
-  // index's band keys cannot survive a family swap.
-  Status st = store.CompactifyInPlace("wmh_compact");
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-
-  // The refusal perturbed nothing: the same query answers identically.
-  auto after = door.SubmitTopK(RandomVector(50), 5).Take();
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after.value().size(), before.value().size());
-  for (size_t i = 0; i < after.value().size(); ++i) {
-    EXPECT_EQ(after.value()[i].id, before.value()[i].id);
-    EXPECT_EQ(after.value()[i].estimate, before.value()[i].estimate);
-  }
-}
-
 TEST(FrontDoorTest, BandedPolicyMatchesSyncEngineAndExactScores) {
   SketchStore store = MakePopulatedStore();
   auto index = BandedIndex::MakeAttached(&store, {/*bands=*/8, /*rows=*/2});
@@ -305,10 +287,14 @@ TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
   auto& expired = registry.GetCounter(
       "ipsketch_frontdoor_deadline_expired_total",
       "Requests whose deadline passed while queued (DeadlineExceeded)");
+  auto& latency = registry.GetHistogram(
+      "ipsketch_frontdoor_latency_ns",
+      "Submit-to-completion latency of executed requests");
   const uint64_t submitted0 = submitted.Value();
   const uint64_t completed0 = completed.Value();
   const uint64_t shed0 = shed.Value();
   const uint64_t expired0 = expired.Value();
+  const uint64_t latency0 = latency.Snapshot().count;
 
   SketchStore store = MakePopulatedStore(16);
   ThreadPool pool(1);
@@ -326,11 +312,23 @@ TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
   ASSERT_TRUE(ok1.Take().ok());
   ASSERT_EQ(doomed.Take().status().code(), StatusCode::kDeadlineExceeded);
   ASSERT_EQ(rejected.Take().status().code(), StatusCode::kUnavailable);
+  // A raw query of the wrong dimension executes and fails to sketch: it
+  // still completes once, counted and timed like any executed request.
+  auto wide =
+      door.SubmitTopK(SparseVector::MakeOrDie(kDim * 2, {{0, 1.0}}), 3);
+  ASSERT_EQ(wide.Take().status().code(), StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(submitted.Value() - submitted0, 3u);
-  EXPECT_EQ(completed.Value() - completed0, 1u);
-  EXPECT_EQ(shed.Value() - shed0, 1u);
-  EXPECT_EQ(expired.Value() - expired0, 1u);
+  const uint64_t n_submitted = submitted.Value() - submitted0;
+  const uint64_t n_completed = completed.Value() - completed0;
+  const uint64_t n_shed = shed.Value() - shed0;
+  const uint64_t n_expired = expired.Value() - expired0;
+  EXPECT_EQ(n_submitted, 4u);
+  EXPECT_EQ(n_completed, 2u);
+  EXPECT_EQ(n_shed, 1u);
+  EXPECT_EQ(n_expired, 1u);
+  EXPECT_EQ(latency.Snapshot().count - latency0, 2u);
+  // Every future above was taken, so nothing is in flight.
+  EXPECT_EQ(n_submitted, n_completed + n_shed + n_expired);
 }
 
 }  // namespace

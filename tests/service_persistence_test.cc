@@ -1,7 +1,14 @@
 #include "service/persistence.h"
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -163,12 +170,12 @@ TEST(StorePersistenceTest, EmptyStoreRoundTrips) {
 }
 
 // The acceptance path for compact catalogs: load-or-build a full-precision
-// WMH store, compactify, save — the compact file round-trips byte-
+// WMH store, quantize it, save — the compact file round-trips byte-
 // identically, serves identical estimates, and is refused when opened with
 // full-precision expectations.
-TEST(StorePersistenceTest, CompactifiedStoreRoundTripsByteIdentically) {
+TEST(StorePersistenceTest, QuantizedStoreRoundTripsByteIdentically) {
   auto store = MakePopulatedStore(40);
-  ASSERT_TRUE(store.CompactifyInPlace("wmh_compact").ok());
+  store = QuantizeStore(store, "wmh_compact").value();
 
   const std::string path = TempPath("compact_catalog.store");
   ASSERT_TRUE(SaveSketchStore(store, path).ok());
@@ -468,6 +475,80 @@ TEST(StorePersistenceTest, RejectsAbsurdShardCounts) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(decoded.status().message().find("shard count"),
             std::string::npos);
+}
+
+// A fresh, empty directory under the test temp dir.
+std::string FreshDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (name + "." + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+// The names in `dir`, sorted.
+std::vector<std::string> DirEntries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// A save cut short by a file-size limit (standing in for a full disk) must
+// fail without touching the last good catalog, and leave no temp behind.
+TEST(StorePersistenceTest, ShortWriteLeavesPreviousFileIntact) {
+  const std::string dir = FreshDir("short_write");
+  const std::string path = dir + "/catalog.store";
+  auto store = MakePopulatedStore(200);
+  ASSERT_TRUE(SaveSketchStore(store, path).ok());
+  const std::string good = ReadFile(path);
+  ASSERT_GT(good.size(), 4096u);
+
+  // Over the limit, write() fails with EFBIG instead of raising SIGXFSZ.
+  rlimit old_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit small = old_limit;
+  small.rlim_cur = 4096;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+  const Status st = SaveSketchStore(store, path);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(ReadFile(path), good);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"catalog.store"});
+  auto reloaded = LoadSketchStore(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(EncodeSketchStore(reloaded.value()), good);
+  std::filesystem::remove_all(dir);
+}
+
+// The rename is the commit point: when it fails (here the target is a
+// non-empty directory) the save reports it and cleans up its temp.
+TEST(StorePersistenceTest, FailedRenameReportsErrorAndLeavesNoTemp) {
+  const std::string dir = FreshDir("failed_rename");
+  const std::string target = dir + "/catalog.store";
+  std::filesystem::create_directories(target);
+  std::ofstream(target + "/occupant") << "x";
+
+  auto store = MakePopulatedStore(10);
+  const Status st = SaveSketchStore(store, target);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(DirEntries(dir), std::vector<std::string>{"catalog.store"});
+  EXPECT_EQ(DirEntries(target), std::vector<std::string>{"occupant"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StorePersistenceTest, LoadMissingFileIsNotFound) {

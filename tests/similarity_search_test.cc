@@ -72,50 +72,5 @@ TEST(TopKTest, IncompatibleSketchesFail) {
   EXPECT_FALSE(TopKByInnerProduct(sketches[0], sketches, 3).ok());
 }
 
-TEST(TopKCosineTest, NormalizesByNorms) {
-  // One candidate is a scaled copy of another: by inner product the big one
-  // wins; by cosine they tie (≈ 1) with the query equal to the small one.
-  const auto base = MakeFamily(2, 5)[0];
-  std::vector<SparseVector> vectors = {base, base.Scaled(10.0),
-                                       MakeFamily(2, 6)[1]};
-  const auto sketches = SketchAll(vectors, 256, 7);
-  const auto by_ip = TopKByInnerProduct(sketches[0], sketches, 3).value();
-  EXPECT_EQ(by_ip[0].index, 1u);  // the 10x copy dominates raw inner product
-  const auto by_cos = TopKByCosine(sketches[0], sketches, 3).value();
-  // Cosine ties (both ≈ 1.0) between indices 0 and 1; both must lead.
-  EXPECT_TRUE((by_cos[0].index == 0 && by_cos[1].index == 1) ||
-              (by_cos[0].index == 1 && by_cos[1].index == 0));
-  EXPECT_NEAR(by_cos[0].estimate, by_cos[1].estimate, 0.2);
-  EXPECT_EQ(by_cos[2].index, 2u);
-}
-
-TEST(AllPairsTest, RanksNeighborPairsFirst) {
-  const auto vectors = MakeFamily(6, 8);
-  const auto sketches = SketchAll(vectors, 256, 9);
-  const auto pairs = AllPairsTopK(sketches, 5).value();
-  ASSERT_EQ(pairs.size(), 5u);
-  // The five adjacent pairs (i, i+1) have the highest true inner products;
-  // require the top-5 to be adjacent pairs.
-  for (const auto& p : pairs) {
-    EXPECT_EQ(p.second, p.first + 1)
-        << "(" << p.first << "," << p.second << ")";
-  }
-}
-
-TEST(AllPairsTest, PairCountAndOrdering) {
-  const auto vectors = MakeFamily(4, 10);
-  const auto sketches = SketchAll(vectors, 64, 11);
-  const auto pairs = AllPairsTopK(sketches, 100).value();
-  EXPECT_EQ(pairs.size(), 6u);  // C(4,2)
-  for (size_t i = 1; i < pairs.size(); ++i) {
-    EXPECT_GE(pairs[i - 1].estimate, pairs[i].estimate);
-  }
-}
-
-TEST(AllPairsTest, EmptyCollection) {
-  const auto pairs = AllPairsTopK({}, 5).value();
-  EXPECT_TRUE(pairs.empty());
-}
-
 }  // namespace
 }  // namespace ipsketch

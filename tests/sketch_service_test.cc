@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "data/synthetic.h"
 #include "index/banded_index.h"
 #include "service/metrics.h"
+#include "service/persistence.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
@@ -474,7 +478,7 @@ TEST(QueryEngineTest, AllFamiliesServeTopK) {
 
 // --- compact catalogs --------------------------------------------------------
 
-TEST(CompactCatalogTest, CompactifyInPlaceHalvesResidentStorage) {
+TEST(CompactCatalogTest, QuantizeStoreHalvesResidentStorage) {
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t i = 0; i < 30; ++i) {
     ASSERT_TRUE(store.BuildAndInsert(i, RandomVector(i)).ok());
@@ -489,7 +493,8 @@ TEST(CompactCatalogTest, CompactifyInPlaceHalvesResidentStorage) {
     }
   }
 
-  ASSERT_TRUE(store.CompactifyInPlace("wmh_compact").ok());
+  // The in-place idiom: quiesce, then move-assign the quantized copy.
+  store = QuantizeStore(store, "wmh_compact").value();
   EXPECT_EQ(store.family().name(), "wmh_compact");
   EXPECT_EQ(store.options().family, "wmh_compact");
   // The quantized family inherits the resolved identity of its source.
@@ -514,33 +519,107 @@ TEST(CompactCatalogTest, CompactifyInPlaceHalvesResidentStorage) {
   ASSERT_EQ(hits.size(), 5u);
   EXPECT_EQ(hits[0].id, 7u);  // self-similarity survives quantization
 
-  // A second compaction is refused: the store no longer holds "wmh".
-  EXPECT_EQ(store.CompactifyInPlace("wmh_compact").code(),
+  // A second quantization is refused: the store no longer holds "wmh".
+  EXPECT_EQ(QuantizeStore(store, "wmh_compact").status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(CompactCatalogTest, QuantizeStoreMatchesInPlaceAndKeepsSource) {
+TEST(CompactCatalogTest, QuantizeStoreKeepsSourceAndLayout) {
   auto source = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t i = 0; i < 25; ++i) {
     ASSERT_TRUE(source.BuildAndInsert(i * 3, RandomVector(i)).ok());
   }
+  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& inserts = registry.GetCounter("ipsketch_store_inserts_total");
+  auto& size_gauge = registry.GetGauge("ipsketch_store_size");
+  const uint64_t inserts_before = inserts.Value();
+  const int64_t size_before = size_gauge.Value();
 
   auto compact = QuantizeStore(source, "wmh_compact");
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
-  // The source is untouched; the copy holds the same ids.
+  // The source is untouched; the copy holds the same ids in the same
+  // shards, each shard published once as a whole staged view.
   EXPECT_EQ(source.family().name(), "wmh");
   EXPECT_EQ(source.size(), 25u);
   EXPECT_EQ(compact.value().Ids(), source.Ids());
+  for (size_t s = 0; s < source.num_shards(); ++s) {
+    const ShardViewPtr view = compact.value().PinShard(s);
+    EXPECT_EQ(view->ids, source.PinShard(s)->ids) << "shard " << s;
+    EXPECT_EQ(view->epoch, 1u) << "shard " << s;
+  }
+  // Every quantized sketch still counts as an insert and a live sketch.
+  if (metrics::kCompiledIn) {
+    EXPECT_EQ(inserts.Value(), inserts_before + 25);
+    EXPECT_EQ(size_gauge.Value(), size_before + 25);
+  }
+}
 
-  // Out-of-place and in-place conversions agree sketch for sketch.
-  ASSERT_TRUE(source.CompactifyInPlace("wmh_compact").ok());
-  const auto ids = source.Ids();
-  for (uint64_t id : ids) {
-    EXPECT_EQ(source.family()
-                  .Serialize(*compact.value().Lookup(id).value())
-                  .value(),
-              source.family().Serialize(*source.Lookup(id).value()).value())
-        << "id " << id;
+// A fixed full-precision catalog for the quantization byte pin below:
+// hand-built WmhSketches of exactly representable doubles (no sketching,
+// no libm), so the encoded bytes are the same on every platform.
+SketchStore QuantizationFixture() {
+  SketchStoreOptions opts;
+  opts.family = "wmh";
+  opts.sketch.dimension = 64;
+  opts.sketch.num_samples = 4;
+  opts.sketch.seed = 7;
+  opts.sketch.params["L"] = "1024";
+  opts.sketch.params["engine"] = "dart";
+  opts.num_shards = 2;
+  SketchStore store = SketchStore::Make(opts).value();
+  for (uint64_t v = 0; v < 5; ++v) {
+    WmhSketch wmh;
+    wmh.seed = 7;
+    wmh.L = 1024;
+    wmh.dimension = 64;
+    wmh.engine = WmhEngine::kDart;
+    wmh.norm = 1.5 + static_cast<double>(v);
+    for (uint64_t j = 0; j < 4; ++j) {
+      wmh.hashes.push_back(static_cast<double>(v * 4 + j + 1) / 32.0);
+      wmh.values.push_back((j % 2 == 0 ? 1.0 : -1.0) *
+                           static_cast<double>(j + 1) / 8.0);
+    }
+    IPS_CHECK(store
+                  .Insert(v * 3, std::make_unique<TypedSketch<WmhSketch>>(
+                                     std::move(wmh)))
+                  .ok());
+  }
+  return store;
+}
+
+// FNV-1a over a whole encoded store, trailer included.
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins the encoded bytes of a quantized catalog. The expected sizes and
+// hashes are what SketchStore::CompactifyInPlace — the in-place converter
+// QuantizeStore replaced — encoded for this fixture, so the one remaining
+// converter still produces those exact catalogs.
+TEST(CompactCatalogTest, QuantizeStoreEncodesPinnedBytes) {
+  struct Pin {
+    const char* family;
+    std::map<std::string, std::string> params;
+    size_t size;
+    uint64_t fnv;
+  };
+  const Pin pins[] = {
+      {"wmh_compact", {}, 642, 0x3882a3ad9b3a39f8ull},
+      {"wmh_bbit", {{"bits", "8"}}, 680, 0xb0ba42624742289dull},
+  };
+  const SketchStore source = QuantizationFixture();
+  for (const Pin& pin : pins) {
+    auto quantized = QuantizeStore(source, pin.family, pin.params);
+    ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+    const std::string bytes = EncodeSketchStore(quantized.value());
+    EXPECT_EQ(bytes.size(), pin.size) << pin.family;
+    EXPECT_EQ(Fnv1a(bytes), pin.fnv) << pin.family;
   }
 }
 
@@ -550,7 +629,7 @@ TEST(CompactCatalogTest, BbitCompactionShrinksAccountingFurther) {
     ASSERT_TRUE(store.BuildAndInsert(i, RandomVector(i)).ok());
   }
   const double full_storage = store.TotalStorageWords();
-  ASSERT_TRUE(store.CompactifyInPlace("wmh_bbit", {{"bits", "8"}}).ok());
+  store = QuantizeStore(store, "wmh_bbit", {{"bits", "8"}}).value();
   EXPECT_EQ(store.family().name(), "wmh_bbit");
   EXPECT_EQ(store.options().sketch.params.at("bits"), "8");
   // (8+32)/64 = 0.625 words/sample vs 1.5: under half the §5 accounting.
@@ -563,24 +642,22 @@ TEST(CompactCatalogTest, BbitCompactionShrinksAccountingFurther) {
 }
 
 TEST(CompactCatalogTest, CompactionErrorPaths) {
-  // A non-WMH store cannot be compactified.
+  // A non-WMH store cannot be quantized.
   auto cs_store = SketchStore::Make(SmallStoreOptions("cs")).value();
   ASSERT_TRUE(cs_store.BuildAndInsert(1, RandomVector(1)).ok());
-  EXPECT_EQ(cs_store.CompactifyInPlace("wmh_compact").code(),
-            StatusCode::kFailedPrecondition);
   EXPECT_EQ(QuantizeStore(cs_store, "wmh_compact").status().code(),
             StatusCode::kFailedPrecondition);
 
   // Targets must be quantized WMH encodings, and their params must parse.
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   ASSERT_TRUE(store.BuildAndInsert(1, RandomVector(1)).ok());
-  EXPECT_EQ(store.CompactifyInPlace("wmh").code(),
+  EXPECT_EQ(QuantizeStore(store, "wmh").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(store.CompactifyInPlace("definitely_not_a_family").code(),
+  EXPECT_EQ(QuantizeStore(store, "definitely_not_a_family").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(store.CompactifyInPlace("wmh_bbit", {{"bits", "64"}}).code(),
+  EXPECT_EQ(QuantizeStore(store, "wmh_bbit", {{"bits", "64"}}).status().code(),
             StatusCode::kInvalidArgument);
-  // Every failure left the store unchanged.
+  // Every failure left the source unchanged.
   EXPECT_EQ(store.family().name(), "wmh");
   EXPECT_EQ(store.size(), 1u);
   EXPECT_TRUE(QueryEngine(&store).EstimateInnerProduct(1, 1).ok());
@@ -770,6 +847,15 @@ TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
   EXPECT_EQ(size_gauge.Value(), size_before);
 }
 
+// The stage names of `trace`, in recording order.
+std::vector<std::string> Stages(const metrics::QueryTrace& trace) {
+  std::vector<std::string> stages;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    stages.push_back(trace.span(i).stage);
+  }
+  return stages;
+}
+
 TEST(ServiceMetricsTest, QueryTraceCapturesTopKStages) {
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t id = 0; id < 16; ++id) {
@@ -779,12 +865,23 @@ TEST(ServiceMetricsTest, QueryTraceCapturesTopKStages) {
   metrics::QueryTrace trace;
   const auto hits = engine.TopK(RandomVector(1000), 5, &trace);
   ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_STREQ(trace.span(0).stage, "sketch-query");
-  EXPECT_STREQ(trace.span(1).stage, "shard-scan");
-  EXPECT_STREQ(trace.span(2).stage, "heap-merge");
+  EXPECT_EQ(Stages(trace), (std::vector<std::string>{
+                               "sketch-query", "shard-scan", "heap-merge"}));
   EXPECT_EQ(trace.dropped(), 0u);
   EXPECT_GT(trace.total_ns(), 0u);
+
+  // The banded policy replaces the shard scan with its two index stages.
+  {
+    auto index = BandedIndex::MakeAttached(&store, {16, 4});
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    QueryEngine banded(&store, nullptr, index.value().get(),
+                       IndexPolicy::kBandedRerank);
+    metrics::QueryTrace banded_trace;
+    ASSERT_TRUE(banded.TopK(RandomVector(3), 5, &banded_trace).ok());
+    EXPECT_EQ(Stages(banded_trace),
+              (std::vector<std::string>{"sketch-query", "band-query",
+                                        "index-probe", "heap-merge"}));
+  }
 
   // Tracing does not change results, and a reused trace must be cleared.
   metrics::QueryTrace reused = trace;
@@ -815,6 +912,101 @@ TEST(ServiceMetricsTest, QueryCountersMoveOnTopK) {
   ASSERT_TRUE(engine.TopK(RandomVector(77), 3).ok());
   EXPECT_EQ(queries.Value(), queries_before + 1);
   EXPECT_EQ(scanned.Value(), scanned_before + 10);
+}
+
+// Each query API moves its latency and size histograms by exactly one
+// sample per call (per query for candidate counts), on both policies and
+// at any batch size.
+TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
+  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& topk_ns = registry.GetHistogram("ipsketch_query_topk_ns");
+  auto& candidates = registry.GetHistogram("ipsketch_query_candidates");
+  auto& rerank_ns = registry.GetHistogram("ipsketch_index_rerank_ns");
+  auto& scan_ns = registry.GetHistogram("ipsketch_query_scan_ns");
+  auto& pair_ns = registry.GetHistogram("ipsketch_query_estimate_pair_ns");
+  auto& queries = registry.GetCounter("ipsketch_query_total");
+  auto& fallbacks = registry.GetCounter("ipsketch_index_fallback_total");
+
+  auto store = SketchStore::Make(SmallStoreOptions()).value();
+  for (uint64_t id = 0; id < 12; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+  }
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  QueryEngine exact(&store, nullptr);
+  QueryEngine banded(&store, nullptr, index.value().get(),
+                     IndexPolicy::kBandedRerank);
+  QueryEngine unindexed(&store, nullptr, nullptr, IndexPolicy::kBandedRerank);
+
+  struct Counts {
+    uint64_t topk, cand, cand_sum, rerank, scan, pair, queries, fallbacks;
+  };
+  const auto read = [&] {
+    const auto cand = candidates.Snapshot();
+    return Counts{topk_ns.Snapshot().count, cand.count,   cand.sum,
+                  rerank_ns.Snapshot().count, scan_ns.Snapshot().count,
+                  pair_ns.Snapshot().count,  queries.Value(),
+                  fallbacks.Value()};
+  };
+
+  // Exact TopK: one latency sample, one candidate sample of the whole
+  // store, no re-rank.
+  Counts before = read();
+  ASSERT_TRUE(exact.TopK(RandomVector(40), 3).ok());
+  Counts after = read();
+  EXPECT_EQ(after.topk - before.topk, 1u);
+  EXPECT_EQ(after.cand - before.cand, 1u);
+  EXPECT_EQ(after.cand_sum - before.cand_sum, 12u);
+  EXPECT_EQ(after.rerank - before.rerank, 0u);
+  EXPECT_EQ(after.queries - before.queries, 1u);
+
+  // Banded TopKSketch on a stored vector's twin: one re-rank sample too,
+  // and the candidate sample counts what the probe actually scored.
+  const auto twin = store.Lookup(5).value();
+  before = read();
+  const auto hits = banded.TopKSketch(*twin, 3).value();
+  after = read();
+  ASSERT_FALSE(hits.empty());
+  EXPECT_EQ(hits[0].id, 5u);
+  EXPECT_EQ(after.topk - before.topk, 1u);
+  EXPECT_EQ(after.cand - before.cand, 1u);
+  EXPECT_GE(after.cand_sum - before.cand_sum, 1u);
+  EXPECT_LE(after.cand_sum - before.cand_sum, 12u);
+  EXPECT_EQ(after.rerank - before.rerank, 1u);
+  EXPECT_EQ(after.queries - before.queries, 1u);
+  EXPECT_EQ(after.fallbacks - before.fallbacks, 0u);
+
+  // A banded policy without an index falls back once per query.
+  before = read();
+  ASSERT_TRUE(unindexed.TopKSketch(*twin, 3).ok());
+  after = read();
+  EXPECT_EQ(after.fallbacks - before.fallbacks, 1u);
+  EXPECT_EQ(after.cand_sum - before.cand_sum, 12u);
+  EXPECT_EQ(after.rerank - before.rerank, 0u);
+
+  // A batch of three: one latency sample for the call, one candidate
+  // sample per query.
+  before = read();
+  const auto batch = exact.TopKSketchBatch({twin.get(), twin.get(), twin.get()},
+                                           {1, 2, 3});
+  after = read();
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(after.topk - before.topk, 1u);
+  EXPECT_EQ(after.cand - before.cand, 3u);
+  EXPECT_EQ(after.cand_sum - before.cand_sum, 36u);
+  EXPECT_EQ(after.queries - before.queries, 3u);
+
+  // EstimateAgainstQuery and EstimateInnerProduct: one sample each.
+  before = read();
+  ASSERT_TRUE(exact.EstimateAgainstQuery(RandomVector(41)).ok());
+  ASSERT_TRUE(exact.EstimateInnerProduct(1, 2).ok());
+  after = read();
+  EXPECT_EQ(after.scan - before.scan, 1u);
+  EXPECT_EQ(after.pair - before.pair, 1u);
+  EXPECT_EQ(after.topk - before.topk, 0u);
+  EXPECT_EQ(after.queries - before.queries, 2u);
 }
 
 }  // namespace
