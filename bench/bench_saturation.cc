@@ -382,7 +382,7 @@ std::string AsyncSectionsJson(const std::vector<AsyncLevelResult>& levels,
                 "    \"max_batch\": %zu,\n"
                 "    \"levels\": [",
                 corpus, 1.0 / kIngestEvery, base_rate,
-                options.max_queue_depth, options.max_batch);
+                options.max_queue_depth, FrontDoor::kMaxBatch);
   out += buf;
   for (size_t i = 0; i < levels.size(); ++i) {
     AppendAsyncLevelJson(&out, levels[i], i == 0);
@@ -589,7 +589,7 @@ int main(int argc, char** argv) {
   if (frontdoor) {
     const FrontDoorOptions fd_options;  // stock knobs: depth 256, batch 32
     std::printf("front door: max_queue_depth %zu, max_batch %zu\n\n",
-                fd_options.max_queue_depth, fd_options.max_batch);
+                fd_options.max_queue_depth, FrontDoor::kMaxBatch);
     std::vector<AsyncLevelResult> levels;
     std::printf("%-12s %12s %12s %10s %10s %10s %8s %8s\n", "offered_conc",
                 "offered/s", "achieved/s", "topk_p50", "topk_p95",

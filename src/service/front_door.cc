@@ -43,14 +43,10 @@ FrontDoor::FrontDoor(const SketchStore* store, ThreadPool* pool,
     : store_(store),
       pool_(pool),
       options_(options),
+      max_concurrent_batches_(pool != nullptr ? pool->num_threads() : 1),
       engine_(store, /*pool=*/nullptr, index, policy) {
   IPS_CHECK(store_ != nullptr);
   IPS_CHECK(options_.max_queue_depth > 0);
-  IPS_CHECK(options_.max_batch > 0);
-  if (options_.max_concurrent_batches == 0) {
-    options_.max_concurrent_batches =
-        pool_ != nullptr ? pool_->num_threads() : 1;
-  }
   auto& registry = metrics::MetricsRegistry::Global();
   submitted_ = &registry.GetCounter("ipsketch_frontdoor_submitted_total",
                                     "Requests submitted to the front door");
@@ -98,9 +94,7 @@ FrontDoor::~FrontDoor() {
 void FrontDoor::Enqueue(std::unique_ptr<Request> req) {
   submitted_->Add(1);
   req->enqueue_ns = metrics::NowNs();
-  const uint64_t budget =
-      req->deadline_ns != 0 ? req->deadline_ns : options_.default_deadline_ns;
-  req->deadline_ns = budget != 0 ? req->enqueue_ns + budget : 0;
+  if (req->deadline_ns != 0) req->deadline_ns += req->enqueue_ns;
 
   std::unique_ptr<Request> shed;
   const char* shed_reason = nullptr;
@@ -116,7 +110,7 @@ void FrontDoor::Enqueue(std::unique_ptr<Request> req) {
     } else {
       queue_.push_back(std::move(req));
       queue_depth_->Set(static_cast<int64_t>(queue_.size()));
-      if (active_batches_ < options_.max_concurrent_batches) {
+      if (active_batches_ < max_concurrent_batches_) {
         ++active_batches_;
         spawn = true;
       }
@@ -147,7 +141,7 @@ void FrontDoor::DispatchLoop() {
         if (active_batches_ == 0) drained_cv_.NotifyAll();
         return;
       }
-      const size_t n = std::min(options_.max_batch, queue_.size());
+      const size_t n = std::min(kMaxBatch, queue_.size());
       batch.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         batch.push_back(std::move(queue_.front()));

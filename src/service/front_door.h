@@ -59,15 +59,6 @@ struct FrontDoorOptions {
   /// immediately with Unavailable; together with the batch service time
   /// this bounds the queueing delay of every accepted request.
   size_t max_queue_depth = 256;
-  /// Most requests coalesced into one batch execution.
-  size_t max_batch = 32;
-  /// Batches allowed in flight at once (0 = the pool's thread count).
-  /// More concurrent batches = more parallelism across shards; 1 gives
-  /// strict FIFO completion order.
-  size_t max_concurrent_batches = 0;
-  /// Deadline budget applied to requests submitted without one
-  /// (0 = no deadline). Measured from submit time.
-  uint64_t default_deadline_ns = 0;
 };
 
 namespace front_door_internal {
@@ -137,6 +128,10 @@ class FrontDoor {
   using EstimateCallback = std::function<void(EstimateResult)>;
   using TopKCallback = std::function<void(TopKResult)>;
 
+  /// Most requests coalesced into one batch execution. One batch runs per
+  /// pool thread at a time (one at a time without a pool).
+  static constexpr size_t kMaxBatch = 32;
+
   /// Serves `store` through `pool`. With a non-null `index` (attached to
   /// the same store), top-k batches follow `policy`; without one they run
   /// the exact snapshot scan. `pool` may be null — dispatch then runs
@@ -158,7 +153,7 @@ class FrontDoor {
   const FrontDoorOptions& options() const { return options_; }
 
   /// Estimates ⟨a, b⟩ between two stored vectors. `deadline_ns` is a
-  /// relative budget from now (0 = options().default_deadline_ns).
+  /// relative budget from now (0 = no deadline).
   FrontDoorFuture<double> SubmitEstimate(uint64_t id_a, uint64_t id_b,
                                          uint64_t deadline_ns = 0);
   void SubmitEstimate(uint64_t id_a, uint64_t id_b, EstimateCallback done,
@@ -195,6 +190,8 @@ class FrontDoor {
   const SketchStore* store_;
   ThreadPool* pool_;
   FrontDoorOptions options_;
+  /// Batches allowed in flight at once: the pool's thread count, or 1.
+  const size_t max_concurrent_batches_;
   /// Serial inside a batch (parallelism comes from concurrent batches, each
   /// on its own pool worker).
   QueryEngine engine_;

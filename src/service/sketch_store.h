@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -215,6 +216,7 @@ class SketchStore {
   friend Result<SketchStore> QuantizeStore(
       const SketchStore& source, const std::string& target_family,
       const std::map<std::string, std::string>& extra_params);
+  friend Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 
   struct Shard {
     /// Serializes this shard's writers: epoch, publication, and the

@@ -203,19 +203,18 @@ void AppendLaneCodes(const std::vector<T>& lane, std::vector<uint64_t>* out) {
   }
 }
 
-// --- generic sketcher for the stateless families ----------------------------
+// --- the one family implementation -------------------------------------------
 
-/// Sketcher over a plain SketchX(vector, options) function: no scratch state
-/// beyond the output sketch itself (whose buffers are reused via move
-/// assignment).
-template <typename SketchT, typename OptionsT,
-          Result<SketchT> (*SketchFn)(const SparseVector&, const OptionsT&)>
-class FnSketcher final : public Sketcher {
+/// The one Sketcher: checks the vector's dimension and the output sketch's
+/// type, then runs the family's sketching context — any `Engine` with
+/// `Status Sketch(const SparseVector&, SketchT*)`.
+template <typename SketchT, typename Engine>
+class TypedSketcher final : public Sketcher {
  public:
-  FnSketcher(std::string family, OptionsT options, uint64_t dimension)
+  TypedSketcher(std::string family, uint64_t dimension, Engine engine)
       : family_(std::move(family)),
-        options_(std::move(options)),
-        dimension_(dimension) {}
+        dimension_(dimension),
+        engine_(std::move(engine)) {}
 
   Status Sketch(const SparseVector& a, AnySketch* out) override {
     if (a.dimension() != dimension_) {
@@ -227,68 +226,214 @@ class FnSketcher final : public Sketcher {
       return Status::InvalidArgument("output sketch is not of family '" +
                                      family_ + "'");
     }
-    auto sketched = SketchFn(a, options_);
-    IPS_RETURN_IF_ERROR(sketched.status());
-    *typed = std::move(sketched).value();
-    return Status::Ok();
+    return engine_.Sketch(a, typed);
   }
 
  private:
   std::string family_;
-  OptionsT options_;
   uint64_t dimension_;
+  Engine engine_;
 };
 
-// --- WMH ---------------------------------------------------------------------
-
-/// Wraps the scratch-reusing WmhSketcher context.
-class WmhFamilySketcher final : public Sketcher {
+/// The one SketchFamily. `Spec` holds only what differs between families:
+///
+///   Sketch, Engine             the sketch type and its sketching context
+///   MakeEngine()               a fresh context from the resolved options
+///   Check(sketch, dimension)   CheckCompatible after the downcast
+///   Estimate, Serialize, Deserialize   the core functions over Sketch
+///
+/// and, exactly when the family has the capability (the registry row's
+/// flags must agree; family_registry_test checks each one):
+///
+///   Merge                                  supports_merge
+///   Truncated, Capacity, kCapacityUnit     supports_truncation
+///   LshLane                                supports_banding
+///   ResidentWords   a resident layout wider than the §5 accounting
+///   Quantize        the quantized WMH encodings (QuantizeWmhSketch)
+///
+/// A capability the Spec lacks falls through to the SketchFamily default.
+template <typename Spec>
+class TypedFamily final : public SketchFamily {
  public:
-  WmhFamilySketcher(WmhSketcher sketcher, uint64_t dimension)
-      : sketcher_(std::move(sketcher)), dimension_(dimension) {}
+  using SketchT = typename Spec::Sketch;
 
-  Status Sketch(const SparseVector& a, AnySketch* out) override {
-    if (a.dimension() != dimension_) {
-      return Status::InvalidArgument(
-          "vector dimension does not match the family's");
-    }
-    WmhSketch* typed = GetMutableSketchAs<WmhSketch>(out);
-    if (typed == nullptr) {
-      return Status::InvalidArgument("output sketch is not of family 'wmh'");
-    }
-    return sketcher_.Sketch(a, typed);
-  }
-
- private:
-  WmhSketcher sketcher_;
-  uint64_t dimension_;
-};
-
-class WmhFamily final : public SketchFamily {
- public:
-  WmhFamily(FamilyInfo info, FamilyOptions resolved, WmhOptions concrete)
+  TypedFamily(FamilyInfo info, FamilyOptions resolved, Spec spec)
       : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
+        spec_(std::move(spec)) {}
 
   std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<WmhSketch>>();
+    return std::make_unique<TypedSketch<SketchT>>();
   }
 
   Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    auto made = WmhSketcher::Make(concrete_);
-    IPS_RETURN_IF_ERROR(made.status());
-    return std::unique_ptr<Sketcher>(new WmhFamilySketcher(
-        std::move(made).value(), options().dimension));
+    auto engine = spec_.MakeEngine();
+    IPS_RETURN_IF_ERROR(engine.status());
+    return std::unique_ptr<Sketcher>(
+        new TypedSketcher<SketchT, typename Spec::Engine>(
+            name(), options().dimension, std::move(engine).value()));
   }
 
   Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<WmhSketch>(name(), sketch);
+    auto typed = Cast<SketchT>(name(), sketch);
     IPS_RETURN_IF_ERROR(typed.status());
-    const WmhSketch& s = *typed.value();
-    if (s.num_samples() != concrete_.num_samples ||
-        s.seed != concrete_.seed || s.L != concrete_.L ||
-        s.engine != concrete_.engine ||
-        s.dimension != options().dimension) {
+    return spec_.Check(*typed.value(), options().dimension);
+  }
+
+  Result<double> Estimate(const AnySketch& a,
+                          const AnySketch& b) const override {
+    auto ta = Cast<SketchT>(name(), a);
+    IPS_RETURN_IF_ERROR(ta.status());
+    auto tb = Cast<SketchT>(name(), b);
+    IPS_RETURN_IF_ERROR(tb.status());
+    return Spec::Estimate(*ta.value(), *tb.value());
+  }
+
+  Result<std::unique_ptr<AnySketch>> Merge(const AnySketch& a,
+                                           const AnySketch& b) const override {
+    if constexpr (requires { &Spec::Merge; }) {
+      auto ta = Cast<SketchT>(name(), a);
+      IPS_RETURN_IF_ERROR(ta.status());
+      auto tb = Cast<SketchT>(name(), b);
+      IPS_RETURN_IF_ERROR(tb.status());
+      auto merged = Spec::Merge(*ta.value(), *tb.value());
+      IPS_RETURN_IF_ERROR(merged.status());
+      return Wrap(std::move(merged).value());
+    } else {
+      return SketchFamily::Merge(a, b);
+    }
+  }
+
+  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
+                                              size_t m) const override {
+    if constexpr (requires { &Spec::Truncated; }) {
+      auto typed = Cast<SketchT>(name(), sketch);
+      IPS_RETURN_IF_ERROR(typed.status());
+      // The core Truncated* functions require 1 <= m <= capacity.
+      if (m == 0) {
+        return Status::OutOfRange("truncation to an empty sketch (m = 0)");
+      }
+      if (m > Spec::Capacity(*typed.value())) {
+        return Status::OutOfRange("truncation beyond the sketch's " +
+                                  std::string(Spec::kCapacityUnit));
+      }
+      return Wrap(Spec::Truncated(*typed.value(), m));
+    } else {
+      return SketchFamily::Truncate(sketch, m);
+    }
+  }
+
+  Result<double> StorageWords(const AnySketch& sketch) const override {
+    auto typed = Cast<SketchT>(name(), sketch);
+    IPS_RETURN_IF_ERROR(typed.status());
+    return typed.value()->StorageWords();
+  }
+
+  Result<double> ResidentWords(const AnySketch& sketch) const override {
+    if constexpr (requires { &Spec::ResidentWords; }) {
+      auto typed = Cast<SketchT>(name(), sketch);
+      IPS_RETURN_IF_ERROR(typed.status());
+      return Spec::ResidentWords(*typed.value());
+    } else {
+      return SketchFamily::ResidentWords(sketch);
+    }
+  }
+
+  Status AppendLshCodes(const AnySketch& sketch,
+                        std::vector<uint64_t>* out) const override {
+    if constexpr (requires { &Spec::LshLane; }) {
+      IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
+      AppendLaneCodes(Spec::LshLane(*GetSketchAs<SketchT>(sketch)), out);
+      return Status::Ok();
+    } else {
+      return SketchFamily::AppendLshCodes(sketch, out);
+    }
+  }
+
+  Result<std::string> Serialize(const AnySketch& sketch) const override {
+    auto typed = Cast<SketchT>(name(), sketch);
+    IPS_RETURN_IF_ERROR(typed.status());
+    return Spec::Serialize(*typed.value());
+  }
+
+  Result<std::unique_ptr<AnySketch>> Deserialize(
+      std::string_view bytes) const override {
+    auto parsed = spec_.Deserialize(bytes);
+    IPS_RETURN_IF_ERROR(parsed.status());
+    return Wrap(std::move(parsed).value());
+  }
+
+  /// `full` in this family's encoding; instantiated only for the quantized
+  /// WMH families, whose Spec defines Quantize.
+  Result<std::unique_ptr<AnySketch>> QuantizeFrom(const WmhSketch& full) const {
+    SketchT out;
+    IPS_RETURN_IF_ERROR(spec_.Quantize(full, &out));
+    return Wrap(std::move(out));
+  }
+
+ private:
+  Spec spec_;
+};
+
+// --- sketching contexts ------------------------------------------------------
+
+/// Context over a plain SketchX(vector, options) function: no scratch state
+/// beyond the output sketch itself (whose buffers are reused via move
+/// assignment).
+template <typename SketchT, typename OptionsT,
+          Result<SketchT> (*SketchFn)(const SparseVector&, const OptionsT&)>
+struct FnEngine {
+  OptionsT options;
+
+  Status Sketch(const SparseVector& a, SketchT* out) {
+    auto sketched = SketchFn(a, options);
+    IPS_RETURN_IF_ERROR(sketched.status());
+    *out = std::move(sketched).value();
+    return Status::Ok();
+  }
+};
+
+/// Context of the quantized WMH encodings: sketches full-precision into a
+/// reusable scratch sketch with the configured engine (the hot path is
+/// unchanged), then quantizes as a cheap post-pass.
+template <typename Spec>
+struct QuantizingEngine {
+  Spec spec;
+  WmhSketcher full;
+  WmhSketch scratch;
+
+  static Result<QuantizingEngine> Make(const Spec& spec) {
+    auto full = WmhSketcher::Make(spec.concrete);
+    IPS_RETURN_IF_ERROR(full.status());
+    return QuantizingEngine{spec, std::move(full).value(), WmhSketch()};
+  }
+
+  Status Sketch(const SparseVector& a, typename Spec::Sketch* out) {
+    IPS_RETURN_IF_ERROR(full.Sketch(a, &scratch));
+    return spec.Quantize(scratch, out);
+  }
+};
+
+/// True iff `s` carries the (m, seed, L, engine, dimension) identity of
+/// `options` — the WMH-shaped families' shared compatibility core.
+template <typename SketchT, typename OptionsT>
+bool HasIdentity(const SketchT& s, const OptionsT& options,
+                 uint64_t dimension) {
+  return s.num_samples() == options.num_samples && s.seed == options.seed &&
+         s.L == options.L && s.engine == options.engine &&
+         s.dimension == dimension;
+}
+
+// --- the eight families ------------------------------------------------------
+
+struct WmhSpec {
+  using Sketch = WmhSketch;
+  using Engine = WmhSketcher;
+  WmhOptions concrete;
+
+  Result<Engine> MakeEngine() const { return WmhSketcher::Make(concrete); }
+
+  Status Check(const WmhSketch& s, uint64_t dimension) const {
+    if (!HasIdentity(s, concrete, dimension)) {
       return Status::InvalidArgument(
           "wmh sketch parameters do not match the family's "
           "(m, seed, L, engine, dimension)");
@@ -299,54 +444,23 @@ class WmhFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<WmhSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<WmhSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateWmhInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const WmhSketch& a, const WmhSketch& b) {
+    return EstimateWmhInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<WmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_samples()) {
-      return Status::OutOfRange("truncation beyond the sketch's samples");
-    }
-    return Wrap(TruncatedWmh(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "samples";
+  static size_t Capacity(const WmhSketch& s) { return s.num_samples(); }
+  static WmhSketch Truncated(const WmhSketch& s, size_t m) {
+    return TruncatedWmh(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<WmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
-  }
-
-  Result<double> ResidentWords(const AnySketch& sketch) const override {
-    auto typed = Cast<WmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
+  static const auto& LshLane(const WmhSketch& s) { return s.hashes; }
+  static double ResidentWords(const WmhSketch& s) {
     // Two resident doubles per sample (hash + value) + the norm; the §5
     // accounting charges only 1.5 words because it assumes a 32-bit hash.
-    return 2.0 * static_cast<double>(typed.value()->num_samples()) + 1.0;
+    return 2.0 * static_cast<double>(s.num_samples()) + 1.0;
   }
+  static std::string Serialize(const WmhSketch& s) { return SerializeWmh(s); }
 
-  Status AppendLshCodes(const AnySketch& sketch,
-                        std::vector<uint64_t>* out) const override {
-    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
-    AppendLaneCodes(GetSketchAs<WmhSketch>(sketch)->hashes, out);
-    return Status::Ok();
-  }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<WmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeWmh(*typed.value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
+  Result<WmhSketch> Deserialize(std::string_view bytes) const {
     bool v1_payload = false;
     auto parsed = DeserializeWmh(bytes, &v1_payload);
     IPS_RETURN_IF_ERROR(parsed.status());
@@ -355,66 +469,23 @@ class WmhFamily final : public SketchFamily {
     // family resolves to (the store header is authoritative) — adopt it so
     // legacy expanded_reference catalogs keep loading. A dart family never
     // adopts: no v1 producer existed for it.
-    if (v1_payload && (concrete_.engine == WmhEngine::kActiveIndex ||
-                       concrete_.engine == WmhEngine::kExpandedReference)) {
-      sketch.engine = concrete_.engine;
+    if (v1_payload && (concrete.engine == WmhEngine::kActiveIndex ||
+                       concrete.engine == WmhEngine::kExpandedReference)) {
+      sketch.engine = concrete.engine;
     }
-    return Wrap(std::move(sketch));
+    return sketch;
   }
-
- private:
-  WmhOptions concrete_;
 };
 
-// --- ICWS --------------------------------------------------------------------
+struct IcwsSpec {
+  using Sketch = IcwsSketch;
+  using Engine = IcwsSketcher;
+  IcwsOptions concrete;
 
-/// Wraps the scratch-reusing IcwsSketcher context.
-class IcwsFamilySketcher final : public Sketcher {
- public:
-  IcwsFamilySketcher(IcwsSketcher sketcher, uint64_t dimension)
-      : sketcher_(std::move(sketcher)), dimension_(dimension) {}
+  Result<Engine> MakeEngine() const { return IcwsSketcher::Make(concrete); }
 
-  Status Sketch(const SparseVector& a, AnySketch* out) override {
-    if (a.dimension() != dimension_) {
-      return Status::InvalidArgument(
-          "vector dimension does not match the family's");
-    }
-    IcwsSketch* typed = GetMutableSketchAs<IcwsSketch>(out);
-    if (typed == nullptr) {
-      return Status::InvalidArgument("output sketch is not of family 'icws'");
-    }
-    return sketcher_.Sketch(a, typed);
-  }
-
- private:
-  IcwsSketcher sketcher_;
-  uint64_t dimension_;
-};
-
-class IcwsFamily final : public SketchFamily {
- public:
-  IcwsFamily(FamilyInfo info, FamilyOptions resolved, IcwsOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
-
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<IcwsSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    auto made = IcwsSketcher::Make(concrete_);
-    IPS_RETURN_IF_ERROR(made.status());
-    return std::unique_ptr<Sketcher>(new IcwsFamilySketcher(
-        std::move(made).value(), options().dimension));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<IcwsSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const IcwsSketch& s = *typed.value();
-    if (s.num_samples() != concrete_.num_samples ||
-        s.seed != concrete_.seed || s.engine != concrete_.engine ||
-        s.L != concrete_.L || s.dimension != options().dimension) {
+  Status Check(const IcwsSketch& s, uint64_t dimension) const {
+    if (!HasIdentity(s, concrete, dimension)) {
       return Status::InvalidArgument(
           "icws sketch parameters do not match the family's "
           "(m, seed, engine, L, dimension)");
@@ -426,87 +497,35 @@ class IcwsFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<IcwsSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<IcwsSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateIcwsInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const IcwsSketch& a, const IcwsSketch& b) {
+    return EstimateIcwsInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<IcwsSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_samples()) {
-      return Status::OutOfRange("truncation beyond the sketch's samples");
-    }
-    return Wrap(TruncatedIcws(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "samples";
+  static size_t Capacity(const IcwsSketch& s) { return s.num_samples(); }
+  static IcwsSketch Truncated(const IcwsSketch& s, size_t m) {
+    return TruncatedIcws(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<IcwsSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
-  }
-
-  Result<double> ResidentWords(const AnySketch& sketch) const override {
-    auto typed = Cast<IcwsSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
+  static const auto& LshLane(const IcwsSketch& s) { return s.fingerprints; }
+  static double ResidentWords(const IcwsSketch& s) {
     // A 64-bit fingerprint + a double value per sample + the norm.
-    return 2.0 * static_cast<double>(typed.value()->num_samples()) + 1.0;
+    return 2.0 * static_cast<double>(s.num_samples()) + 1.0;
   }
-
-  Status AppendLshCodes(const AnySketch& sketch,
-                        std::vector<uint64_t>* out) const override {
-    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
-    AppendLaneCodes(GetSketchAs<IcwsSketch>(sketch)->fingerprints, out);
-    return Status::Ok();
+  static std::string Serialize(const IcwsSketch& s) { return SerializeIcws(s); }
+  static Result<IcwsSketch> Deserialize(std::string_view bytes) {
+    return DeserializeIcws(bytes);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<IcwsSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeIcws(*typed.value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeIcws(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
- private:
-  IcwsOptions concrete_;
 };
 
-// --- MH ----------------------------------------------------------------------
+struct MhSpec {
+  using Sketch = MhSketch;
+  using Engine = FnEngine<MhSketch, MhOptions, &SketchMh>;
+  MhOptions concrete;
 
-class MhFamily final : public SketchFamily {
- public:
-  MhFamily(FamilyInfo info, FamilyOptions resolved, MhOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
+  Result<Engine> MakeEngine() const { return Engine{concrete}; }
 
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<MhSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    return std::unique_ptr<Sketcher>(
-        new FnSketcher<MhSketch, MhOptions, &SketchMh>(name(), concrete_,
-                                                       options().dimension));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<MhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const MhSketch& s = *typed.value();
-    if (s.num_samples() != concrete_.num_samples ||
-        s.seed != concrete_.seed || s.hash_kind != concrete_.hash_kind ||
-        s.dimension != options().dimension) {
+  Status Check(const MhSketch& s, uint64_t dimension) const {
+    if (s.num_samples() != concrete.num_samples || s.seed != concrete.seed ||
+        s.hash_kind != concrete.hash_kind || s.dimension != dimension) {
       return Status::InvalidArgument(
           "mh sketch parameters do not match the family's "
           "(m, seed, hash, dimension)");
@@ -517,87 +536,35 @@ class MhFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<MhSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<MhSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateMhInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const MhSketch& a, const MhSketch& b) {
+    return EstimateMhInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<MhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_samples()) {
-      return Status::OutOfRange("truncation beyond the sketch's samples");
-    }
-    return Wrap(TruncatedMh(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "samples";
+  static size_t Capacity(const MhSketch& s) { return s.num_samples(); }
+  static MhSketch Truncated(const MhSketch& s, size_t m) {
+    return TruncatedMh(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<MhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
-  }
-
-  Result<double> ResidentWords(const AnySketch& sketch) const override {
-    auto typed = Cast<MhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
+  static const auto& LshLane(const MhSketch& s) { return s.hashes; }
+  static double ResidentWords(const MhSketch& s) {
     // Two resident doubles per sample (hash + value).
-    return 2.0 * static_cast<double>(typed.value()->num_samples());
+    return 2.0 * static_cast<double>(s.num_samples());
   }
-
-  Status AppendLshCodes(const AnySketch& sketch,
-                        std::vector<uint64_t>* out) const override {
-    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
-    AppendLaneCodes(GetSketchAs<MhSketch>(sketch)->hashes, out);
-    return Status::Ok();
+  static std::string Serialize(const MhSketch& s) { return SerializeMh(s); }
+  static Result<MhSketch> Deserialize(std::string_view bytes) {
+    return DeserializeMh(bytes);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<MhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeMh(*typed.value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeMh(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
- private:
-  MhOptions concrete_;
 };
 
-// --- KMV ---------------------------------------------------------------------
+struct KmvSpec {
+  using Sketch = KmvSketch;
+  using Engine = FnEngine<KmvSketch, KmvOptions, &SketchKmv>;
+  KmvOptions concrete;
 
-class KmvFamily final : public SketchFamily {
- public:
-  KmvFamily(FamilyInfo info, FamilyOptions resolved, KmvOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
+  Result<Engine> MakeEngine() const { return Engine{concrete}; }
 
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<KmvSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    return std::unique_ptr<Sketcher>(
-        new FnSketcher<KmvSketch, KmvOptions, &SketchKmv>(
-            name(), concrete_, options().dimension));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<KmvSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const KmvSketch& s = *typed.value();
-    if (s.k != concrete_.k || s.seed != concrete_.seed ||
-        s.hash_kind != concrete_.hash_kind ||
-        s.dimension != options().dimension) {
+  Status Check(const KmvSketch& s, uint64_t dimension) const {
+    if (s.k != concrete.k || s.seed != concrete.seed ||
+        s.hash_kind != concrete.hash_kind || s.dimension != dimension) {
       return Status::InvalidArgument(
           "kmv sketch parameters do not match the family's "
           "(k, seed, hash, dimension)");
@@ -608,92 +575,38 @@ class KmvFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<KmvSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<KmvSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateKmvInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const KmvSketch& a, const KmvSketch& b) {
+    return EstimateKmvInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Merge(const AnySketch& a,
-                                           const AnySketch& b) const override {
-    auto ta = Cast<KmvSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<KmvSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    auto merged = MergeKmv(*ta.value(), *tb.value());
-    IPS_RETURN_IF_ERROR(merged.status());
-    return Wrap(std::move(merged).value());
+  static Result<KmvSketch> Merge(const KmvSketch& a, const KmvSketch& b) {
+    return MergeKmv(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<KmvSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->k) {
-      return Status::OutOfRange("truncation beyond the sketch's capacity");
-    }
-    return Wrap(TruncatedKmv(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "capacity";
+  static size_t Capacity(const KmvSketch& s) { return s.k; }
+  static KmvSketch Truncated(const KmvSketch& s, size_t m) {
+    return TruncatedKmv(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<KmvSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
-  }
-
-  Result<double> ResidentWords(const AnySketch& sketch) const override {
-    auto typed = Cast<KmvSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
+  static double ResidentWords(const KmvSketch& s) {
     // Two resident doubles per retained sample (hash + value).
-    return 2.0 * static_cast<double>(typed.value()->samples.size());
+    return 2.0 * static_cast<double>(s.samples.size());
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<KmvSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeKmv(*typed.value());
+  static std::string Serialize(const KmvSketch& s) { return SerializeKmv(s); }
+  static Result<KmvSketch> Deserialize(std::string_view bytes) {
+    return DeserializeKmv(bytes);
   }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeKmv(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
- private:
-  KmvOptions concrete_;
 };
 
-// --- CS ----------------------------------------------------------------------
+struct CsSpec {
+  using Sketch = CountSketch;
+  using Engine = FnEngine<CountSketch, CountSketchOptions, &SketchCount>;
+  CountSketchOptions concrete;
 
-class CsFamily final : public SketchFamily {
- public:
-  CsFamily(FamilyInfo info, FamilyOptions resolved,
-           CountSketchOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
+  Result<Engine> MakeEngine() const { return Engine{concrete}; }
 
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<CountSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    return std::unique_ptr<Sketcher>(
-        new FnSketcher<CountSketch, CountSketchOptions, &SketchCount>(
-            name(), concrete_, options().dimension));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<CountSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const CountSketch& s = *typed.value();
-    if (s.tables.size() != concrete_.repetitions ||
-        s.width() != concrete_.total_counters / concrete_.repetitions ||
-        s.seed != concrete_.seed || s.dimension != options().dimension) {
+  Status Check(const CountSketch& s, uint64_t dimension) const {
+    if (s.tables.size() != concrete.repetitions ||
+        s.width() != concrete.total_counters / concrete.repetitions ||
+        s.seed != concrete.seed || s.dimension != dimension) {
       return Status::InvalidArgument(
           "cs sketch parameters do not match the family's "
           "(repetitions, width, seed, dimension)");
@@ -706,73 +619,30 @@ class CsFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<CountSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<CountSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateCountSketchInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const CountSketch& a, const CountSketch& b) {
+    return EstimateCountSketchInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Merge(const AnySketch& a,
-                                           const AnySketch& b) const override {
-    auto ta = Cast<CountSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<CountSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    auto merged = MergeCountSketch(*ta.value(), *tb.value());
-    IPS_RETURN_IF_ERROR(merged.status());
-    return Wrap(std::move(merged).value());
+  static Result<CountSketch> Merge(const CountSketch& a, const CountSketch& b) {
+    return MergeCountSketch(a, b);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<CountSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
+  static std::string Serialize(const CountSketch& s) {
+    return SerializeCountSketch(s);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<CountSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeCountSketch(*typed.value());
+  static Result<CountSketch> Deserialize(std::string_view bytes) {
+    return DeserializeCountSketch(bytes);
   }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeCountSketch(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
- private:
-  CountSketchOptions concrete_;
 };
 
-// --- JL ----------------------------------------------------------------------
+struct JlSpec {
+  using Sketch = JlSketch;
+  using Engine = FnEngine<JlSketch, JlOptions, &SketchJl>;
+  JlOptions concrete;
 
-class JlFamily final : public SketchFamily {
- public:
-  JlFamily(FamilyInfo info, FamilyOptions resolved, JlOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
+  Result<Engine> MakeEngine() const { return Engine{concrete}; }
 
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<JlSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    return std::unique_ptr<Sketcher>(
-        new FnSketcher<JlSketch, JlOptions, &SketchJl>(name(), concrete_,
-                                                       options().dimension));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<JlSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const JlSketch& s = *typed.value();
-    if (s.num_rows() != concrete_.num_rows || s.seed != concrete_.seed ||
-        s.dimension != options().dimension) {
+  Status Check(const JlSketch& s, uint64_t dimension) const {
+    if (s.num_rows() != concrete.num_rows || s.seed != concrete.seed ||
+        s.dimension != dimension) {
       return Status::InvalidArgument(
           "jl sketch parameters do not match the family's "
           "(rows, seed, dimension)");
@@ -780,145 +650,36 @@ class JlFamily final : public SketchFamily {
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<JlSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<JlSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateJlInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const JlSketch& a, const JlSketch& b) {
+    return EstimateJlInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Merge(const AnySketch& a,
-                                           const AnySketch& b) const override {
-    auto ta = Cast<JlSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<JlSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    auto merged = MergeJl(*ta.value(), *tb.value());
-    IPS_RETURN_IF_ERROR(merged.status());
-    return Wrap(std::move(merged).value());
+  static Result<JlSketch> Merge(const JlSketch& a, const JlSketch& b) {
+    return MergeJl(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<JlSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_rows()) {
-      return Status::OutOfRange("truncation beyond the sketch's rows");
-    }
-    return Wrap(TruncatedJl(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "rows";
+  static size_t Capacity(const JlSketch& s) { return s.num_rows(); }
+  static JlSketch Truncated(const JlSketch& s, size_t m) {
+    return TruncatedJl(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<JlSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
+  static std::string Serialize(const JlSketch& s) { return SerializeJl(s); }
+  static Result<JlSketch> Deserialize(std::string_view bytes) {
+    return DeserializeJl(bytes);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<JlSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeJl(*typed.value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeJl(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
- private:
-  JlOptions concrete_;
 };
 
-// --- quantized WMH encodings -------------------------------------------------
+struct CompactWmhSpec {
+  using Sketch = CompactWmhSketch;
+  using Engine = QuantizingEngine<CompactWmhSpec>;
+  WmhOptions concrete;
 
-/// Mixin implemented by the compact catalog families: the conversion from a
-/// resident full-precision WmhSketch that QuantizeWmhSketch (and through
-/// it, the service layer's QuantizeStore) dispatches on.
-class WmhQuantizingFamily {
- public:
-  virtual ~WmhQuantizingFamily() = default;
-
-  /// The quantized form of `full`, wrapped for this family.
-  virtual Result<std::unique_ptr<AnySketch>> QuantizeFrom(
-      const WmhSketch& full) const = 0;
-};
-
-/// Sketcher shared by both quantized families: sketches full-precision into
-/// a reusable scratch sketch with the kDart-or-configured engine (the hot
-/// path is unchanged), then quantizes as a cheap post-pass.
-template <typename CompactT>
-class QuantizingFamilySketcher final : public Sketcher {
- public:
-  QuantizingFamilySketcher(std::string family, WmhSketcher sketcher,
-                           uint64_t dimension, uint32_t bits)
-      : family_(std::move(family)),
-        sketcher_(std::move(sketcher)),
-        dimension_(dimension),
-        bits_(bits) {}
-
-  Status Sketch(const SparseVector& a, AnySketch* out) override {
-    if (a.dimension() != dimension_) {
-      return Status::InvalidArgument(
-          "vector dimension does not match the family's");
-    }
-    CompactT* typed = GetMutableSketchAs<CompactT>(out);
-    if (typed == nullptr) {
-      return Status::InvalidArgument("output sketch is not of family '" +
-                                     family_ + "'");
-    }
-    IPS_RETURN_IF_ERROR(sketcher_.Sketch(a, &scratch_));
-    return Quantize(typed);
-  }
-
- private:
-  Status Quantize(CompactWmhSketch* out) {
-    CompactFromWmh(scratch_, out);
+  Result<Engine> MakeEngine() const { return Engine::Make(*this); }
+  Status Quantize(const WmhSketch& full, CompactWmhSketch* out) const {
+    CompactFromWmh(full, out);
     return Status::Ok();
   }
-  Status Quantize(BbitWmhSketch* out) {
-    return BbitFromWmh(scratch_, bits_, out);
-  }
 
-  std::string family_;
-  WmhSketcher sketcher_;
-  WmhSketch scratch_;
-  uint64_t dimension_;
-  uint32_t bits_;  // unused by the compact encoding
-};
-
-class CompactWmhFamily final : public SketchFamily,
-                               public WmhQuantizingFamily {
- public:
-  CompactWmhFamily(FamilyInfo info, FamilyOptions resolved,
-                   WmhOptions concrete)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete) {}
-
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<CompactWmhSketch>>();
-  }
-
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    auto made = WmhSketcher::Make(concrete_);
-    IPS_RETURN_IF_ERROR(made.status());
-    return std::unique_ptr<Sketcher>(
-        new QuantizingFamilySketcher<CompactWmhSketch>(
-            name(), std::move(made).value(), options().dimension,
-            /*bits=*/0));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<CompactWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const CompactWmhSketch& s = *typed.value();
-    if (s.num_samples() != concrete_.num_samples ||
-        s.seed != concrete_.seed || s.L != concrete_.L ||
-        s.engine != concrete_.engine ||
-        s.dimension != options().dimension) {
+  Status Check(const CompactWmhSketch& s, uint64_t dimension) const {
+    if (!HasIdentity(s, concrete, dimension)) {
       return Status::InvalidArgument(
           "wmh_compact sketch parameters do not match the family's "
           "(m, seed, L, engine, dimension)");
@@ -930,90 +691,39 @@ class CompactWmhFamily final : public SketchFamily,
     return Status::Ok();
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<CompactWmhSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<CompactWmhSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateCompactWmhInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const CompactWmhSketch& a,
+                                 const CompactWmhSketch& b) {
+    return EstimateCompactWmhInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<CompactWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_samples()) {
-      return Status::OutOfRange("truncation beyond the sketch's samples");
-    }
+  static constexpr const char* kCapacityUnit = "samples";
+  static size_t Capacity(const CompactWmhSketch& s) { return s.num_samples(); }
+  static CompactWmhSketch Truncated(const CompactWmhSketch& s, size_t m) {
     // Compact sketches are coordinate-wise, so prefix slicing is exact:
     // truncation commutes with quantization.
-    return Wrap(TruncatedCompactWmh(*typed.value(), m));
+    return TruncatedCompactWmh(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<CompactWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
+  static const auto& LshLane(const CompactWmhSketch& s) { return s.hashes; }
+  static std::string Serialize(const CompactWmhSketch& s) {
+    return SerializeCompactWmh(s);
   }
-
-  Status AppendLshCodes(const AnySketch& sketch,
-                        std::vector<uint64_t>* out) const override {
-    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
-    AppendLaneCodes(GetSketchAs<CompactWmhSketch>(sketch)->hashes, out);
-    return Status::Ok();
+  static Result<CompactWmhSketch> Deserialize(std::string_view bytes) {
+    return DeserializeCompactWmh(bytes);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<CompactWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeCompactWmh(*typed.value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeCompactWmh(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> QuantizeFrom(
-      const WmhSketch& full) const override {
-    return Wrap(CompactFromWmh(full));
-  }
-
- private:
-  WmhOptions concrete_;
 };
 
-class BbitWmhFamily final : public SketchFamily, public WmhQuantizingFamily {
- public:
-  BbitWmhFamily(FamilyInfo info, FamilyOptions resolved, WmhOptions concrete,
-                uint32_t bits)
-      : SketchFamily(std::move(info), std::move(resolved)),
-        concrete_(concrete),
-        bits_(bits) {}
+struct BbitWmhSpec {
+  using Sketch = BbitWmhSketch;
+  using Engine = QuantizingEngine<BbitWmhSpec>;
+  WmhOptions concrete;
+  uint32_t bits = 0;
 
-  std::unique_ptr<AnySketch> NewSketch() const override {
-    return std::make_unique<TypedSketch<BbitWmhSketch>>();
+  Result<Engine> MakeEngine() const { return Engine::Make(*this); }
+  Status Quantize(const WmhSketch& full, BbitWmhSketch* out) const {
+    return BbitFromWmh(full, bits, out);
   }
 
-  Result<std::unique_ptr<Sketcher>> MakeSketcher() const override {
-    auto made = WmhSketcher::Make(concrete_);
-    IPS_RETURN_IF_ERROR(made.status());
-    return std::unique_ptr<Sketcher>(
-        new QuantizingFamilySketcher<BbitWmhSketch>(
-            name(), std::move(made).value(), options().dimension, bits_));
-  }
-
-  Status CheckCompatible(const AnySketch& sketch) const override {
-    auto typed = Cast<BbitWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    const BbitWmhSketch& s = *typed.value();
-    if (s.num_samples() != concrete_.num_samples ||
-        s.seed != concrete_.seed || s.L != concrete_.L ||
-        s.engine != concrete_.engine || s.bits != bits_ ||
-        s.dimension != options().dimension) {
+  Status Check(const BbitWmhSketch& s, uint64_t dimension) const {
+    if (!HasIdentity(s, concrete, dimension) || s.bits != bits) {
       return Status::InvalidArgument(
           "wmh_bbit sketch parameters do not match the family's "
           "(m, seed, L, engine, bits, dimension)");
@@ -1028,71 +738,39 @@ class BbitWmhFamily final : public SketchFamily, public WmhQuantizingFamily {
     return CheckBbitFingerprintWidths(s);
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<BbitWmhSketch>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<BbitWmhSketch>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return EstimateBbitWmhInnerProduct(*ta.value(), *tb.value());
+  static Result<double> Estimate(const BbitWmhSketch& a,
+                                 const BbitWmhSketch& b) {
+    return EstimateBbitWmhInnerProduct(a, b);
   }
-
-  Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
-                                              size_t m) const override {
-    auto typed = Cast<BbitWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    if (m > typed.value()->num_samples()) {
-      return Status::OutOfRange("truncation beyond the sketch's samples");
-    }
-    return Wrap(TruncatedBbitWmh(*typed.value(), m));
+  static constexpr const char* kCapacityUnit = "samples";
+  static size_t Capacity(const BbitWmhSketch& s) { return s.num_samples(); }
+  static BbitWmhSketch Truncated(const BbitWmhSketch& s, size_t m) {
+    return TruncatedBbitWmh(s, m);
   }
-
-  Result<double> StorageWords(const AnySketch& sketch) const override {
-    auto typed = Cast<BbitWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return typed.value()->StorageWords();
-  }
-
-  Result<double> ResidentWords(const AnySketch& sketch) const override {
-    auto typed = Cast<BbitWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
+  static const auto& LshLane(const BbitWmhSketch& s) { return s.fingerprints; }
+  static double ResidentWords(const BbitWmhSketch& s) {
     // Fingerprints live in uint32_t slots regardless of b, so the resident
     // footprint is one word per sample + the norm (the §5 accounting
     // charges only (b + 32)/64 per sample).
-    return static_cast<double>(typed.value()->num_samples()) + 1.0;
+    return static_cast<double>(s.num_samples()) + 1.0;
   }
-
-  Status AppendLshCodes(const AnySketch& sketch,
-                        std::vector<uint64_t>* out) const override {
-    IPS_RETURN_IF_ERROR(CheckCompatible(sketch));
-    AppendLaneCodes(GetSketchAs<BbitWmhSketch>(sketch)->fingerprints, out);
-    return Status::Ok();
+  static std::string Serialize(const BbitWmhSketch& s) {
+    return SerializeBbitWmh(s);
   }
-
-  Result<std::string> Serialize(const AnySketch& sketch) const override {
-    auto typed = Cast<BbitWmhSketch>(name(), sketch);
-    IPS_RETURN_IF_ERROR(typed.status());
-    return SerializeBbitWmh(*typed.value());
+  static Result<BbitWmhSketch> Deserialize(std::string_view bytes) {
+    return DeserializeBbitWmh(bytes);
   }
-
-  Result<std::unique_ptr<AnySketch>> Deserialize(
-      std::string_view bytes) const override {
-    auto parsed = DeserializeBbitWmh(bytes);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    return Wrap(std::move(parsed).value());
-  }
-
-  Result<std::unique_ptr<AnySketch>> QuantizeFrom(
-      const WmhSketch& full) const override {
-    auto quantized = BbitFromWmh(full, bits_);
-    IPS_RETURN_IF_ERROR(quantized.status());
-    return Wrap(std::move(quantized).value());
-  }
-
- private:
-  WmhOptions concrete_;
-  uint32_t bits_;
 };
+
+/// The family `info` names, built over its resolved options and Spec.
+template <typename Spec>
+Result<std::shared_ptr<const SketchFamily>> NewFamily(const FamilyInfo& info,
+                                                      FamilyOptions resolved,
+                                                      Spec spec) {
+  return std::shared_ptr<const SketchFamily>(
+      std::make_shared<TypedFamily<Spec>>(info, std::move(resolved),
+                                          std::move(spec)));
+}
 
 // --- per-family construction -------------------------------------------------
 
@@ -1133,8 +811,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeWmh(const FamilyInfo& info,
   IPS_RETURN_IF_ERROR(CheckKnownParams("wmh", options, {"L", "engine"}));
   WmhOptions concrete;
   IPS_RETURN_IF_ERROR(ResolveWmhParams(&options, &concrete));
-  return std::shared_ptr<const SketchFamily>(
-      new WmhFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), WmhSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeWmhCompact(
@@ -1143,8 +820,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeWmhCompact(
       CheckKnownParams("wmh_compact", options, {"L", "engine"}));
   WmhOptions concrete;
   IPS_RETURN_IF_ERROR(ResolveWmhParams(&options, &concrete));
-  return std::shared_ptr<const SketchFamily>(
-      new CompactWmhFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), CompactWmhSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeWmhBbit(
@@ -1160,8 +836,8 @@ Result<std::shared_ptr<const SketchFamily>> MakeWmhBbit(
   WmhOptions concrete;
   IPS_RETURN_IF_ERROR(ResolveWmhParams(&options, &concrete));
   options.params["bits"] = std::to_string(bits);
-  return std::shared_ptr<const SketchFamily>(new BbitWmhFamily(
-      info, std::move(options), concrete, static_cast<uint32_t>(bits)));
+  return NewFamily(info, std::move(options),
+                   BbitWmhSpec{concrete, static_cast<uint32_t>(bits)});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeIcws(const FamilyInfo& info,
@@ -1199,8 +875,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeIcws(const FamilyInfo& info,
     options.params["L"] = std::to_string(concrete.L);
   }
   IPS_RETURN_IF_ERROR(concrete.Validate());
-  return std::shared_ptr<const SketchFamily>(
-      new IcwsFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), IcwsSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeMh(const FamilyInfo& info,
@@ -1212,8 +887,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeMh(const FamilyInfo& info,
   IPS_RETURN_IF_ERROR(ParseHashKindParam(options, &concrete.hash_kind));
   IPS_RETURN_IF_ERROR(concrete.Validate());
   options.params["hash"] = HashKindName(concrete.hash_kind);
-  return std::shared_ptr<const SketchFamily>(
-      new MhFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), MhSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeKmv(const FamilyInfo& info,
@@ -1225,8 +899,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeKmv(const FamilyInfo& info,
   IPS_RETURN_IF_ERROR(ParseHashKindParam(options, &concrete.hash_kind));
   IPS_RETURN_IF_ERROR(concrete.Validate());
   options.params["hash"] = HashKindName(concrete.hash_kind);
-  return std::shared_ptr<const SketchFamily>(
-      new KmvFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), KmvSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeCs(const FamilyInfo& info,
@@ -1240,8 +913,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeCs(const FamilyInfo& info,
   concrete.repetitions = static_cast<size_t>(repetitions);
   IPS_RETURN_IF_ERROR(concrete.Validate());
   options.params["repetitions"] = std::to_string(concrete.repetitions);
-  return std::shared_ptr<const SketchFamily>(
-      new CsFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), CsSpec{concrete});
 }
 
 Result<std::shared_ptr<const SketchFamily>> MakeJl(const FamilyInfo& info,
@@ -1251,8 +923,7 @@ Result<std::shared_ptr<const SketchFamily>> MakeJl(const FamilyInfo& info,
   concrete.num_rows = options.num_samples;
   concrete.seed = options.seed;
   IPS_RETURN_IF_ERROR(concrete.Validate());
-  return std::shared_ptr<const SketchFamily>(
-      new JlFamily(info, std::move(options), concrete));
+  return NewFamily(info, std::move(options), JlSpec{concrete});
 }
 
 }  // namespace
@@ -1311,8 +982,10 @@ Result<std::shared_ptr<const SketchFamily>> MakeFamily(
 
 Result<std::unique_ptr<AnySketch>> QuantizeWmhSketch(
     const SketchFamily& target, const AnySketch& full) {
-  const auto* quantizing = dynamic_cast<const WmhQuantizingFamily*>(&target);
-  if (quantizing == nullptr) {
+  const auto* compact =
+      dynamic_cast<const TypedFamily<CompactWmhSpec>*>(&target);
+  const auto* bbit = dynamic_cast<const TypedFamily<BbitWmhSpec>*>(&target);
+  if (compact == nullptr && bbit == nullptr) {
     return Status::InvalidArgument(
         "family '" + target.name() +
         "' is not a quantized WMH encoding (expected wmh_compact or "
@@ -1323,7 +996,8 @@ Result<std::unique_ptr<AnySketch>> QuantizeWmhSketch(
     return Status::InvalidArgument(
         "only full-precision wmh sketches can be quantized");
   }
-  auto out = quantizing->QuantizeFrom(*typed);
+  auto out = compact != nullptr ? compact->QuantizeFrom(*typed)
+                                : bbit->QuantizeFrom(*typed);
   IPS_RETURN_IF_ERROR(out.status());
   // The quantized sketch must land exactly on the target's resolved
   // identity — a full sketch built with different (m, seed, L, engine) is

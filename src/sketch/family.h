@@ -13,6 +13,14 @@
 // (sketch/estimator_registry.h) are both built on this interface, so a
 // CountSketch store and a WMH store run through the same code.
 //
+// The interface has one implementation: family.cc's `TypedFamily<Spec>`
+// template (with its one `Sketcher`, `TypedSketcher`), where a `Spec`
+// struct holds only what differs between families — the sketch type, its
+// sketching context, the resolved core options, the compatibility check,
+// and the core functions over the type. Adding a family means adding a
+// Spec, a `RegisteredFamilies()` row, a `Make*` option-resolution
+// function, and a `FAMILY_ESTIMATOR_TU` entry in tools/lint_invariants.py.
+//
 // Registry keys: "wmh", "icws", "mh", "kmv", "cs", "jl", plus the compact
 // catalog encodings "wmh_compact" (32-bit hash + float32 value) and
 // "wmh_bbit" (b-bit fingerprint + float32 value, option `bits` in [1, 32]).
@@ -216,7 +224,7 @@ class SketchFamily {
 
   /// The first `m` samples as a valid m-sample sketch, for families with
   /// `supports_truncation()`; FailedPrecondition otherwise. OutOfRange if
-  /// `m` exceeds the sketch's sample count.
+  /// `m` is 0 or exceeds the sketch's sample count.
   virtual Result<std::unique_ptr<AnySketch>> Truncate(const AnySketch& sketch,
                                                       size_t m) const;
 
@@ -228,8 +236,8 @@ class SketchFamily {
   /// truth, as opposed to the §5 *accounting* model (which charges 32 bits
   /// per stored hash even when the resident struct holds a 64-bit double).
   /// Defaults to StorageWords; families whose resident layout is wider than
-  /// the accounting (WMH, ICWS, MH, KMV) override. This is the number the
-  /// compact catalog families halve.
+  /// the accounting (WMH, ICWS, MH, KMV, wmh_bbit) override. This is the
+  /// number the compact catalog families halve.
   virtual Result<double> ResidentWords(const AnySketch& sketch) const;
 
   /// Appends `sketch`'s per-sample LSH codes — one 64-bit code per sample,

@@ -110,7 +110,7 @@ std::string SerializeWmh(const WmhSketch& sketch);
 /// `engine = kActiveIndex`; `*v1_payload` (when non-null) reports that the
 /// payload was engine-less, so a caller that knows the true v1-era engine
 /// (e.g. a store file's header) can adopt it instead — see
-/// WmhFamily::Deserialize.
+/// WmhSpec::Deserialize in sketch/family.cc.
 Result<WmhSketch> DeserializeWmh(std::string_view bytes,
                                  bool* v1_payload = nullptr);
 

@@ -1,7 +1,10 @@
 #include "sketch/family.h"
 
 #include <cmath>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,7 @@ TEST_P(FamilyRegistryTest, MetadataIsConsistent) {
   EXPECT_EQ(family->storage_class(), info.storage);
   EXPECT_EQ(family->supports_merge(), info.supports_merge);
   EXPECT_EQ(family->supports_truncation(), info.supports_truncation);
+  EXPECT_EQ(family->supports_banding(), info.supports_banding);
   EXPECT_EQ(family->options().dimension, kDim);
   EXPECT_EQ(family->options().num_samples, 64u);
   EXPECT_EQ(family->options().seed, 42u);
@@ -146,11 +150,16 @@ TEST_P(FamilyRegistryTest, TruncateMatchesCapabilityFlag) {
     auto tb = family->Truncate(*b, 16).value();
     EXPECT_TRUE(std::isfinite(
         family->Estimate(*truncated.value(), *tb).value()));
-    // Beyond the sketch's own size is out of range.
+    // Beyond the sketch's own size is out of range, and so is an empty
+    // sketch: m = 0 is a status, never a process abort.
     EXPECT_EQ(family->Truncate(*a, 1000).status().code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(family->Truncate(*a, 0).status().code(),
               StatusCode::kOutOfRange);
   } else {
     EXPECT_EQ(truncated.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(family->Truncate(*a, 0).status().code(),
+              StatusCode::kFailedPrecondition);
   }
 }
 
@@ -177,6 +186,54 @@ TEST_P(FamilyRegistryTest, RejectsSketchesOfOtherFamilies) {
   EXPECT_FALSE(
       family->MakeSketcher().value()->Sketch(RandomVector(1), foreign.get())
           .ok());
+
+  // Each capability rejects the foreign sketch with InvalidArgument where
+  // the family has it, and FailedPrecondition where it does not.
+  // ResidentWords always downcasts.
+  const auto capability_code = [](bool supported) {
+    return supported ? StatusCode::kInvalidArgument
+                     : StatusCode::kFailedPrecondition;
+  };
+  EXPECT_EQ(family->ResidentWords(*foreign).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(family->Truncate(*foreign, 16).status().code(),
+            capability_code(info.supports_truncation));
+  EXPECT_EQ(family->Merge(*foreign, *foreign).status().code(),
+            capability_code(info.supports_merge));
+  std::vector<uint64_t> codes;
+  EXPECT_EQ(family->AppendLshCodes(*foreign, &codes).code(),
+            capability_code(info.supports_banding));
+  EXPECT_TRUE(codes.empty());
+}
+
+TEST_P(FamilyRegistryTest, StorageAndResidentWordsArePinned) {
+  // (StorageWords, ResidentWords) of RandomVector(1)'s sketch at m = 64:
+  // the §5 accounting and the in-memory layout of every family. A new
+  // family must add its row.
+  static const std::map<std::string, std::pair<double, double>> kWords = {
+      {"jl", {64, 64}},          {"cs", {60, 60}},
+      {"mh", {96, 128}},         {"kmv", {36, 48}},
+      {"wmh", {97, 129}},        {"icws", {97, 129}},
+      {"wmh_compact", {65, 65}}, {"wmh_bbit", {49, 65}},
+  };
+  const auto pinned = kWords.find(GetParam().name);
+  ASSERT_NE(pinned, kWords.end()) << "no pinned row for " << GetParam().name;
+  auto family = MakeFamily(GetParam().name, SmallOptions()).value();
+  auto a = family->NewSketch();
+  ASSERT_TRUE(family->MakeSketcher().value()->Sketch(RandomVector(1), a.get())
+                  .ok());
+  EXPECT_DOUBLE_EQ(family->StorageWords(*a).value(), pinned->second.first);
+  EXPECT_DOUBLE_EQ(family->ResidentWords(*a).value(), pinned->second.second);
+}
+
+TEST_P(FamilyRegistryTest, SketcherRejectsVectorsOfOtherDimensions) {
+  auto family = MakeFamily(GetParam().name, SmallOptions()).value();
+  auto sketch = family->NewSketch();
+  const SparseVector wide = SparseVector::MakeOrDie(kDim + 1, {{kDim, 1.0}});
+  const Status st = family->MakeSketcher().value()->Sketch(wide, sketch.get());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("dimension"), std::string::npos)
+      << st.message();
 }
 
 TEST_P(FamilyRegistryTest, ValidatesCommonOptions) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -266,6 +267,44 @@ TEST(StorePersistenceTest, ReadsLegacyV1WmhFile) {
   auto reencoded = DecodeSketchStore(EncodeSketchStore(loaded.value()));
   ASSERT_TRUE(reencoded.ok());
   EXPECT_EQ(reencoded.value().Ids(), store.Ids());
+}
+
+// Decode stages each shard and publishes it once. It must still accept
+// entries in any order and let a later entry for an id replace an earlier
+// one, so a hand-built file with descending and repeated ids decodes to
+// exactly the store an Insert per entry builds.
+TEST(StorePersistenceTest, DecodeAcceptsUnorderedAndRepeatedIds) {
+  auto reference = SketchStore::Make(SmallStoreOptions()).value();
+  const SketchFamily& family = reference.family();
+  auto sketcher = family.MakeSketcher().value();
+  // (id, vector seed) in file order: descending ids, then two repeats.
+  std::vector<std::pair<uint64_t, uint64_t>> entries;
+  for (uint64_t i = 0; i < 40; ++i) entries.push_back({(40 - i) * 7, i});
+  entries.push_back({140, 100});
+  entries.push_back({7, 101});
+
+  std::string file;
+  wire::AppendU32(&file, 0x49505354);  // "IPST"
+  wire::AppendU8(&file, 2);
+  wire::AppendBytes(&file, reference.options().family);
+  wire::AppendU64(&file, reference.options().num_shards);
+  AppendFamilyOptions(&file, reference.options().sketch);
+  wire::AppendU64(&file, entries.size());
+  for (const auto& [id, seed] : entries) {
+    auto sketch = family.NewSketch();
+    ASSERT_TRUE(sketcher->Sketch(RandomVector(seed), sketch.get()).ok());
+    wire::AppendU64(&file, id);
+    wire::AppendBytes(&file, family.Serialize(*sketch).value());
+    ASSERT_TRUE(reference.Insert(id, std::move(sketch)).ok());
+  }
+  wire::AppendU64(&file, Fnv1a(file));
+
+  auto decoded = DecodeSketchStore(file);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().size(), 40u);
+  EXPECT_EQ(decoded.value().size(), reference.size());
+  EXPECT_EQ(decoded.value().Ids(), reference.Ids());
+  EXPECT_EQ(EncodeSketchStore(decoded.value()), EncodeSketchStore(reference));
 }
 
 // Per-sketch v1 payloads carry no engine byte; their engine comes from the

@@ -13,7 +13,10 @@ point-wise but a static scan can prove tree-wide:
                  parameterized family-registry test and has a kernel-backed
                  estimator TU (ActiveKernel() — the EstimateKernel dispatch
                  table), so no family ships outside the scalar/SIMD
-                 equivalence net.
+                 equivalence net; and src/ defines one SketchFamily subclass
+                 and one Sketcher subclass (family.cc's TypedFamily and
+                 TypedSketcher), so a family cannot fork back into a
+                 hand-written class.
   metrics        Every Counter/Gauge/Histogram registration uses an
                  ipsketch_-prefixed snake_case name and appears in README's
                  metric inventory table — the exposition surface is
@@ -160,8 +163,36 @@ def registered_families(root: Path):
     return re.findall(r'\{\s*"(\w+)"\s*,\s*"', fn.group(1))
 
 
+# `class X [final] : <bases> {` — one match per class/struct definition.
+CLASS_DEF = re.compile(r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:([^{;]*)\{")
+ONE_IMPLEMENTATION = ("SketchFamily", "Sketcher")
+
+
+def interface_subclasses(root: Path):
+    """interface name -> [(file, subclass)] over every src/ definition."""
+    found = {base: [] for base in ONE_IMPLEMENTATION}
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        text = re.sub(r"//[^\n]*", "", path.read_text(encoding="utf-8"))
+        for match in CLASS_DEF.finditer(text):
+            for base in match.group(2).split(","):
+                name = re.sub(r"<.*", "", base).split()[-1].split("::")[-1]
+                if name in found:
+                    rel = path.relative_to(root).as_posix()
+                    found[name].append((rel, match.group(1)))
+    return found
+
+
 def check_families(root: Path):
     findings = []
+    for base, subclasses in interface_subclasses(root).items():
+        if len(subclasses) > 1:
+            listed = ", ".join(f"{cls} ({rel})" for rel, cls in subclasses)
+            findings.append(
+                f"families: {FAMILY_CC}: {len(subclasses)} {base} "
+                f"subclasses in src/ ({listed}) — a family is a Spec for "
+                "TypedFamily, not a hand-written class")
     families = registered_families(root)
     if not families:
         return [f"families: {FAMILY_CC}: RegisteredFamilies() not found"]
@@ -382,6 +413,24 @@ def seed_families(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_second_family_class(root: Path):
+    path = root / FAMILY_CC
+    with path.open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "class PhantomFamily final : public SketchFamily {};\n"
+            "}  // namespace ipsketch\n")
+
+
+def seed_second_sketcher_class(root: Path):
+    path = root / "src/service/query_engine.cc"
+    with path.open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "struct PhantomSketcher : ipsketch::Sketcher {};\n"
+            "}  // namespace ipsketch\n")
+
+
 def seed_metrics(root: Path):
     path = root / "src/service/metrics.cc"
     text = path.read_text(encoding="utf-8")
@@ -449,7 +498,11 @@ def seed_docs_wire_tag(root: Path):
 # copy and must be caught by its rule independently.
 SEEDS = {
     "wire-tags": [("duplicate wire value", seed_wire_tags)],
-    "families": [("unmapped family", seed_families)],
+    "families": [
+        ("unmapped family", seed_families),
+        ("second SketchFamily subclass", seed_second_family_class),
+        ("second Sketcher subclass", seed_second_sketcher_class),
+    ],
     "metrics": [("unprefixed metric", seed_metrics)],
     "raw-mutex": [("raw std::mutex", seed_raw_mutex)],
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
