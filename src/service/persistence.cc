@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -190,10 +189,8 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes) {
   // bounded count read rejects absurd values before the loop.
   uint64_t count = 0;
   IPS_RETURN_IF_ERROR(r.ReadCount(16, &count));
-  // Entries are staged per shard and each shard is published once: an
-  // Insert per entry would copy the shard's whole view every time.
-  std::vector<std::vector<std::pair<uint64_t, std::shared_ptr<AnySketch>>>>
-      staged(store.num_shards());
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries;
+  entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0;
     IPS_RETURN_IF_ERROR(r.ReadU64(&id));
@@ -201,30 +198,14 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes) {
     IPS_RETURN_IF_ERROR(r.ReadBytes(&blob));
     auto sketch = store.family().Deserialize(blob);
     IPS_RETURN_IF_ERROR(sketch.status());
-    // Re-validate against the family's resolved options, as Insert does, so
-    // a file whose entries disagree with its own header is rejected.
-    IPS_RETURN_IF_ERROR(store.family().CheckCompatible(*sketch.value()));
-    staged[store.ShardOf(id)].emplace_back(id, std::move(sketch).value());
+    entries.emplace_back(id, std::move(sketch).value());
   }
   IPS_RETURN_IF_ERROR(r.ExpectEnd());
-  for (size_t s = 0; s < staged.size(); ++s) {
-    auto& entries = staged[s];
-    // Any order is accepted; the stable sort keeps equal ids in file order,
-    // so the later entry for an id replaces the earlier one, as Insert's.
-    std::stable_sort(
-        entries.begin(), entries.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    auto view = std::make_shared<ShardView>();
-    for (auto& [id, sketch] : entries) {
-      if (!view->ids.empty() && view->ids.back() == id) {
-        view->sketches.back() = std::move(sketch);
-        continue;
-      }
-      view->ids.push_back(id);
-      view->sketches.push_back(std::move(sketch));
-    }
-    store.PublishStagedShard(s, std::move(view));
-  }
+  // InsertBatch re-validates every entry against the family's resolved
+  // options, so a file whose entries disagree with its own header is
+  // rejected; it accepts any order and lets a later entry for an id replace
+  // an earlier one.
+  IPS_RETURN_IF_ERROR(store.InsertBatch(std::move(entries)));
   return store;
 }
 

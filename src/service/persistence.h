@@ -48,11 +48,9 @@ std::string EncodeSketchStore(const SketchStore& store);
 /// Decodes a store previously produced by EncodeSketchStore (version 2) or
 /// by the pre-SketchFamily WMH-only format (version 1), reproducing family,
 /// options, shard layout, and every sketch. InvalidArgument on malformed
-/// bytes. Every entry is deserialized and checked against the family's
-/// resolved options; entries may come in any order, and a later entry for
-/// an id replaces an earlier one. Each shard is staged and published once,
-/// so decoding costs O(n log n) in the entry count, not one view copy per
-/// entry.
+/// bytes. Every entry is deserialized, then all go in with one
+/// SketchStore::InsertBatch: each is checked against the family's resolved
+/// options, any order is accepted, and a later entry for an id wins.
 Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 
 /// Ok iff the store's family tag and resolved options match `expected`

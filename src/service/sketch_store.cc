@@ -43,7 +43,9 @@ SketchStore::SketchStore(SketchStoreOptions options,
                                  "Sketches erased");
   ingest_ns_ = &registry.GetHistogram(
       "ipsketch_store_ingest_ns",
-      "Per-vector ingest latency: sketch build plus shard insert");
+      "Per-vector ingest latency: sketch plus insert for BuildAndInsert; "
+      "the sketch alone for a BuildAndInsertBatch entry (the batch shares "
+      "its publication)");
   size_gauge_ = &registry.GetGauge("ipsketch_store_size",
                                    "Live sketches across all stores");
   shard_occupancy_.reserve(options_.num_shards);
@@ -106,44 +108,6 @@ void SketchStore::PublishLocked(Shard& shard, std::shared_ptr<ShardView> next) {
   shard.view.swap(superseded);
 }
 
-void SketchStore::PublishStagedShard(size_t shard_index,
-                                     std::shared_ptr<ShardView> staged) {
-  const int64_t n = static_cast<int64_t>(staged->ids.size());
-  Shard& shard = *shards_[shard_index];
-  {
-    MutexLock lock(&shard.mu);
-    IPS_CHECK(shard.listener == nullptr && shard.Pin()->ids.empty());
-    PublishLocked(shard, std::move(staged));
-  }
-  inserts_->Add(static_cast<uint64_t>(n));
-  size_gauge_->Add(n);
-  shard_occupancy_[shard_index]->Add(n);
-}
-
-std::shared_ptr<const AnySketch> SketchStore::PublishInsertLocked(
-    Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch) {
-  const ShardViewPtr prev = shard.Pin();
-  auto next = std::make_shared<ShardView>();
-  const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
-  const size_t i = static_cast<size_t>(pos - prev->ids.begin());
-  const bool replace = pos != prev->ids.end() && *pos == id;
-  std::shared_ptr<const AnySketch> replaced =
-      replace ? prev->sketches[i] : nullptr;
-  const size_t new_size = prev->ids.size() + (replace ? 0 : 1);
-  next->ids.reserve(new_size);
-  next->sketches.reserve(new_size);
-  next->ids.assign(prev->ids.begin(), pos);
-  next->sketches.assign(prev->sketches.begin(), prev->sketches.begin() + i);
-  next->ids.push_back(id);
-  next->sketches.push_back(std::move(sketch));
-  next->ids.insert(next->ids.end(), pos + (replace ? 1 : 0), prev->ids.end());
-  next->sketches.insert(next->sketches.end(),
-                        prev->sketches.begin() + i + (replace ? 1 : 0),
-                        prev->sketches.end());
-  PublishLocked(shard, std::move(next));
-  return replaced;
-}
-
 std::shared_ptr<const AnySketch> SketchStore::PublishEraseLocked(
     Shard& shard, uint64_t id) {
   const ShardViewPtr prev = shard.Pin();
@@ -187,30 +151,101 @@ size_t SketchStore::size() const {
   return total;
 }
 
-Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
-  if (sketch == nullptr) {
-    return Status::InvalidArgument("cannot insert a null sketch");
-  }
-  IPS_RETURN_IF_ERROR(family_->CheckCompatible(*sketch));
-  const size_t shard_index = ShardOf(id);
-  Shard& shard = *shards_[shard_index];
-  bool is_new = false;
-  {
-    MutexLock lock(&shard.mu);
-    const AnySketch& stored = *sketch;
-    const std::shared_ptr<const AnySketch> replaced =
-        PublishInsertLocked(shard, id, std::move(sketch));
-    is_new = replaced == nullptr;
-    if (shard.listener != nullptr) {
-      shard.listener->OnInsert(id, stored, replaced.get());
+Status SketchStore::InsertBatch(
+    std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries) {
+  // Check everything before publishing anything.
+  for (const auto& [id, sketch] : entries) {
+    if (sketch == nullptr) {
+      return Status::InvalidArgument("cannot insert a null sketch");
     }
+    IPS_RETURN_IF_ERROR(family_->CheckCompatible(*sketch));
   }
-  inserts_->Add(1);
-  if (is_new) {
-    size_gauge_->Add(1);
-    shard_occupancy_[shard_index]->Add(1);
+  struct Pending {
+    size_t shard;
+    uint64_t id;
+    std::shared_ptr<const AnySketch> sketch;
+    size_t pos = 0;  // lower bound of `id` in the shard's current view
+  };
+  // Newest entry first: after the stable sort by (shard, id), the first
+  // entry of each id is the one that wins.
+  std::vector<Pending> pending;
+  pending.reserve(entries.size());
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    pending.push_back({ShardOf(it->first), it->first, std::move(it->second)});
   }
+  const auto by_shard_then_id = [](const Pending& a, const Pending& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.id < b.id;
+  };
+  std::stable_sort(pending.begin(), pending.end(), by_shard_then_id);
+  const auto same_id = [](const Pending& a, const Pending& b) {
+    return a.id == b.id;
+  };
+  pending.erase(std::unique(pending.begin(), pending.end(), same_id),
+                pending.end());
+
+  for (auto run = pending.begin(); run != pending.end();) {
+    auto run_end = run;
+    while (run_end != pending.end() && run_end->shard == run->shard) ++run_end;
+    const size_t shard_index = run->shard;
+    Shard& shard = *shards_[shard_index];
+    int64_t added = 0;
+    {
+      MutexLock lock(&shard.mu);
+      // Pinned until the last callback returns: the sketches this run
+      // replaces live in it.
+      const ShardViewPtr prev = shard.Pin();
+      const std::vector<uint64_t>& ids = prev->ids;
+      const auto replaces = [&](const Pending& p) {
+        return p.pos < ids.size() && ids[p.pos] == p.id;
+      };
+      auto from = ids.begin();
+      for (auto it = run; it != run_end; ++it) {
+        from = std::lower_bound(from, ids.end(), it->id);
+        it->pos = static_cast<size_t>(from - ids.begin());
+        if (!replaces(*it)) ++added;
+      }
+      // Merge. Each untouched stretch of the current view is copied in
+      // bulk, so a run of one copies exactly what a one-id splice would.
+      auto next = std::make_shared<ShardView>();
+      next->ids.reserve(ids.size() + static_cast<size_t>(added));
+      next->sketches.reserve(ids.size() + static_cast<size_t>(added));
+      size_t copied = 0;
+      const auto copy_until = [&](size_t end) {
+        next->ids.insert(next->ids.end(), ids.begin() + copied,
+                         ids.begin() + end);
+        next->sketches.insert(next->sketches.end(),
+                              prev->sketches.begin() + copied,
+                              prev->sketches.begin() + end);
+      };
+      for (auto it = run; it != run_end; ++it) {
+        copy_until(it->pos);
+        next->ids.push_back(it->id);
+        next->sketches.push_back(it->sketch);
+        copied = it->pos + (replaces(*it) ? 1 : 0);
+      }
+      copy_until(ids.size());
+      PublishLocked(shard, std::move(next));
+      if (shard.listener != nullptr) {
+        for (auto it = run; it != run_end; ++it) {
+          const AnySketch* replaced =
+              replaces(*it) ? prev->sketches[it->pos].get() : nullptr;
+          shard.listener->OnInsert(it->id, *it->sketch, replaced);
+        }
+      }
+    }
+    shard_occupancy_[shard_index]->Add(added);
+    size_gauge_->Add(added);
+    run = run_end;
+  }
+  // Every entry counts, as if the batch had been inserted one by one.
+  inserts_->Add(entries.size());
   return Status::Ok();
+}
+
+Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> one;
+  one.emplace_back(id, std::move(sketch));
+  return InsertBatch(std::move(one));
 }
 
 Status SketchStore::BuildAndInsert(uint64_t id, const SparseVector& vec) {
@@ -225,54 +260,45 @@ Status SketchStore::BuildAndInsert(uint64_t id, const SparseVector& vec) {
 Status SketchStore::BuildAndInsertBatch(
     const std::vector<std::pair<uint64_t, SparseVector>>& batch,
     ThreadPool* pool) {
-  // Later entries win on duplicate ids. Chunks insert concurrently, so
-  // "later" cannot mean "inserted last": mark the last entry of each id and
-  // insert only those. Every entry is still sketched, so an invalid one
-  // still fails the batch.
-  std::vector<std::pair<uint64_t, size_t>> by_id(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) by_id[i] = {batch[i].first, i};
-  std::sort(by_id.begin(), by_id.end());
-  std::vector<bool> last(batch.size(), true);
-  for (size_t i = 1; i < by_id.size(); ++i) {
-    if (by_id[i].first == by_id[i - 1].first) last[by_id[i - 1].second] = false;
-  }
-
-  // Sketches and inserts entries [begin, end) with one Sketcher (scratch
-  // reuse across its vectors), stopping at the first error.
-  const auto ingest = [&](size_t begin, size_t end) -> Status {
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> sketched(
+      batch.size());
+  // Sketches entries [begin, end) with one Sketcher (scratch reuse across
+  // its vectors), stopping at the first error. Nothing is published here.
+  const auto sketch_range = [&](size_t begin, size_t end) -> Status {
     auto made = family_->MakeSketcher();
     IPS_RETURN_IF_ERROR(made.status());
     for (size_t i = begin; i < end; ++i) {
-      const auto& [id, vec] = batch[i];
       metrics::ScopedLatency ingest_timer(ingest_ns_);
-      std::unique_ptr<AnySketch> sketch = family_->NewSketch();
-      IPS_RETURN_IF_ERROR(made.value()->Sketch(vec, sketch.get()));
-      if (last[i]) IPS_RETURN_IF_ERROR(Insert(id, std::move(sketch)));
+      sketched[i] = {batch[i].first, family_->NewSketch()};
+      IPS_RETURN_IF_ERROR(
+          made.value()->Sketch(batch[i].second, sketched[i].second.get()));
     }
     return Status::Ok();
   };
   if (pool == nullptr || pool->num_threads() == 1 || batch.size() <= 1) {
-    return ingest(0, batch.size());
-  }
-
-  // Carve the batch into one contiguous chunk per worker, so sketching —
-  // the expensive part — runs fully in parallel and shard locks are held
-  // only for view publication. Chunks share no state except the
-  // first-error slot.
-  const size_t chunks = std::min(batch.size(), pool->num_threads());
-  const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
-  // kLeaf: taken only from chunk bodies, which hold nothing at that point.
-  Mutex error_mu;
-  Status first_error;
-  pool->ParallelFor(chunks, [&](size_t c) {
-    const size_t begin = c * per_chunk;
-    const Status st = ingest(begin, std::min(begin + per_chunk, batch.size()));
-    if (st.ok()) return;
+    IPS_RETURN_IF_ERROR(sketch_range(0, batch.size()));
+  } else {
+    // Carve the batch into one contiguous chunk per worker, so sketching —
+    // the expensive part — runs fully in parallel. Chunks share no state
+    // except the first-error slot.
+    const size_t chunks = std::min(batch.size(), pool->num_threads());
+    const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
+    // kLeaf: taken only from chunk bodies, which hold nothing at that
+    // point, and released below before InsertBatch takes a shard lock.
+    Mutex error_mu;
+    Status first_error;
+    pool->ParallelFor(chunks, [&](size_t c) {
+      const size_t begin = c * per_chunk;
+      const Status st =
+          sketch_range(begin, std::min(begin + per_chunk, batch.size()));
+      if (st.ok()) return;
+      MutexLock lock(&error_mu);
+      if (first_error.ok()) first_error = st;
+    });
     MutexLock lock(&error_mu);
-    if (first_error.ok()) first_error = st;
-  });
-  MutexLock lock(&error_mu);
-  return first_error;
+    IPS_RETURN_IF_ERROR(first_error);
+  }
+  return InsertBatch(std::move(sketched));
 }
 
 bool SketchStore::Contains(uint64_t id) const {
@@ -411,24 +437,18 @@ Result<SketchStore> QuantizeStore(
   IPS_RETURN_IF_ERROR(made.status());
   SketchStore out = std::move(made).value();
   IPS_RETURN_IF_ERROR(CheckQuantizedTarget(out.family()));
-  // Equal shard counts put every id in the same shard index on both sides,
-  // and a source view is already sorted by id, so each source view
-  // quantizes in one pass into the target shard's staged view. The source
-  // is read from pinned views only: no source shard lock is held while
-  // PublishStagedShard takes a target one (both rank kStoreShard).
-  const std::vector<ShardViewPtr> views = source.PinStore();
-  for (size_t s = 0; s < views.size(); ++s) {
-    const ShardView& view = *views[s];
-    auto staged = std::make_shared<ShardView>();
-    staged->ids = view.ids;
-    staged->sketches.reserve(view.sketches.size());
-    for (const auto& sketch : view.sketches) {
-      auto quantized = QuantizeWmhSketch(out.family(), *sketch);
-      IPS_RETURN_IF_ERROR(quantized.status());
-      staged->sketches.push_back(std::move(quantized).value());
+  // Equal shard counts put every id in the same shard index on both sides.
+  // The source is read from pinned views only: no source shard lock is held
+  // while InsertBatch takes a target one (both rank kStoreShard).
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> quantized;
+  for (const ShardViewPtr& view : source.PinStore()) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      auto sketch = QuantizeWmhSketch(out.family(), *view->sketches[i]);
+      IPS_RETURN_IF_ERROR(sketch.status());
+      quantized.emplace_back(view->ids[i], std::move(sketch).value());
     }
-    out.PublishStagedShard(s, std::move(staged));
   }
+  IPS_RETURN_IF_ERROR(out.InsertBatch(std::move(quantized)));
   return out;
 }
 

@@ -14,11 +14,11 @@
 // sketches. Every read — size, Contains, Lookup, Ids, the storage totals,
 // query scans — pins views and never takes a shard's writer mutex (see
 // docs/ARCHITECTURE.md's snapshot-epoch protocol). One mutex per shard
-// serializes that shard's writers, which splice and publish the successor
+// serializes that shard's writers, which build and publish the successor
 // view; writers to different shards never contend.
-// Batch ingest sketches *outside* any lock (sketching is the expensive
-// part) with one family Sketcher per worker thread, then takes each shard
-// lock only for the copy-on-write view publication.
+// Every insert (Insert, batch ingest, decode, QuantizeStore) goes through
+// InsertBatch, which publishes each touched shard once. Batch ingest
+// sketches *outside* any lock with one family Sketcher per worker thread.
 //
 // Every sketch in a store shares the family's resolved options — the
 // estimator's compatibility requirement — enforced at construction and on
@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,12 +91,13 @@ class SketchStore {
   /// callbacks run *under the shard lock* of the mutated id's shard, right
   /// after the successor view is published, so a listener observing one
   /// shard's stream sees its mutations in order and can mirror the shard
-  /// consistently. Each callback also carries the sketch the mutation took
-  /// out of the store, so a listener can unfile whatever it derived from
-  /// that sketch without keeping its own per-id record. Callbacks must be
-  /// fast and must never mutate the store (the lock is held — deadlock);
-  /// reads, which only pin views, are fine. The sketch references are valid
-  /// only for the duration of the call.
+  /// consistently; a batch's OnInserts for a shard follow its one
+  /// publication, in id order. Each callback also carries the sketch the
+  /// mutation took out of the store, so a listener can unfile whatever it
+  /// derived from that sketch without keeping its own per-id record.
+  /// Callbacks must be fast and must never mutate the store (the lock is
+  /// held — deadlock); reads, which only pin views, are fine. The sketch
+  /// references are valid only for the duration of the call.
   class Listener {
    public:
     virtual ~Listener() = default;
@@ -142,8 +142,15 @@ class SketchStore {
   /// point-in-time snapshot across shards).
   size_t size() const;
 
-  /// Inserts (or replaces) a pre-built sketch. Fails with InvalidArgument
-  /// if the sketch is not compatible with the store's family options.
+  /// The store's one insert path: inserts (or replaces) every entry, later
+  /// entries winning on duplicate ids. All or nothing: InvalidArgument, and
+  /// nothing inserted, if any sketch is null or incompatible with the
+  /// family's options. Each touched shard is published once (shard after
+  /// shard, so a reader may see some before others).
+  Status InsertBatch(
+      std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries);
+
+  /// Inserts (or replaces) a pre-built sketch: an InsertBatch of one.
   Status Insert(uint64_t id, std::unique_ptr<AnySketch> sketch);
 
   /// Sketches `vec` with the store's family and inserts it under `id`.
@@ -151,12 +158,12 @@ class SketchStore {
   /// themselves and call Insert; this is the convenient serial form.
   Status BuildAndInsert(uint64_t id, const SparseVector& vec);
 
-  /// Sketches and inserts a whole batch, fanning the sketching work across
-  /// `pool` (one Sketcher per worker; nullptr = sketch serially on the
-  /// calling thread). Later batch entries win on duplicate ids: every entry
-  /// is sketched (so an invalid one fails the batch), but only the last
-  /// entry of each id is inserted. Returns the first error encountered;
-  /// entries after an error in the same batch may or may not be inserted.
+  /// Sketches a whole batch, fanning the sketching work across `pool` (one
+  /// Sketcher per worker; nullptr = sketch serially on the calling thread),
+  /// then inserts every sketch with one InsertBatch. All or nothing: if any
+  /// entry fails to sketch, nothing is inserted and the first error is
+  /// returned (on the pooled path, the first one a worker reports). Later
+  /// batch entries win on duplicate ids.
   Status BuildAndInsertBatch(
       const std::vector<std::pair<uint64_t, SparseVector>>& batch,
       ThreadPool* pool);
@@ -213,11 +220,6 @@ class SketchStore {
   double TotalResidentWords() const;
 
  private:
-  friend Result<SketchStore> QuantizeStore(
-      const SketchStore& source, const std::string& target_family,
-      const std::map<std::string, std::string>& extra_params);
-  friend Result<SketchStore> DecodeSketchStore(std::string_view bytes);
-
   struct Shard {
     /// Serializes this shard's writers: epoch, publication, and the
     /// listener pointer. Readers never take it.
@@ -248,14 +250,6 @@ class SketchStore {
   SketchStore(SketchStoreOptions options,
               std::shared_ptr<const SketchFamily> family);
 
-  /// Publishes the successor view of `shard` with `id` inserted or
-  /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one pointer swap. Returns the sketch `id`
-  /// held before, or nullptr if it is new to the shard.
-  std::shared_ptr<const AnySketch> PublishInsertLocked(
-      Shard& shard, uint64_t id, std::shared_ptr<const AnySketch> sketch)
-      IPS_REQUIRES(shard.mu);
-
   /// Publishes the successor view of `shard` with `id` removed and returns
   /// the sketch it held; returns nullptr, publishing nothing, iff `id` is
   /// not stored in the shard.
@@ -267,11 +261,6 @@ class SketchStore {
   /// superseded view is released after the pin lock is dropped.
   void PublishLocked(Shard& shard, std::shared_ptr<ShardView> next)
       IPS_REQUIRES(shard.mu);
-
-  /// Publishes `staged`, sorted by id, over the empty view of a shard with
-  /// no listener, counting each of its sketches as an insert.
-  void PublishStagedShard(size_t shard_index,
-                          std::shared_ptr<ShardView> staged);
 
   /// Subtracts every shard's current occupancy from the gauges — the
   /// shared cleanup of the destructor and move assignment.
@@ -306,7 +295,7 @@ class SketchStore {
 /// every sketch in the full-precision "wmh" `source`, which is untouched.
 /// The result inherits the source's resolved options (seed, L, engine),
 /// ids and shard layout, so estimates flow through QueryEngine unchanged.
-/// Each source shard is quantized in one pass into a staged view; peak
+/// Every sketch is quantized, then inserted with one InsertBatch; peak
 /// memory is the source plus the compact copy. To compact in place,
 /// quiesce the store and move-assign:
 /// `store = QuantizeStore(store, "wmh_compact").value();`.

@@ -5,12 +5,14 @@
 // fallback accounting, recall probes, a concurrent insert/erase/query
 // stress the TSAN job runs, the flat postings table (reserved-value-free
 // ids and keys, wrap-around deletion, growth, long single-key runs) on its
-// own and through the store against a reference multimap, and the
-// family-side LSH code contract.
+// own and through the store against a reference multimap, one InsertBatch
+// against the same inserts one by one, and the family-side LSH code
+// contract.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -841,6 +843,92 @@ TEST(BandedIndexTest, IdenticalReplaceAndEraseLeaveNoStalePostings) {
   }
   EXPECT_EQ(index.value()->size(), 0u);
   reference.ExpectProbesMatch(*sketch);
+}
+
+// One InsertBatch into a non-empty, indexed store — new ids, replaces of
+// resident ids, duplicates within the batch, ids 0 and max — leaves exactly
+// what Insert-ing its entries one by one leaves: every shard's ids and
+// sketch bytes, the index's size and probes, and the counter deltas.
+TEST(BandedIndexTest, InsertBatchMatchesOneByOneInserts) {
+  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  constexpr uint64_t kMax = ~uint64_t{0};
+  // (id, vector seed) in batch order; the store holds ids 1..40 already.
+  std::vector<std::pair<uint64_t, uint64_t>> plan = {
+      {0, 1},     // new
+      {kMax, 2},  // new
+      {5, 3},     // replaces a resident id
+      {1000, 4},  // new
+      {5, 5},     // repeats an id earlier in the batch: this entry wins
+      {kMax, 6},  // repeat
+      {17, 7},    // replace
+      {0, 8},     // repeat
+      {40, 9},    // replace
+      {17, 10},   // repeat of a replace
+  };
+  // Ten more replaces and twenty more new ids.
+  for (uint64_t i = 0; i < 30; ++i) {
+    plan.push_back({i % 3 == 0 ? 1 + i : 2000 + 7 * i, 20 + i});
+  }
+  const auto deltas = [](const std::function<void()>& write) {
+    auto& registry = metrics::MetricsRegistry::Global();
+    const auto read = [&] {
+      return std::vector<int64_t>{
+          static_cast<int64_t>(CounterValue("ipsketch_store_inserts_total")),
+          registry.GetGauge("ipsketch_store_size").Value(),
+          registry.GetGauge("ipsketch_index_size").Value()};
+    };
+    std::vector<int64_t> moved = read();
+    write();
+    const std::vector<int64_t> after = read();
+    for (size_t i = 0; i < moved.size(); ++i) moved[i] = after[i] - moved[i];
+    return moved;
+  };
+
+  SketchStore batched = MakeFilledStore(40);
+  SketchStore reference = MakeFilledStore(40);
+  auto batched_index = BandedIndex::MakeAttached(&batched, {16, 4});
+  auto reference_index = BandedIndex::MakeAttached(&reference, {16, 4});
+  ASSERT_TRUE(batched_index.ok());
+  ASSERT_TRUE(reference_index.ok());
+  const SketchFamily& family = batched.family();
+  const auto batch_moved = deltas([&] {
+    std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries;
+    for (const auto& [id, seed] : plan) {
+      entries.emplace_back(id, SketchOrDie(family, RandomVector(seed)));
+    }
+    ASSERT_TRUE(batched.InsertBatch(std::move(entries)).ok());
+  });
+  const auto reference_moved = deltas([&] {
+    for (const auto& [id, seed] : plan) {
+      ASSERT_TRUE(
+          reference.Insert(id, SketchOrDie(family, RandomVector(seed))).ok());
+    }
+  });
+  EXPECT_EQ(batch_moved, reference_moved)
+      << "inserts_total, store_size, index_size";
+  EXPECT_EQ(batched.size(), 40u + 3u + 20u);
+
+  for (size_t s = 0; s < batched.num_shards(); ++s) {
+    const ShardViewPtr got = batched.PinShard(s);
+    const ShardViewPtr want = reference.PinShard(s);
+    ASSERT_EQ(got->ids, want->ids) << "shard " << s;
+    for (size_t i = 0; i < got->ids.size(); ++i) {
+      EXPECT_EQ(family.Serialize(*got->sketches[i]).value(),
+                family.Serialize(*want->sketches[i]).value())
+          << "id " << got->ids[i];
+    }
+  }
+  EXPECT_EQ(batched_index.value()->size(), reference_index.value()->size());
+  for (uint64_t seed : {1, 3, 8, 10, 25, 105}) {
+    const auto query = SketchOrDie(family, RandomVector(seed));
+    for (size_t s = 0; s < batched.num_shards(); ++s) {
+      const ShardProbe got = ProbeIds(*batched_index.value(), *query, s);
+      const ShardProbe want = ProbeIds(*reference_index.value(), *query, s);
+      EXPECT_EQ(got.ids, want.ids) << "seed " << seed << ", shard " << s;
+      EXPECT_EQ(got.buckets, want.buckets)
+          << "seed " << seed << ", shard " << s;
+    }
+  }
 }
 
 // --- the family-side LSH contract the index is built on ---------------------

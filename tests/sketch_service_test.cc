@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -333,6 +334,64 @@ TEST(SketchStoreTest, BatchDuplicateIdsLaterEntryWins) {
   const IndexProbeStats on_earlier = probe(*earlier_sketch);
   EXPECT_EQ(on_earlier.buckets_probed, 0u);
   EXPECT_EQ(on_earlier.candidates, 0u);
+}
+
+// A batch is all or nothing. One entry that cannot be sketched (a vector of
+// the wrong dimension) or cannot be inserted (a null sketch) leaves the
+// store's size, every shard's epoch, the attached index and the insert
+// counter as they were — on the serial and the pooled path alike, although
+// the pooled path has finished sketching other chunks by then.
+TEST(SketchStoreTest, FailingBatchInsertsNothing) {
+  SketchStoreOptions opts = SmallStoreOptions();
+  opts.sketch.dimension = 4096;
+  const auto vector_of = [](uint64_t seed, uint64_t dimension) {
+    std::vector<Entry> entries;
+    for (uint64_t index : SampleDistinctIndices(dimension, 24, seed)) {
+      entries.push_back({index, 1.0 + static_cast<double>(index % 5)});
+    }
+    return SparseVector::MakeOrDie(dimension, std::move(entries));
+  };
+  std::vector<std::pair<uint64_t, SparseVector>> batch;
+  for (uint64_t i = 0; i < 10; ++i) {
+    batch.push_back({i, vector_of(i, i == 5 ? 8192 : 4096)});
+  }
+  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  auto& inserts = metrics::MetricsRegistry::Global().GetCounter(
+      "ipsketch_store_inserts_total");
+  ThreadPool pool(2);
+  for (ThreadPool* path : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(path == nullptr ? "serial" : "pooled");
+    auto store = SketchStore::Make(opts).value();
+    for (uint64_t id = 100; id < 104; ++id) {
+      ASSERT_TRUE(store.BuildAndInsert(id, vector_of(id, 4096)).ok());
+    }
+    auto index = BandedIndex::MakeAttached(&store, {8, 4});
+    ASSERT_TRUE(index.ok());
+    const auto state = [&] {
+      std::vector<uint64_t> epochs;
+      for (const ShardViewPtr& view : store.PinStore()) {
+        epochs.push_back(view->epoch);
+      }
+      return std::make_tuple(store.size(), epochs, index.value()->size(),
+                             inserts.Value());
+    };
+    const auto before = state();
+
+    EXPECT_EQ(store.BuildAndInsertBatch(batch, path).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(state(), before);
+
+    std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> with_null;
+    auto sketcher = store.family().MakeSketcher().value();
+    for (uint64_t i = 0; i < 4; ++i) {
+      auto sketch = store.family().NewSketch();
+      ASSERT_TRUE(sketcher->Sketch(vector_of(i, 4096), sketch.get()).ok());
+      with_null.emplace_back(i, i == 2 ? nullptr : std::move(sketch));
+    }
+    EXPECT_EQ(store.InsertBatch(std::move(with_null)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(state(), before);
+  }
 }
 
 TEST(QueryEngineTest, EstimateInnerProductMatchesDirectEstimator) {
@@ -845,6 +904,48 @@ TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
   }
   // Destruction retires the store's whole occupancy contribution.
   EXPECT_EQ(size_gauge.Value(), size_before);
+}
+
+// Each write-path call moves the ingest histogram and the erase counter by
+// exactly its own work: one ingest sample per vector sketched (a batch
+// shares its publication, so its samples time the sketches alone), none
+// for a pre-built Insert, and one erase per id actually removed.
+TEST(ServiceMetricsTest, WritePathMetricsMoveOncePerCall) {
+  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
+  metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& ingest = registry.GetHistogram("ipsketch_store_ingest_ns");
+  auto& erases = registry.GetCounter("ipsketch_store_erases_total");
+  auto store = SketchStore::Make(SmallStoreOptions()).value();
+  ThreadPool pool(2);
+
+  uint64_t samples = ingest.Count();
+  ASSERT_TRUE(store.BuildAndInsert(1, RandomVector(1)).ok());
+  EXPECT_EQ(ingest.Count(), samples + 1);
+
+  for (ThreadPool* path : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::pair<uint64_t, SparseVector>> batch;
+    for (uint64_t i = 0; i < 9; ++i) {
+      batch.push_back({10 + i, RandomVector(10 + i)});
+    }
+    samples = ingest.Count();
+    ASSERT_TRUE(store.BuildAndInsertBatch(batch, path).ok());
+    EXPECT_EQ(ingest.Count(), samples + batch.size())
+        << (path == nullptr ? "serial" : "pooled");
+  }
+
+  auto sketcher = store.family().MakeSketcher().value();
+  auto sketch = store.family().NewSketch();
+  ASSERT_TRUE(sketcher->Sketch(RandomVector(2), sketch.get()).ok());
+  samples = ingest.Count();
+  ASSERT_TRUE(store.Insert(2, std::move(sketch)).ok());
+  EXPECT_EQ(ingest.Count(), samples);
+
+  const uint64_t erased = erases.Value();
+  ASSERT_TRUE(store.Erase(2).ok());
+  EXPECT_EQ(erases.Value(), erased + 1);
+  EXPECT_EQ(store.Erase(2).code(), StatusCode::kNotFound);
+  EXPECT_EQ(erases.Value(), erased + 1);
 }
 
 // The stage names of `trace`, in recording order.

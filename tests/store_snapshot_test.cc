@@ -1,5 +1,6 @@
 // Epoch-snapshot read path of SketchStore (PinShard / ShardView) and the
-// batch top-k API that rides on it: copy-on-write publication semantics,
+// batch top-k API that rides on it: copy-on-write publication semantics
+// (one publication per insert, and per touched shard for a batch),
 // RCU liveness of pinned views, pinned reads racing writers, and batch
 // answers checked against an independent ranking.
 
@@ -17,6 +18,7 @@
 #include "data/synthetic.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
+#include "service/thread_pool.h"
 
 namespace ipsketch {
 namespace {
@@ -82,6 +84,39 @@ TEST(StoreSnapshotTest, InsertPublishesSortedViewAndAdvancesEpoch) {
     resident += view->ids.size();
   }
   EXPECT_EQ(resident, 64u);
+}
+
+// Batch ingest publishes each shard it touches exactly once, however many
+// of the batch's entries land there, and leaves every other shard's epoch
+// alone — on the serial and the pooled path.
+TEST(StoreSnapshotTest, BatchPublishesEachTouchedShardOnce) {
+  ThreadPool pool(3);
+  for (ThreadPool* path : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(path == nullptr ? "serial" : "pooled");
+    SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+    for (uint64_t id = 0; id < 40; ++id) {
+      ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+    }
+    // New ids and replaces of resident ones, all in the even shards.
+    std::vector<std::pair<uint64_t, SparseVector>> batch;
+    std::vector<size_t> landed(store.num_shards(), 0);
+    for (uint64_t id = 20; batch.size() < 30; ++id) {
+      if (store.ShardOf(id) % 2 != 0) continue;
+      batch.push_back({id, RandomVector(1000 + id)});
+      ++landed[store.ShardOf(id)];
+    }
+    std::vector<uint64_t> before;
+    for (const ShardViewPtr& view : store.PinStore()) {
+      before.push_back(view->epoch);
+    }
+
+    ASSERT_TRUE(store.BuildAndInsertBatch(batch, path).ok());
+    for (size_t s = 0; s < store.num_shards(); ++s) {
+      EXPECT_EQ(store.PinShard(s)->epoch, before[s] + (landed[s] > 0 ? 1 : 0))
+          << "shard " << s << " took " << landed[s] << " entries";
+    }
+    EXPECT_GT(*std::max_element(landed.begin(), landed.end()), 1u);
+  }
 }
 
 TEST(StoreSnapshotTest, EraseAndReplacePublishSuccessorViews) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — rules no off-the-shelf tool knows.
 
-Six rules, each guarding an invariant the test suite can only probe
+Seven rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
@@ -36,6 +36,11 @@ point-wise but a static scan can prove tree-wide:
                  docs/WIRE_FORMAT.md (the normative wire spec) — the docs/
                  tree cannot silently rot behind the code, in either
                  direction.
+  store-writes   No file in src/ but src/service/sketch_store.cc constructs
+                 a ShardView, and src/service/sketch_store.h declares no
+                 friend: SketchStore::InsertBatch is the only way to publish
+                 inserts, so no caller can stage a view and publish it
+                 around it.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -63,6 +68,8 @@ README = "README.md"
 OPERATIONS_MD = "docs/OPERATIONS.md"
 WIRE_FORMAT_MD = "docs/WIRE_FORMAT.md"
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
+STORE_CC = "src/service/sketch_store.cc"
+STORE_H = "src/service/sketch_store.h"
 
 # family name -> the translation unit holding its kernel-backed estimator.
 # A newly registered family must be added here *and* route its estimator
@@ -374,6 +381,37 @@ def check_docs_freshness(root: Path):
     return findings
 
 
+# A ShardView built anywhere: allocated through a smart-pointer factory or
+# `new`, or declared by value (`ShardView view;`, `ShardView view{...}`).
+SHARD_VIEW_CONSTRUCTION = re.compile(
+    r"\b(?:make_shared|make_unique|allocate_shared)\s*<\s*(?:const\s+)?"
+    r"(?:ipsketch::)?ShardView\s*>"
+    r"|\bnew\s+(?:ipsketch::)?ShardView\b"
+    r"|\bShardView\s+\w+\s*[;{(=]")
+
+
+def check_store_writes(root: Path):
+    findings = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel == STORE_CC:
+            continue
+        text = re.sub(r"//[^\n]*", "", path.read_text(encoding="utf-8"))
+        if SHARD_VIEW_CONSTRUCTION.search(text):
+            findings.append(
+                f"store-writes: {rel}: constructs a ShardView — only "
+                f"{STORE_CC} builds views; insert through "
+                "SketchStore::InsertBatch instead of staging one")
+    header = re.sub(r"//[^\n]*", "", read(root, STORE_H))
+    if re.search(r"\bfriend\b", header):
+        findings.append(
+            f"store-writes: {STORE_H}: declares a friend — a friend can "
+            "publish views around SketchStore::InsertBatch")
+    return findings
+
+
 RULES = {
     "wire-tags": check_wire_tags,
     "families": check_families,
@@ -381,6 +419,7 @@ RULES = {
     "raw-mutex": check_raw_mutex,
     "fuzz-coverage": check_fuzz_coverage,
     "docs-freshness": check_docs_freshness,
+    "store-writes": check_store_writes,
 }
 
 
@@ -494,6 +533,27 @@ def seed_docs_wire_tag(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_staged_view(root: Path):
+    path = root / "src/service/persistence.cc"
+    with path.open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "ShardViewPtr PhantomStagedView() {\n"
+            "  return std::make_shared<ShardView>();\n"
+            "}\n"
+            "}  // namespace ipsketch\n")
+
+
+def seed_store_friend(root: Path):
+    path = root / STORE_H
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace(
+        " private:\n  struct Shard {",
+        " private:\n  friend class PhantomWriter;\n  struct Shard {", 1)
+    assert seeded != text, "store friend seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
 # rule -> (seed label, seed fn) pairs; each seed is planted in its own tree
 # copy and must be caught by its rule independently.
 SEEDS = {
@@ -510,6 +570,10 @@ SEEDS = {
         ("undocumented metric", seed_docs_metric),
         ("phantom documented metric", seed_docs_phantom_metric),
         ("undocumented wire tag", seed_docs_wire_tag),
+    ],
+    "store-writes": [
+        ("ShardView staged outside the store", seed_staged_view),
+        ("friend in sketch_store.h", seed_store_friend),
     ],
 }
 
