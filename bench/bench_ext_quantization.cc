@@ -114,37 +114,23 @@ int Run(size_t scale) {
       "— the trend the paper anticipated from the quantized-JL literature.\n");
 
   // --- machine-readable record ---------------------------------------------
-  std::string json = "{\n";
-  char line[192];
-  std::snprintf(line, sizeof(line),
-                "  \"bench\": \"quantization\",\n"
-                "  \"scale\": %zu,\n"
-                "  \"pairs\": %zu,\n"
-                "  \"seeds\": %d,\n"
-                "  \"rows\": [",
-                scale, kPairs, kSeeds);
-  json += line;
+  std::string rows_json = "[";
   for (size_t i = 0; i < measured.size(); ++i) {
     const BudgetRow& r = measured[i];
-    std::snprintf(line, sizeof(line),
-                  "%s\n    {\"storage_words\": %.0f, \"err_full\": %.6g, "
-                  "\"err_compact\": %.6g, \"err_b16\": %.6g, "
-                  "\"err_b8\": %.6g}",
-                  i == 0 ? "" : ",", r.words, r.err_full, r.err_compact,
-                  r.err_b16, r.err_b8);
-    json += line;
+    rows_json += bench::Format(
+        "%s\n    {\"storage_words\": %.0f, \"err_full\": %.6g, "
+        "\"err_compact\": %.6g, \"err_b16\": %.6g, \"err_b8\": %.6g}",
+        i == 0 ? "" : ",", r.words, r.err_full, r.err_compact, r.err_b16,
+        r.err_b8);
   }
-  json += "\n  ]\n}\n";
-  const char* json_path = "BENCH_quantization.json";
-  if (std::FILE* f = std::fopen(json_path, "wb")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  } else {
-    std::printf("\ncould not write %s\n", json_path);
-    return 1;
-  }
-  return 0;
+  rows_json += "\n  ]";
+  std::vector<bench::JsonMember> members;
+  members.emplace_back("bench", "\"quantization\"");
+  members.emplace_back("scale", std::to_string(scale));
+  members.emplace_back("pairs", std::to_string(kPairs));
+  members.emplace_back("seeds", std::to_string(kSeeds));
+  members.emplace_back("rows", rows_json);
+  return bench::WriteMembers("BENCH_quantization.json", members) ? 0 : 1;
 }
 
 }  // namespace

@@ -16,13 +16,12 @@
 // query is its cluster — a recall target the banding filter must actually
 // work to hit, unlike pure-noise corpora where top-10 is arbitrary.
 //
-// Writes an "index" section into the BENCH json (merged into an existing
-// service record, before its "saturation" section if present);
+// Writes the "index" member of the BENCH json (default BENCH_service.json;
+// --out overrides) through bench::WriteMembers, the record's one writer:
+// the record's other members are kept, and a re-run replaces only "index".
 // tools/check_bench_regression.py gates the banded-vs-exact speedup per
 // (bands, rows, corpus) point and reports recall informationally.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -90,28 +89,18 @@ SketchStoreOptions StoreOptions() {
   return options;
 }
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// Sustained serial TopK rate over `queries`, cycling, for ≥ `window_secs`.
-double MeasureTopkRate(const QueryEngine& engine,
-                       const std::vector<SparseVector>& queries,
-                       double window_secs) {
-  size_t done = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double secs = 0.0;
-  do {
-    if (!engine.TopK(queries[done % queries.size()], kTopK).ok()) {
+/// Sustained serial TopK rate of `engine` over `queries`, cycling, for
+/// ≥ `window_secs`; adds the queries run to `*done` when non-null.
+double TopkRate(const QueryEngine& engine,
+                const std::vector<SparseVector>& queries, double window_secs,
+                size_t* done = nullptr) {
+  return bench::SustainedRate(window_secs, [&](size_t call) {
+    if (!engine.TopK(queries[call % queries.size()], kTopK).ok()) {
       std::printf("TopK failed\n");
       std::exit(1);
     }
-    ++done;
-    secs = SecondsSince(start);
-  } while (secs < window_secs);
-  return static_cast<double>(done) / secs;
+    if (done != nullptr) ++*done;
+  });
 }
 
 /// One measured (bands, rows) point.
@@ -125,23 +114,19 @@ struct IndexPoint {
   double candidates_per_query = 0.0;
 };
 
-/// The `"index": {...}` fragment (no enclosing record braces, no trailing
-/// comma).
-std::string SectionJson(const std::vector<IndexPoint>& points) {
-  std::string out = "  \"index\": {\n";
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "    \"family\": \"%s\",\n"
-                "    \"num_samples\": %zu,\n"
-                "    \"top_k\": %zu,\n"
-                "    \"queries\": %zu,\n"
-                "    \"points\": [",
-                kFamily, kNumSamples, kTopK, kNumClusters);
-  out += buf;
+/// The value of the record's "index" member.
+std::string IndexJson(const std::vector<IndexPoint>& points) {
+  std::string out = bench::Format(
+      "{\n"
+      "    \"family\": \"%s\",\n"
+      "    \"num_samples\": %zu,\n"
+      "    \"top_k\": %zu,\n"
+      "    \"queries\": %zu,\n"
+      "    \"points\": [",
+      kFamily, kNumSamples, kTopK, kNumClusters);
   for (size_t i = 0; i < points.size(); ++i) {
     const IndexPoint& p = points[i];
-    std::snprintf(
-        buf, sizeof(buf),
+    out += bench::Format(
         "%s\n      {\"bands\": %zu, \"rows\": %zu, \"corpus\": %zu, "
         "\"exact_per_sec\": %.1f, \"banded_per_sec\": %.1f, "
         "\"speedup\": %.2f,\n       \"recall_at_10\": %.4f, "
@@ -150,65 +135,8 @@ std::string SectionJson(const std::vector<IndexPoint>& points) {
         p.banded_per_sec,
         p.exact_per_sec > 0 ? p.banded_per_sec / p.exact_per_sec : 0.0,
         p.recall, p.candidates_per_query);
-    out += buf;
   }
-  out += "\n    ]\n  }";
-  return out;
-}
-
-/// Merges `section` into the record at `path`: drops any previous "index"
-/// section (brace-matched), then inserts before the "saturation" section if
-/// one exists (bench_saturation truncates from that marker on re-runs, so
-/// our section must sit above it), else before the record's closing brace.
-/// Absent or unrecognizable records get a fresh standalone one.
-bool WriteRecord(const std::string& path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buffer[1 << 16];
-    size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      existing.append(buffer, got);
-    }
-    std::fclose(f);
-  }
-
-  const std::string marker = ",\n  \"index\":";
-  const size_t prev = existing.find(marker);
-  if (prev != std::string::npos) {
-    size_t open = existing.find('{', prev + marker.size());
-    if (open != std::string::npos) {
-      int depth = 0;
-      size_t end = open;
-      for (; end < existing.size(); ++end) {
-        if (existing[end] == '{') ++depth;
-        if (existing[end] == '}' && --depth == 0) break;
-      }
-      if (end < existing.size()) {
-        existing.erase(prev, end + 1 - prev);
-      }
-    }
-  }
-
-  std::string out;
-  const size_t saturation = existing.find(",\n  \"saturation\":");
-  const size_t close = existing.rfind('}');
-  if (saturation != std::string::npos) {
-    out = existing.substr(0, saturation) + ",\n" + section +
-          existing.substr(saturation);
-  } else if (close != std::string::npos && existing[0] == '{') {
-    out = existing.substr(0, close);
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-      out.pop_back();
-    }
-    out += ",\n" + section + "\n}\n";
-  } else {
-    out = "{\n  \"bench\": \"index\",\n" + section + "\n}\n";
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fwrite(out.data(), 1, out.size(), f);
-  return std::fclose(f) == 0;
+  return out + "\n    ]\n  }";
 }
 
 uint64_t CandidatesCounter() {
@@ -268,8 +196,8 @@ int main(int argc, char** argv) {
 
   // The exact-scan reference rate: one serial engine, no index.
   QueryEngine exact(&store, /*pool=*/nullptr);
-  MeasureTopkRate(exact, queries, window_secs);  // warm up
-  const double exact_per_sec = MeasureTopkRate(exact, queries, window_secs);
+  TopkRate(exact, queries, window_secs);  // warm up
+  const double exact_per_sec = TopkRate(exact, queries, window_secs);
   std::printf("exact scan: %.1f queries/sec\n\n", exact_per_sec);
 
   const std::vector<BandedLshParams> sweep = {
@@ -293,18 +221,8 @@ int main(int argc, char** argv) {
     point.corpus = corpus;
     point.exact_per_sec = exact_per_sec;
     const uint64_t cands_before = CandidatesCounter();
-    const auto start = std::chrono::steady_clock::now();
     size_t done = 0;
-    double secs = 0.0;
-    do {
-      if (!banded.TopK(queries[done % queries.size()], kTopK).ok()) {
-        std::printf("banded TopK failed\n");
-        return 1;
-      }
-      ++done;
-      secs = SecondsSince(start);
-    } while (secs < window_secs);
-    point.banded_per_sec = static_cast<double>(done) / secs;
+    point.banded_per_sec = TopkRate(banded, queries, window_secs, &done);
     point.candidates_per_query =
         static_cast<double>(CandidatesCounter() - cands_before) /
         static_cast<double>(done);
@@ -329,10 +247,8 @@ int main(int argc, char** argv) {
 
   const std::string json_path =
       bench::FlagValue(argc, argv, "--out", "BENCH_service.json");
-  if (!WriteRecord(json_path, SectionJson(points))) {
-    std::printf("\ncould not write %s\n", json_path.c_str());
+  if (!bench::WriteMembers(json_path, {{"index", IndexJson(points)}})) {
     return 1;
   }
-  std::printf("\nwrote %s (index section)\n", json_path.c_str());
   return 0;
 }

@@ -16,12 +16,12 @@
 //                  plus shed/expired counts per level, written as a
 //                  "saturation_async" section
 //   --seed         base seed for the sketch family (default 7)
-//   --out          BENCH json path; the sections this run produces
-//                  ("saturation" or "saturation_async", plus
-//                  "metrics_overhead"/"metrics") replace their previous
-//                  versions inside an existing record — other sections and
-//                  the other mode's sweep are preserved — anything
-//                  unrecognizable is replaced by a standalone record
+//   --out          BENCH json path (default BENCH_service.json). The run
+//                  writes only its own members through bench::WriteMembers,
+//                  the record's one writer: "saturation", "metrics_overhead"
+//                  and "metrics", or with --frontdoor "saturation_async" and
+//                  "metrics". Every other member, the other mode's sweep
+//                  included, is kept, so the runs may come in any order
 //   --metrics-out  also write the post-run metrics::RenderText() snapshot
 //
 // The bench also answers "what does the instrumentation cost?": it measures
@@ -39,9 +39,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/rng.h"
 #include "common/status.h"
-#include "data/synthetic.h"
 #include "service/front_door.h"
 #include "service/metrics.h"
 #include "service/query_engine.h"
@@ -52,10 +50,6 @@ using namespace ipsketch;
 
 namespace {
 
-constexpr uint64_t kDimension = 100000;
-constexpr size_t kNnz = 300;
-constexpr size_t kNumSamples = 256;
-constexpr char kFamily[] = "wmh";
 constexpr size_t kTopK = 10;
 // Every kIngestEvery-th offered op is an ingest (1/8 = 12.5% write mix);
 // ingest ids cycle over a small range so the store size — and with it the
@@ -65,31 +59,6 @@ constexpr size_t kIngestIdRange = 64;
 
 // Base seed (--seed) — governs the sketch-family randomness.
 uint64_t g_seed = 7;
-
-SparseVector CorpusVector(uint64_t seed) {
-  Xoshiro256StarStar rng(seed);
-  std::vector<Entry> entries;
-  for (uint64_t index : SampleDistinctIndices(kDimension, kNnz, seed)) {
-    entries.push_back({index, rng.NextUnit() * 2.0 - 1.0});
-  }
-  return SparseVector::MakeOrDie(kDimension, std::move(entries));
-}
-
-SketchStoreOptions StoreOptions() {
-  SketchStoreOptions options;
-  options.family = kFamily;
-  options.sketch.dimension = kDimension;
-  options.sketch.num_samples = kNumSamples;
-  options.sketch.seed = g_seed;
-  options.num_shards = 32;
-  return options;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Exact percentile of `values` (sorted in place), nearest-rank. Microsec.
 double PercentileUs(std::vector<uint64_t>* values_ns, double q) {
@@ -170,7 +139,7 @@ LevelResult RunLevel(const SketchStore& store, SketchStore* ingest_store,
   while (remaining.load(std::memory_order_acquire) != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const double secs = SecondsSince(start);
+  const double secs = bench::SecondsSince(start);
 
   std::vector<uint64_t> topk_ns, ingest_ns;
   topk_ns.reserve(num_ops);
@@ -258,7 +227,7 @@ AsyncLevelResult RunFrontDoorLevel(FrontDoor* door, SketchStore* ingest_store,
   while (remaining.load(std::memory_order_acquire) != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const double secs = SecondsSince(start);
+  const double secs = bench::SecondsSince(start);
 
   AsyncLevelResult result;
   std::vector<uint64_t> topk_ns, ingest_ns;
@@ -280,29 +249,8 @@ AsyncLevelResult RunFrontDoorLevel(FrontDoor* door, SketchStore* ingest_store,
   return result;
 }
 
-/// Serial TopK scan throughput in estimated pairs/sec (queries/sec times
-/// catalog size) over a measurement window — the metrics-overhead probe.
-double MeasureTopkPairsPerSec(const SketchStore& store,
-                              const std::vector<SparseVector>& queries,
-                              double window_secs) {
-  QueryEngine engine(&store, /*pool=*/nullptr);
-  size_t done = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double secs = 0.0;
-  do {
-    if (!engine.TopK(queries[done % queries.size()], kTopK).ok()) {
-      std::exit(1);
-    }
-    ++done;
-    secs = SecondsSince(start);
-  } while (secs < window_secs);
-  return static_cast<double>(done) * static_cast<double>(store.size()) / secs;
-}
-
 void AppendLevelJson(std::string* out, const LevelResult& r, bool first) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
+  *out += bench::Format(
       "%s\n      {\"offered_concurrency\": %.2f, \"offered_per_sec\": %.1f, "
       "\"achieved_per_sec\": %.1f, \"ops\": %zu,\n"
       "       \"topk_p50_us\": %.1f, \"topk_p95_us\": %.1f, "
@@ -313,44 +261,38 @@ void AppendLevelJson(std::string* out, const LevelResult& r, bool first) {
       r.achieved_per_sec, r.topk.ops + r.ingest.ops, r.topk.p50_us,
       r.topk.p95_us, r.topk.p99_us, r.topk.max_us, r.ingest.p50_us,
       r.ingest.p95_us, r.ingest.p99_us, r.ingest.max_us);
-  *out += buf;
 }
 
-/// The "saturation" (+ overhead + snapshot) JSON fragment, no enclosing
-/// braces: `"saturation": {...}, "metrics_overhead": {...}, "metrics": ...`.
-std::string SectionsJson(const std::vector<LevelResult>& levels,
-                         size_t corpus, double base_rate, double pairs_on,
-                         double pairs_off) {
-  std::string out = "  \"saturation\": {\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "    \"corpus\": %zu,\n"
-                "    \"mix_ingest_fraction\": %.4f,\n"
-                "    \"base_topk_per_sec\": %.1f,\n"
-                "    \"levels\": [",
-                corpus, 1.0 / kIngestEvery, base_rate);
-  out += buf;
+/// The sync sweep's members: "saturation", "metrics_overhead" and the
+/// end-of-run "metrics" snapshot.
+std::vector<bench::JsonMember> SyncMembers(
+    const std::vector<LevelResult>& levels, size_t corpus, double base_rate,
+    double pairs_on, double pairs_off) {
+  std::string saturation = bench::Format(
+      "{\n"
+      "    \"corpus\": %zu,\n"
+      "    \"mix_ingest_fraction\": %.4f,\n"
+      "    \"base_topk_per_sec\": %.1f,\n"
+      "    \"levels\": [",
+      corpus, 1.0 / kIngestEvery, base_rate);
   for (size_t i = 0; i < levels.size(); ++i) {
-    AppendLevelJson(&out, levels[i], i == 0);
+    AppendLevelJson(&saturation, levels[i], i == 0);
   }
-  out += "\n    ]\n  },\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"metrics_overhead\": {\"topk_pairs_per_sec_on\": %.1f, "
-                "\"topk_pairs_per_sec_off\": %.1f, \"ratio\": %.4f, "
-                "\"compiled_in\": %s},\n",
-                pairs_on, pairs_off, pairs_off > 0 ? pairs_on / pairs_off : 1.0,
-                metrics::kCompiledIn ? "true" : "false");
-  out += buf;
-  out += "  \"metrics\": ";
-  out += metrics::MetricsRegistry::Global().RenderJson();
-  return out;
+  saturation += "\n    ]\n  }";
+  const std::string overhead = bench::Format(
+      "{\"topk_pairs_per_sec_on\": %.1f, \"topk_pairs_per_sec_off\": %.1f, "
+      "\"ratio\": %.4f}",
+      pairs_on, pairs_off, pairs_off > 0 ? pairs_on / pairs_off : 1.0);
+  return {
+      {"saturation", saturation},
+      {"metrics_overhead", overhead},
+      {"metrics", metrics::MetricsRegistry::Global().RenderJson()},
+  };
 }
 
 void AppendAsyncLevelJson(std::string* out, const AsyncLevelResult& r,
                           bool first) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
+  *out += bench::Format(
       "%s\n      {\"offered_concurrency\": %.2f, \"offered_per_sec\": %.1f, "
       "\"achieved_per_sec\": %.1f, \"ops\": %zu,\n"
       "       \"shed\": %zu, \"expired\": %zu, \"errors\": %zu,\n"
@@ -364,141 +306,31 @@ void AppendAsyncLevelJson(std::string* out, const AsyncLevelResult& r,
       r.expired, r.errors, r.topk.p50_us, r.topk.p95_us, r.topk.p99_us,
       r.topk.max_us, r.ingest.p50_us, r.ingest.p95_us, r.ingest.p99_us,
       r.ingest.max_us);
-  *out += buf;
 }
 
-/// The `"saturation_async": {...}, "metrics": ...` fragment of the
-/// --frontdoor run, no enclosing braces.
-std::string AsyncSectionsJson(const std::vector<AsyncLevelResult>& levels,
-                              size_t corpus, double base_rate,
-                              const FrontDoorOptions& options) {
-  std::string out = "  \"saturation_async\": {\n";
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "    \"corpus\": %zu,\n"
-                "    \"mix_ingest_fraction\": %.4f,\n"
-                "    \"base_topk_per_sec\": %.1f,\n"
-                "    \"max_queue_depth\": %zu,\n"
-                "    \"max_batch\": %zu,\n"
-                "    \"levels\": [",
-                corpus, 1.0 / kIngestEvery, base_rate,
-                options.max_queue_depth, FrontDoor::kMaxBatch);
-  out += buf;
+/// The --frontdoor sweep's members: "saturation_async" and the end-of-run
+/// "metrics" snapshot.
+std::vector<bench::JsonMember> AsyncMembers(
+    const std::vector<AsyncLevelResult>& levels, size_t corpus,
+    double base_rate, const FrontDoorOptions& options) {
+  std::string saturation = bench::Format(
+      "{\n"
+      "    \"corpus\": %zu,\n"
+      "    \"mix_ingest_fraction\": %.4f,\n"
+      "    \"base_topk_per_sec\": %.1f,\n"
+      "    \"max_queue_depth\": %zu,\n"
+      "    \"max_batch\": %zu,\n"
+      "    \"levels\": [",
+      corpus, 1.0 / kIngestEvery, base_rate, options.max_queue_depth,
+      FrontDoor::kMaxBatch);
   for (size_t i = 0; i < levels.size(); ++i) {
-    AppendAsyncLevelJson(&out, levels[i], i == 0);
+    AppendAsyncLevelJson(&saturation, levels[i], i == 0);
   }
-  out += "\n    ]\n  },\n";
-  out += "  \"metrics\": ";
-  out += metrics::MetricsRegistry::Global().RenderJson();
-  return out;
-}
-
-/// Index one past the JSON value starting at `i` (first non-space char):
-/// balanced braces/brackets with string-aware scanning, or a scalar run.
-size_t SkipJsonValue(const std::string& s, size_t i) {
-  const auto skip_string = [&s](size_t j) {
-    ++j;  // opening quote
-    while (j < s.size() && s[j] != '"') j += (s[j] == '\\') ? 2 : 1;
-    return j < s.size() ? j + 1 : j;
+  saturation += "\n    ]\n  }";
+  return {
+      {"saturation_async", saturation},
+      {"metrics", metrics::MetricsRegistry::Global().RenderJson()},
   };
-  if (i >= s.size()) return i;
-  if (s[i] == '"') return skip_string(i);
-  if (s[i] == '{' || s[i] == '[') {
-    int depth = 0;
-    for (size_t j = i; j < s.size();) {
-      const char c = s[j];
-      if (c == '"') {
-        j = skip_string(j);
-      } else {
-        if (c == '{' || c == '[') ++depth;
-        if ((c == '}' || c == ']') && --depth == 0) return j + 1;
-        ++j;
-      }
-    }
-    return s.size();
-  }
-  while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-         s[i] != '\n') {
-    ++i;
-  }
-  return i;
-}
-
-/// Erases every `"key": <value>` member (plus one adjacent comma) from the
-/// JSON object text `s`. The quoted-key marker is exact, so removing
-/// "saturation" leaves "saturation_async" untouched and vice versa.
-void RemoveSection(std::string* s, const std::string& key) {
-  const std::string marker = "\"" + key + "\":";
-  size_t pos;
-  while ((pos = s->find(marker)) != std::string::npos) {
-    size_t vstart = pos + marker.size();
-    while (vstart < s->size() &&
-           ((*s)[vstart] == ' ' || (*s)[vstart] == '\n')) {
-      ++vstart;
-    }
-    size_t vend = SkipJsonValue(*s, vstart);
-    size_t begin = pos;
-    while (begin > 0 &&
-           ((*s)[begin - 1] == ' ' || (*s)[begin - 1] == '\n')) {
-      --begin;
-    }
-    if (begin > 0 && (*s)[begin - 1] == ',') {
-      --begin;  // swallow the comma separating us from the prior member
-    } else {
-      size_t after = vend;
-      while (after < s->size() &&
-             ((*s)[after] == ' ' || (*s)[after] == '\n')) {
-        ++after;
-      }
-      if (after < s->size() && (*s)[after] == ',') vend = after + 1;
-    }
-    s->erase(begin, vend - begin);
-  }
-}
-
-/// Writes `sections` into the record at `path`: an existing JSON object
-/// there keeps every section except the ones named in `replaced_keys`
-/// (this run's own sections, removed by brace matching before the fresh
-/// versions are appended), so the sync and --frontdoor sweeps can extend
-/// one record in either order, idempotently. Anything unrecognizable is
-/// replaced by a standalone record.
-bool WriteRecord(const std::string& path, const std::string& sections,
-                 const std::vector<const char*>& replaced_keys) {
-  std::string existing;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buffer[1 << 16];
-    size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      existing.append(buffer, got);
-    }
-    std::fclose(f);
-  }
-
-  std::string out;
-  const size_t close = existing.rfind('}');
-  if (!existing.empty() && existing[0] == '{' &&
-      close != std::string::npos) {
-    out = existing.substr(0, close);
-    for (const char* key : replaced_keys) RemoveSection(&out, key);
-    while (!out.empty() &&
-           (out.back() == '\n' || out.back() == ' ' || out.back() == ',')) {
-      out.pop_back();
-    }
-  }
-  if (out.empty() || out[0] != '{') {
-    // No record to extend (absent or unrecognizable): standalone.
-    out = "{\n  \"bench\": \"saturation\"";
-  }
-  if (out.back() == '{') {
-    out += "\n" + sections + "\n}\n";
-  } else {
-    out += ",\n" + sections + "\n}\n";
-  }
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fwrite(out.data(), 1, out.size(), f);
-  return std::fclose(f) == 0;
 }
 
 }  // namespace
@@ -526,12 +358,12 @@ int main(int argc, char** argv) {
   const size_t max_ops_per_level = smoke ? 300 : 6000;
   const double overhead_window_secs = smoke ? 0.1 : 0.3;
 
-  auto store = SketchStore::Make(StoreOptions()).value();
+  auto store = SketchStore::Make(bench::ServiceStoreOptions(g_seed)).value();
   {
     std::vector<std::pair<uint64_t, SparseVector>> batch;
     batch.reserve(corpus);
     for (uint64_t id = 0; id < corpus; ++id) {
-      batch.push_back({id, CorpusVector(id)});
+      batch.push_back({id, bench::ServiceVector(id)});
     }
     ThreadPool pool(4);
     if (!store.BuildAndInsertBatch(batch, &pool).ok()) {
@@ -540,10 +372,26 @@ int main(int argc, char** argv) {
     }
   }
   std::vector<SparseVector> queries;
-  for (size_t q = 0; q < 32; ++q) queries.push_back(CorpusVector(1000000 + q));
+  for (size_t q = 0; q < 32; ++q) {
+    queries.push_back(bench::ServiceVector(1000000 + q));
+  }
   std::printf("corpus: %zu vectors, dim %llu, %zu nnz, family %s, m = %zu\n",
-              corpus, static_cast<unsigned long long>(kDimension), kNnz,
-              kFamily, kNumSamples);
+              corpus, static_cast<unsigned long long>(bench::kServiceDimension),
+              bench::kServiceNnz, bench::kServiceFamily,
+              bench::kServiceNumSamples);
+
+  // Serial TopK scan throughput in estimated pairs/sec (queries/sec times
+  // catalog size) over a measurement window: the metrics-overhead probe.
+  const auto topk_pairs_per_sec = [&] {
+    const QueryEngine engine(&store, /*pool=*/nullptr);
+    const auto topk = [&](size_t call) {
+      if (!engine.TopK(queries[call % queries.size()], kTopK).ok()) {
+        std::exit(1);
+      }
+    };
+    return bench::SustainedRate(overhead_window_secs, topk) *
+           static_cast<double>(store.size());
+  };
 
   // --- metrics overhead A/B (serial engine, nothing else in flight) --------
   // Alternating best-of rounds: on a shared box a single long window per
@@ -551,41 +399,35 @@ int main(int argc, char** argv) {
   // a round down, so the per-mode maximum is the clean comparison. The
   // --frontdoor run skips the probe (the ratio is mode-independent) and
   // leaves the committed "metrics_overhead" section alone.
-  MeasureTopkPairsPerSec(store, queries, overhead_window_secs);  // warm up
+  topk_pairs_per_sec();  // warm up
   double pairs_on = 0.0, pairs_off = 0.0;
   if (!frontdoor) {
     const int ab_rounds = smoke ? 3 : 5;
     for (int round = 0; round < ab_rounds; ++round) {
       metrics::SetEnabledForTesting(true);
-      pairs_on = std::max(
-          pairs_on,
-          MeasureTopkPairsPerSec(store, queries, overhead_window_secs));
+      pairs_on = std::max(pairs_on, topk_pairs_per_sec());
       metrics::SetEnabledForTesting(false);
-      pairs_off = std::max(
-          pairs_off,
-          MeasureTopkPairsPerSec(store, queries, overhead_window_secs));
+      pairs_off = std::max(pairs_off, topk_pairs_per_sec());
     }
     metrics::SetEnabledForTesting(true);
     const double ratio = pairs_off > 0 ? pairs_on / pairs_off : 1.0;
     std::printf("\nmetrics overhead on TopK scan: on %.0f pairs/s, off %.0f "
-                "pairs/s, ratio %.4f%s\n",
-                pairs_on, pairs_off, ratio,
-                metrics::kCompiledIn ? "" : " (metrics compiled out)");
+                "pairs/s, ratio %.4f\n",
+                pairs_on, pairs_off, ratio);
   }
 
   // --- saturation sweep -----------------------------------------------------
   // Base rate: sustained serial TopK throughput. Offered load at level c is
   // c times that — level 1 should keep one worker busy, higher levels queue.
   const double base_rate =
-      MeasureTopkPairsPerSec(store, queries, overhead_window_secs) /
-      static_cast<double>(store.size());
+      topk_pairs_per_sec() / static_cast<double>(store.size());
   std::printf("base serial TopK rate: %.1f queries/sec\n\n", base_rate);
 
   const size_t pool_threads =
       std::min<size_t>(8, std::max(2u, std::thread::hardware_concurrency()));
-  auto ingest_store = SketchStore::Make(StoreOptions()).value();
-  std::string sections;
-  std::vector<const char*> replaced_keys;
+  auto ingest_store =
+      SketchStore::Make(bench::ServiceStoreOptions(g_seed)).value();
+  std::vector<bench::JsonMember> members;
   if (frontdoor) {
     const FrontDoorOptions fd_options;  // stock knobs: depth 256, batch 32
     std::printf("front door: max_queue_depth %zu, max_batch %zu\n\n",
@@ -615,8 +457,7 @@ int main(int argc, char** argv) {
                   r.expired);
       levels.push_back(r);
     }
-    sections = AsyncSectionsJson(levels, corpus, base_rate, fd_options);
-    replaced_keys = {"saturation_async", "metrics"};
+    members = AsyncMembers(levels, corpus, base_rate, fd_options);
   } else {
     std::vector<LevelResult> levels;
     std::printf("%-12s %12s %12s %10s %10s %10s %12s\n", "offered_conc",
@@ -640,20 +481,13 @@ int main(int argc, char** argv) {
                   r.ingest.p99_us);
       levels.push_back(r);
     }
-    sections = SectionsJson(levels, corpus, base_rate, pairs_on, pairs_off);
-    replaced_keys = {"saturation", "metrics_overhead", "metrics"};
+    members = SyncMembers(levels, corpus, base_rate, pairs_on, pairs_off);
   }
 
   // --- outputs --------------------------------------------------------------
   const std::string json_path =
       bench::FlagValue(argc, argv, "--out", "BENCH_service.json");
-  if (!WriteRecord(json_path, sections, replaced_keys)) {
-    std::printf("\ncould not write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%s)\n", json_path.c_str(),
-              frontdoor ? "saturation_async + metrics"
-                        : "saturation + metrics_overhead + metrics");
+  if (!bench::WriteMembers(json_path, members)) return 1;
 
   const std::string metrics_path =
       bench::FlagValue(argc, argv, "--metrics-out");

@@ -7,12 +7,17 @@
 //
 // Ingest parallelizes over vectors (one family Sketcher per worker);
 // queries parallelize over shards. Speedups track the machine's core count
-// — hardware_concurrency is printed so single-core results read correctly.
+// — hardware_concurrency is printed so single-core results read correctly,
+// and a point with more threads than that is marked oversubscribed: it
+// measures time-slicing, not scaling.
 //
-// Besides the human-readable table, the bench writes BENCH_service.json to
-// the working directory (machine-readable rates, the dispatched kernel
-// name, and hardware_concurrency) so CI can track the perf trajectory
-// across commits; tools/check_bench_regression.py diffs the estimate
+// Besides the human-readable table, the bench writes the record-level
+// members of BENCH_service.json (default path; --out overrides): the
+// dispatched kernel name, hardware_concurrency, the corpus, and the
+// machine-readable rates. bench_index and bench_saturation add their own
+// sections to the same record through the same writer
+// (bench::WriteMembers), in any order; a re-run replaces only this
+// bench's members. tools/check_bench_regression.py diffs the estimate
 // throughput against the committed baseline in bench/baselines/.
 
 #include <chrono>
@@ -23,9 +28,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "common/rng.h"
 #include "core/simd/dispatch.h"
-#include "data/synthetic.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
@@ -35,38 +38,14 @@ using namespace ipsketch;
 
 namespace {
 
-constexpr uint64_t kDimension = 100000;
-constexpr size_t kNnz = 300;
-constexpr size_t kNumSamples = 256;
-constexpr char kFamily[] = "wmh";
-
 // Base seed (--seed) — governs the sketch-family randomness.
 uint64_t g_seed = 7;
 
-SparseVector CorpusVector(uint64_t seed) {
-  Xoshiro256StarStar rng(seed);
-  std::vector<Entry> entries;
-  for (uint64_t index : SampleDistinctIndices(kDimension, kNnz, seed)) {
-    entries.push_back({index, rng.NextUnit() * 2.0 - 1.0});
-  }
-  return SparseVector::MakeOrDie(kDimension, std::move(entries));
-}
-
-SketchStoreOptions StoreOptions(const char* engine = nullptr) {
-  SketchStoreOptions options;
-  options.family = kFamily;
-  options.sketch.dimension = kDimension;
-  options.sketch.num_samples = kNumSamples;
-  options.sketch.seed = g_seed;
-  if (engine != nullptr) options.sketch.params["engine"] = engine;
-  options.num_shards = 32;
-  return options;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+/// True iff `threads` workers outnumber the machine's hardware threads, so
+/// the point measures time-slicing rather than scaling.
+bool Oversubscribed(size_t threads) {
+  const unsigned hardware = std::thread::hardware_concurrency();
+  return hardware != 0 && threads > hardware;
 }
 
 /// One measured (threads, rate) point.
@@ -75,17 +54,15 @@ struct RatePoint {
   double per_sec = 0.0;
 };
 
-void AppendRatesJson(std::string* out, const char* key,
-                     const std::vector<RatePoint>& rates) {
-  *out += std::string("  \"") + key + "\": [";
+std::string RatesJson(const std::vector<RatePoint>& rates) {
+  std::string out = "[";
   for (size_t i = 0; i < rates.size(); ++i) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"threads\": %zu, \"per_sec\": %.1f}",
-                  i == 0 ? "" : ", ", rates[i].threads, rates[i].per_sec);
-    *out += buf;
+    out += bench::Format(
+        "%s{\"threads\": %zu, \"per_sec\": %.1f, \"oversubscribed\": %s}",
+        i == 0 ? "" : ", ", rates[i].threads, rates[i].per_sec,
+        Oversubscribed(rates[i].threads) ? "true" : "false");
   }
-  *out += "]";
+  return out + "]";
 }
 
 /// One measured estimate-throughput point: pairwise estimates/sec for a
@@ -96,38 +73,6 @@ struct EstimatePoint {
   double per_sec = 0.0;         // dispatched kernel
   double per_sec_scalar = 0.0;  // forced scalar tier
 };
-
-/// Sustained single-thread pairwise estimate rate of `family` over a
-/// resident catalog, under `forced` (nullptr = dispatched kernel).
-double MeasureEstimateRate(const SketchFamily& family,
-                           const std::vector<std::unique_ptr<AnySketch>>&
-                               catalog,
-                           const AnySketch& query,
-                           const simd::EstimateKernel* forced) {
-  simd::SetActiveKernelForTesting(forced);
-  double sink = 0.0;
-  size_t pairs = 0;
-  const auto start = std::chrono::steady_clock::now();
-  double secs = 0.0;
-  do {
-    for (const auto& sketch : catalog) {
-      auto est = family.Estimate(query, *sketch);
-      if (!est.ok()) {
-        simd::SetActiveKernelForTesting(nullptr);
-        std::printf("estimate failed: %s\n", est.status().ToString().c_str());
-        std::exit(1);
-      }
-      sink += est.value();
-    }
-    pairs += catalog.size();
-    secs = SecondsSince(start);
-  } while (secs < 0.25);
-  simd::SetActiveKernelForTesting(nullptr);
-  // Keep the accumulated estimates observable so the loop cannot be
-  // optimized away.
-  if (sink == 0.12345) std::printf("(unlikely sink value)\n");
-  return static_cast<double>(pairs) / secs;
-}
 
 std::vector<EstimatePoint> MeasureEstimateThroughput() {
   struct Config {
@@ -147,7 +92,7 @@ std::vector<EstimatePoint> MeasureEstimateThroughput() {
               simd::ActiveKernelName());
   for (const Config& config : configs) {
     FamilyOptions options;
-    options.dimension = kDimension;
+    options.dimension = bench::kServiceDimension;
     options.num_samples = config.m;
     options.seed = g_seed;
     auto family = MakeFamily(config.family, options).value();
@@ -156,24 +101,44 @@ std::vector<EstimatePoint> MeasureEstimateThroughput() {
     catalog.reserve(kCatalog);
     for (size_t i = 0; i < kCatalog; ++i) {
       auto sketch = family->NewSketch();
-      if (!sketcher->Sketch(CorpusVector(i), sketch.get()).ok()) {
+      if (!sketcher->Sketch(bench::ServiceVector(i), sketch.get()).ok()) {
         std::printf("sketch failed\n");
         std::exit(1);
       }
       catalog.push_back(std::move(sketch));
     }
     auto query = family->NewSketch();
-    if (!sketcher->Sketch(CorpusVector(1 << 30), query.get()).ok()) {
+    if (!sketcher->Sketch(bench::ServiceVector(1 << 30), query.get()).ok()) {
       std::printf("sketch failed\n");
       std::exit(1);
     }
+    // Sustained single-thread pairwise estimate rate over the resident
+    // catalog, under `forced` (nullptr = dispatched kernel).
+    double sink = 0.0;
+    const auto pairs_per_sec = [&](const simd::EstimateKernel* forced) {
+      simd::SetActiveKernelForTesting(forced);
+      const double rate = bench::SustainedRate(0.25, [&](size_t) {
+        for (const auto& sketch : catalog) {
+          auto est = family->Estimate(*query, *sketch);
+          if (!est.ok()) {
+            std::printf("estimate failed: %s\n",
+                        est.status().ToString().c_str());
+            std::exit(1);
+          }
+          sink += est.value();
+        }
+      });
+      simd::SetActiveKernelForTesting(nullptr);
+      return rate * static_cast<double>(catalog.size());
+    };
     EstimatePoint point;
     point.family = config.family;
     point.m = config.m;
-    point.per_sec =
-        MeasureEstimateRate(*family, catalog, *query, /*forced=*/nullptr);
-    point.per_sec_scalar = MeasureEstimateRate(*family, catalog, *query,
-                                               &simd::ScalarKernel());
+    point.per_sec = pairs_per_sec(/*forced=*/nullptr);
+    point.per_sec_scalar = pairs_per_sec(&simd::ScalarKernel());
+    // Keep the accumulated estimates observable so the loop cannot be
+    // optimized away.
+    if (sink == 0.12345) std::printf("(unlikely sink value)\n");
     std::printf("%-18s %6zu %16.0f %16.0f %8.2fx\n", config.family, config.m,
                 point.per_sec, point.per_sec_scalar,
                 point.per_sec / point.per_sec_scalar);
@@ -182,21 +147,17 @@ std::vector<EstimatePoint> MeasureEstimateThroughput() {
   return out;
 }
 
-void AppendEstimateJson(std::string* out,
-                        const std::vector<EstimatePoint>& points) {
-  *out += "  \"estimate_pairs_per_sec\": [";
+std::string EstimateJson(const std::vector<EstimatePoint>& points) {
+  std::string out = "[";
   for (size_t i = 0; i < points.size(); ++i) {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"family\": \"%s\", \"m\": %zu, "
-                  "\"per_sec\": %.1f, \"per_sec_scalar\": %.1f, "
-                  "\"speedup\": %.3f}",
-                  i == 0 ? "" : ",", points[i].family.c_str(), points[i].m,
-                  points[i].per_sec, points[i].per_sec_scalar,
-                  points[i].per_sec / points[i].per_sec_scalar);
-    *out += buf;
+    out += bench::Format(
+        "%s\n    {\"family\": \"%s\", \"m\": %zu, \"per_sec\": %.1f, "
+        "\"per_sec_scalar\": %.1f, \"speedup\": %.3f}",
+        i == 0 ? "" : ",", points[i].family.c_str(), points[i].m,
+        points[i].per_sec, points[i].per_sec_scalar,
+        points[i].per_sec / points[i].per_sec_scalar);
   }
-  *out += "\n  ]";
+  return out + "\n  ]";
 }
 
 }  // namespace
@@ -216,11 +177,12 @@ int main(int argc, char** argv) {
   std::vector<std::pair<uint64_t, SparseVector>> batch;
   batch.reserve(corpus);
   for (uint64_t id = 0; id < corpus; ++id) {
-    batch.push_back({id, CorpusVector(id)});
+    batch.push_back({id, bench::ServiceVector(id)});
   }
   std::printf("corpus: %zu vectors, dim %llu, %zu nnz, family %s, m = %zu\n\n",
-              corpus, static_cast<unsigned long long>(kDimension), kNnz,
-              kFamily, kNumSamples);
+              corpus, static_cast<unsigned long long>(bench::kServiceDimension),
+              bench::kServiceNnz, bench::kServiceFamily,
+              bench::kServiceNumSamples);
 
   // --- ingest, per WMH engine ----------------------------------------------
   // "dart" is the default ingest engine; "active_index" is kept as the
@@ -236,10 +198,11 @@ int main(int argc, char** argv) {
     double engine_base = 0.0;
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
-      auto store = SketchStore::Make(StoreOptions(kEngines[e])).value();
+      const auto options = bench::ServiceStoreOptions(g_seed, kEngines[e]);
+      auto store = SketchStore::Make(options).value();
       const auto start = std::chrono::steady_clock::now();
       const Status st = store.BuildAndInsertBatch(batch, &pool);
-      const double secs = SecondsSince(start);
+      const double secs = bench::SecondsSince(start);
       if (!st.ok() || store.size() != corpus) {
         std::printf("ingest failed: %s\n", st.ToString().c_str());
         return 1;
@@ -247,12 +210,12 @@ int main(int argc, char** argv) {
       const double rate = static_cast<double>(corpus) / secs;
       if (threads == 1) engine_base = rate;
       ingest_rates_by_engine[e].push_back({threads, rate});
-      std::printf("%zu threads                %14.0f %9.2fx\n", threads, rate,
-                  rate / engine_base);
+      const char* mark = Oversubscribed(threads) ? "  oversubscribed" : "";
+      std::printf("%zu threads                %14.0f %9.2fx%s\n", threads, rate,
+                  rate / engine_base, mark);
     }
     std::printf("\n");
   }
-  const std::vector<RatePoint>& ingest_rates = ingest_rates_by_engine[0];
   const double dart_vs_active =
       ingest_rates_by_engine[0][0].per_sec /
       ingest_rates_by_engine[1][0].per_sec;
@@ -260,7 +223,7 @@ int main(int argc, char** argv) {
               dart_vs_active);
 
   // --- queries --------------------------------------------------------------
-  auto store = SketchStore::Make(StoreOptions()).value();
+  auto store = SketchStore::Make(bench::ServiceStoreOptions(g_seed)).value();
   {
     ThreadPool pool(4);
     if (!store.BuildAndInsertBatch(batch, &pool).ok()) return 1;
@@ -268,7 +231,7 @@ int main(int argc, char** argv) {
   const size_t num_queries = 40 * scale;
   std::vector<SparseVector> queries;
   for (size_t q = 0; q < num_queries; ++q) {
-    queries.push_back(CorpusVector(1000000 + q));
+    queries.push_back(bench::ServiceVector(1000000 + q));
   }
 
   std::vector<RatePoint> query_rates;
@@ -281,12 +244,13 @@ int main(int argc, char** argv) {
     for (const SparseVector& q : queries) {
       if (!engine.TopK(q, 10).ok()) return 1;
     }
-    const double secs = SecondsSince(start);
+    const double secs = bench::SecondsSince(start);
     const double rate = static_cast<double>(num_queries) / secs;
     if (threads == 1) base_rate = rate;
     query_rates.push_back({threads, rate});
-    std::printf("%zu threads  %14.1f %9.2fx\n", threads, rate,
-                rate / base_rate);
+    const char* mark = Oversubscribed(threads) ? "  oversubscribed" : "";
+    std::printf("%zu threads  %14.1f %9.2fx%s\n", threads, rate,
+                rate / base_rate, mark);
   }
 
   // --- pairwise estimate throughput, dispatched kernel vs scalar ------------
@@ -294,45 +258,29 @@ int main(int argc, char** argv) {
       MeasureEstimateThroughput();
 
   // --- machine-readable record ---------------------------------------------
-  std::string json = "{\n";
-  char line[192];
-  std::snprintf(line, sizeof(line),
-                "  \"bench\": \"service_throughput\",\n"
-                "  \"family\": \"%s\",\n"
-                "  \"hardware_concurrency\": %u,\n"
-                "  \"kernel\": \"%s\",\n"
-                "  \"scale\": %zu,\n"
-                "  \"corpus\": %zu,\n"
-                "  \"num_samples\": %zu,\n",
-                kFamily, std::thread::hardware_concurrency(),
-                simd::ActiveKernelName(), scale, corpus, kNumSamples);
-  json += line;
-  AppendRatesJson(&json, "ingest_vectors_per_sec", ingest_rates);
-  json += ",\n";
+  // Only this bench writes the record-level members, "bench" through
+  // "num_samples".
+  const unsigned hardware = std::thread::hardware_concurrency();
+  std::vector<bench::JsonMember> members;
+  members.emplace_back("bench", "\"service_throughput\"");
+  members.emplace_back("family",
+                       bench::Format("\"%s\"", bench::kServiceFamily));
+  members.emplace_back("hardware_concurrency", std::to_string(hardware));
+  members.emplace_back("kernel",
+                       bench::Format("\"%s\"", simd::ActiveKernelName()));
+  members.emplace_back("scale", std::to_string(scale));
+  members.emplace_back("corpus", std::to_string(corpus));
+  members.emplace_back("num_samples",
+                       std::to_string(bench::kServiceNumSamples));
   for (size_t e = 0; e < kEngines.size(); ++e) {
-    AppendRatesJson(&json,
-                    (std::string("ingest_vectors_per_sec_") + kEngines[e])
-                        .c_str(),
-                    ingest_rates_by_engine[e]);
-    json += ",\n";
+    members.emplace_back(std::string("ingest_vectors_per_sec_") + kEngines[e],
+                         RatesJson(ingest_rates_by_engine[e]));
   }
-  std::snprintf(line, sizeof(line),
-                "  \"ingest_dart_vs_active_index_1thread\": %.3f,\n",
-                dart_vs_active);
-  json += line;
-  AppendRatesJson(&json, "topk_queries_per_sec", query_rates);
-  json += ",\n";
-  AppendEstimateJson(&json, estimate_points);
-  json += "\n}\n";
+  members.emplace_back("ingest_dart_vs_active_index_1thread",
+                       bench::Format("%.3f", dart_vs_active));
+  members.emplace_back("topk_queries_per_sec", RatesJson(query_rates));
+  members.emplace_back("estimate_pairs_per_sec", EstimateJson(estimate_points));
   const std::string json_path =
       bench::FlagValue(argc, argv, "--out", "BENCH_service.json");
-  if (std::FILE* f = std::fopen(json_path.c_str(), "wb")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  } else {
-    std::printf("\ncould not write %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
+  return bench::WriteMembers(json_path, members) ? 0 : 1;
 }

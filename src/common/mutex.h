@@ -54,11 +54,15 @@ enum class LockRank : int {
   /// the mirror protocol).
   kIndexShard = 30,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
-  /// for queue pushes/pops and the batch-slot bookkeeping; batch execution
-  /// and completion callbacks run strictly after it is released. Ranked
-  /// below kPoolQueue so dispatch may hand work to the pool while holding
-  /// it, and above the shard ranks because Submit can be called from scan
-  /// callbacks that hold a store or index shard lock.
+  /// for queue pushes/pops and the batch-slot bookkeeping. It is taken with
+  /// no other library lock held, and nothing is acquired under it: the
+  /// pool hand-off, batch execution and completion callbacks all run after
+  /// it is released. So today it orders nothing against the other ranks;
+  /// the checker's work here is same-rank re-entry, which a completion
+  /// callback run under the lock would cause by calling Submit. Its place
+  /// between kIndexShard and kPoolQueue permits what no caller does yet:
+  /// taking it under a store or index shard lock, and taking the pool's
+  /// queue lock under it.
   kFrontDoorQueue = 45,
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,

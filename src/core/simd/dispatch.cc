@@ -12,9 +12,7 @@ namespace {
 /// Test override; nullptr means "use the resolved tier".
 std::atomic<const EstimateKernel*> g_override{nullptr};
 
-// [[maybe_unused]]: under IPSKETCH_FORCE_SCALAR builds Resolve() never
-// consults the CPU.
-[[maybe_unused]] bool CpuHasAvx2() {
+bool CpuHasAvx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx2");
@@ -24,9 +22,6 @@ std::atomic<const EstimateKernel*> g_override{nullptr};
 }
 
 const EstimateKernel* Resolve() {
-#if defined(IPSKETCH_FORCE_SCALAR_BUILD)
-  return &ScalarKernel();
-#else
   if (ParseForceScalarEnv(std::getenv("IPSKETCH_FORCE_SCALAR"))) {
     return &ScalarKernel();
   }
@@ -36,7 +31,6 @@ const EstimateKernel* Resolve() {
   if (const EstimateKernel* k = NeonKernel()) return k;
   if (const EstimateKernel* k = Sse2Kernel()) return k;
   return &ScalarKernel();
-#endif
 }
 
 const EstimateKernel& ResolvedKernel() {

@@ -4,16 +4,12 @@
 // after a cpuid check.
 //
 // Selection order: avx2 (x86-64 with runtime AVX2) → neon (AArch64) → sse2
-// (x86-64 baseline) → scalar. Two overrides force the scalar tier:
-//
-//   * IPSKETCH_FORCE_SCALAR=1 in the environment (read once, at first
-//     resolution) — the CI equivalence matrix and field debugging both use
-//     this; "0", "off", "false", "no" (any case), and empty mean no force.
-//   * -DIPSKETCH_FORCE_SCALAR=ON at configure time — pins Resolve() to the
-//     scalar tier at compile time, ignoring the environment. The vector
-//     TUs are still compiled and listed by AvailableKernels() (the
-//     equivalence tests exercise them even in this configuration); only
-//     dispatch is pinned.
+// (x86-64 baseline) → scalar. IPSKETCH_FORCE_SCALAR=1 in the environment
+// (read once, at first resolution) forces the scalar tier; "0", "off",
+// "false", "no" (any case), and empty mean no force. CI runs the whole test
+// suite a second time under it, and field debugging uses it too. The vector
+// tiers are still listed by AvailableKernels(), so the equivalence tests
+// exercise them under the force as well; only dispatch is pinned.
 //
 // All estimators fetch the table per call via ActiveKernel(), so the test
 // override below takes effect everywhere at once.

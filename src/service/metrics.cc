@@ -9,7 +9,6 @@
 namespace ipsketch {
 namespace metrics {
 
-#ifndef IPSKETCH_METRICS_DISABLED_BUILD
 namespace internal {
 
 std::atomic<int> g_enabled{-1};
@@ -35,7 +34,6 @@ bool ResolveEnabledFromEnv() {
 void SetEnabledForTesting(bool enabled) {
   internal::g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
-#endif  // IPSKETCH_METRICS_DISABLED_BUILD
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(

@@ -14,17 +14,14 @@
 // are exact to within one bucket and p100 == max is exact. All latency
 // histograms in the service record NANOSECONDS.
 //
-// Escape hatches, for proving the instrumentation costs nothing when off:
-//  * env:     IPSKETCH_METRICS=off|0|false disables every instrument at
-//             startup (resolved once, on first use).
-//  * compile: -DIPSKETCH_METRICS_DISABLED_BUILD (cmake
-//             -DIPSKETCH_METRICS=OFF) makes Enabled() constexpr false, so
-//             recording compiles to nothing.
-// When disabled, Add/Set/Record return immediately and the RAII timers skip
-// their clock reads; registration and rendering still work (everything
-// reads zero). SetEnabledForTesting flips the env decision at runtime —
-// note that toggling while tasks are in flight can skew paired gauge
-// updates (queue depth); it is a testing/bench hook, not a production knob.
+// Escape hatch, for proving the instrumentation costs nothing when off:
+// IPSKETCH_METRICS=off|0|false in the environment disables every instrument
+// at startup (resolved once, on first use). When disabled, Add/Set/Record
+// return immediately and the RAII timers skip their clock reads;
+// registration and rendering still work (everything reads zero).
+// SetEnabledForTesting flips the env decision at runtime — note that
+// toggling while tasks are in flight can skew paired gauge updates (queue
+// depth); it is a testing/bench hook, not a production knob.
 //
 // QueryTrace is separate from the registry: a caller-owned, fixed-capacity
 // record of per-query stage spans (sketch-query, shard-scan, heap-merge)
@@ -47,18 +44,6 @@
 namespace ipsketch {
 namespace metrics {
 
-/// True iff metrics were compiled in (cmake -DIPSKETCH_METRICS=OFF removes
-/// them). Tests use this to skip metric-delta assertions in disabled builds.
-#ifdef IPSKETCH_METRICS_DISABLED_BUILD
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
-#ifdef IPSKETCH_METRICS_DISABLED_BUILD
-constexpr bool Enabled() { return false; }
-inline void SetEnabledForTesting(bool) {}
-#else
 namespace internal {
 // -1 = not yet resolved from the environment; 0/1 = resolved.
 extern std::atomic<int> g_enabled;
@@ -74,7 +59,6 @@ inline bool Enabled() {
 
 /// Overrides the env decision (bench A/B and tests).
 void SetEnabledForTesting(bool enabled);
-#endif
 
 /// Monotonic clock in nanoseconds — the time base of every histogram.
 uint64_t NowNs();

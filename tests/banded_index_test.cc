@@ -209,6 +209,53 @@ TEST(BandedIndexTest, IndexTracksInsertEraseAndReplace) {
   EXPECT_EQ(hits.value()[0].id, 7u);
 }
 
+// Each index counter moves by exactly what one call does: attaching files
+// every resident sketch, a new id or a replace files one, an erase unfiles
+// one (a NotFound erase none), and a probe adds the stats it returns.
+TEST(BandedIndexTest, IndexCountersMoveOncePerCall) {
+  metrics::SetEnabledForTesting(true);
+  SketchStore store = MakeFilledStore(25);
+  const uint64_t attach_inserts = CounterValue("ipsketch_index_inserts_total");
+  auto made = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(made.ok());
+  const std::unique_ptr<BandedIndex> index = std::move(made).value();
+  EXPECT_EQ(CounterValue("ipsketch_index_inserts_total"), attach_inserts + 25);
+
+  const uint64_t inserts = CounterValue("ipsketch_index_inserts_total");
+  ASSERT_TRUE(store.BuildAndInsert(1000, RandomVector(1000)).ok());
+  EXPECT_EQ(CounterValue("ipsketch_index_inserts_total"), inserts + 1);
+  ASSERT_TRUE(store.BuildAndInsert(1000, RandomVector(1001)).ok());
+  EXPECT_EQ(CounterValue("ipsketch_index_inserts_total"), inserts + 2);
+
+  const uint64_t erases = CounterValue("ipsketch_index_erases_total");
+  ASSERT_TRUE(store.Erase(1000).ok());
+  EXPECT_EQ(CounterValue("ipsketch_index_erases_total"), erases + 1);
+  EXPECT_EQ(store.Erase(1000).code(), StatusCode::kNotFound);
+  EXPECT_EQ(CounterValue("ipsketch_index_erases_total"), erases + 1);
+
+  // A self-query of stored id 1 collides with it in every band.
+  const auto query = SketchOrDie(store.family(), RandomVector(100));
+  std::vector<uint64_t> keys;
+  ASSERT_TRUE(index->QueryBandKeys(*query, &keys).ok());
+  uint64_t candidates_seen = 0;
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    const uint64_t buckets =
+        CounterValue("ipsketch_index_buckets_probed_total");
+    const uint64_t candidates = CounterValue("ipsketch_index_candidates_total");
+    TopKHeap heap(10);
+    IndexProbeStats stats;
+    ASSERT_TRUE(index->ProbeShard(*query, keys, s, &heap, &stats).ok());
+    EXPECT_EQ(CounterValue("ipsketch_index_buckets_probed_total"),
+              buckets + stats.buckets_probed)
+        << "shard " << s;
+    EXPECT_EQ(CounterValue("ipsketch_index_candidates_total"),
+              candidates + stats.candidates)
+        << "shard " << s;
+    candidates_seen += stats.candidates;
+  }
+  EXPECT_GE(candidates_seen, 1u);
+}
+
 TEST(BandedIndexTest, BandedSelfQueriesFindEveryStoredVector) {
   // A query identical to a stored vector collides on every sample, hence in
   // every band — the index is *guaranteed* to surface it, whatever (b, r).
@@ -850,7 +897,7 @@ TEST(BandedIndexTest, IdenticalReplaceAndEraseLeaveNoStalePostings) {
 // what Insert-ing its entries one by one leaves: every shard's ids and
 // sketch bytes, the index's size and probes, and the counter deltas.
 TEST(BandedIndexTest, InsertBatchMatchesOneByOneInserts) {
-  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  metrics::SetEnabledForTesting(true);
   constexpr uint64_t kMax = ~uint64_t{0};
   // (id, vector seed) in batch order; the store holds ids 1..40 already.
   std::vector<std::pair<uint64_t, uint64_t>> plan = {

@@ -271,9 +271,6 @@ TEST(FrontDoorTest, BandedPolicyMatchesSyncEngineAndExactScores) {
 }
 
 TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
-  if (!metrics::kCompiledIn) {
-    GTEST_SKIP() << "metrics compiled out";
-  }
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& submitted = registry.GetCounter("ipsketch_frontdoor_submitted_total",

@@ -16,15 +16,6 @@ namespace ipsketch {
 namespace metrics {
 namespace {
 
-// Most assertions need instruments that actually record; in a
-// -DIPSKETCH_METRICS=OFF build they are compiled to no-ops, so skip.
-#define SKIP_IF_METRICS_COMPILED_OUT()                       \
-  do {                                                       \
-    if (!kCompiledIn) {                                      \
-      GTEST_SKIP() << "metrics compiled out in this build";  \
-    }                                                        \
-  } while (0)
-
 class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override { SetEnabledForTesting(true); }
@@ -76,7 +67,6 @@ TEST(BucketMath, HugeValuesLandInOverflowBucket) {
 // --- counters and gauges ---------------------------------------------------
 
 TEST_F(MetricsTest, CounterAccumulatesExactly) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Counter c;
   EXPECT_EQ(c.Value(), 0u);
   c.Add();
@@ -85,7 +75,6 @@ TEST_F(MetricsTest, CounterAccumulatesExactly) {
 }
 
 TEST_F(MetricsTest, CounterIsExactUnderConcurrency) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Counter c;
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 20000;
@@ -100,7 +89,6 @@ TEST_F(MetricsTest, CounterIsExactUnderConcurrency) {
 }
 
 TEST_F(MetricsTest, GaugeTracksSignedValue) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Gauge g;
   g.Add(5);
   g.Add(-8);
@@ -110,7 +98,6 @@ TEST_F(MetricsTest, GaugeTracksSignedValue) {
 }
 
 TEST_F(MetricsTest, DisabledInstrumentsRecordNothing) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Counter c;
   Gauge g;
   Histogram h;
@@ -129,7 +116,6 @@ TEST_F(MetricsTest, DisabledInstrumentsRecordNothing) {
 // --- histogram percentiles -------------------------------------------------
 
 TEST_F(MetricsTest, EmptyHistogramReportsZero) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   const HistogramSnapshot snap = h.Snapshot();
   EXPECT_EQ(snap.count, 0u);
@@ -139,7 +125,6 @@ TEST_F(MetricsTest, EmptyHistogramReportsZero) {
 }
 
 TEST_F(MetricsTest, SingleSamplePercentilesClampToMax) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   h.Record(1000);
   const HistogramSnapshot snap = h.Snapshot();
@@ -154,7 +139,6 @@ TEST_F(MetricsTest, SingleSamplePercentilesClampToMax) {
 }
 
 TEST_F(MetricsTest, UniformSamplesGiveSaneMedian) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   for (uint64_t v = 1; v <= 10000; ++v) h.Record(v);
   const HistogramSnapshot snap = h.Snapshot();
@@ -167,7 +151,6 @@ TEST_F(MetricsTest, UniformSamplesGiveSaneMedian) {
 }
 
 TEST_F(MetricsTest, OverflowBucketUsesExactMaxAsUpperEdge) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   const uint64_t huge = uint64_t{1} << 62;
   h.Record(huge);
@@ -182,7 +165,6 @@ TEST_F(MetricsTest, OverflowBucketUsesExactMaxAsUpperEdge) {
 }
 
 TEST_F(MetricsTest, HistogramSumAndCountAreExact) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   uint64_t expect_sum = 0;
   for (uint64_t v : {0u, 1u, 3u, 17u, 1000u, 123456u}) {
@@ -198,7 +180,6 @@ TEST_F(MetricsTest, HistogramSumAndCountAreExact) {
 // while a reader thread snapshots concurrently. Counts must be exact after
 // the join, and no data race may be reported.
 TEST_F(MetricsTest, ConcurrentRecordingIsRaceFreeAndExact) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   Histogram h;
   Counter c;
   constexpr size_t kThreads = 8;
@@ -240,7 +221,6 @@ TEST_F(MetricsTest, RegistryReturnsSameInstrumentForSameName) {
 }
 
 TEST_F(MetricsTest, RenderTextEmitsPrometheusShape) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("ipsketch_test_render_total", "a test counter")
       .Add(7);
@@ -259,7 +239,6 @@ TEST_F(MetricsTest, RenderTextEmitsPrometheusShape) {
 }
 
 TEST_F(MetricsTest, RenderTextMergesEmbeddedLabels) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   auto& registry = MetricsRegistry::Global();
   registry.GetGauge("ipsketch_test_labeled{shard=\"0\"}").Set(3);
   registry.GetGauge("ipsketch_test_labeled{shard=\"1\"}").Set(4);
@@ -276,7 +255,6 @@ TEST_F(MetricsTest, RenderTextMergesEmbeddedLabels) {
 }
 
 TEST_F(MetricsTest, RenderJsonIsWellFormedAndCarriesValues) {
-  SKIP_IF_METRICS_COMPILED_OUT();
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("ipsketch_test_json_total").Add(3);
   registry.GetHistogram("ipsketch_test_json_ns").Record(2048);

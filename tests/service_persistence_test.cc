@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "core/wmh_sketch.h"
 #include "data/synthetic.h"
+#include "service/metrics.h"
 #include "service/query_engine.h"
 #include "sketch/serialize.h"
 
@@ -593,6 +594,52 @@ TEST(StorePersistenceTest, FailedRenameReportsErrorAndLeavesNoTemp) {
 TEST(StorePersistenceTest, LoadMissingFileIsNotFound) {
   EXPECT_EQ(LoadSketchStore(TempPath("does_not_exist.bin")).status().code(),
             StatusCode::kNotFound);
+}
+
+// Each persistence metric moves by exactly what one call does: a save adds
+// one save_ns sample and the file's size to bytes_written, a load one
+// load_ns sample and the file's size to bytes_read, and only a load whose
+// checksum fails adds to checksum_failures.
+TEST(StorePersistenceTest, PersistenceMetricsMoveOncePerCall) {
+  metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& save_ns = registry.GetHistogram("ipsketch_persist_save_ns");
+  auto& load_ns = registry.GetHistogram("ipsketch_persist_load_ns");
+  auto& written = registry.GetCounter("ipsketch_persist_bytes_written_total");
+  auto& read = registry.GetCounter("ipsketch_persist_bytes_read_total");
+  auto& checksum_failures =
+      registry.GetCounter("ipsketch_persist_checksum_failures_total");
+  const std::string dir = FreshDir("persist_metrics");
+  const std::string path = dir + "/catalog.store";
+  const auto store = MakePopulatedStore(20);
+
+  const uint64_t saves = save_ns.Count();
+  const uint64_t bytes_written = written.Value();
+  ASSERT_TRUE(SaveSketchStore(store, path).ok());
+  const std::string bytes = ReadFile(path);
+  EXPECT_EQ(save_ns.Count(), saves + 1);
+  EXPECT_EQ(written.Value(), bytes_written + bytes.size());
+
+  const uint64_t loads = load_ns.Count();
+  const uint64_t bytes_read = read.Value();
+  const uint64_t failures = checksum_failures.Value();
+  ASSERT_TRUE(LoadSketchStore(path).ok());
+  EXPECT_EQ(load_ns.Count(), loads + 1);
+  EXPECT_EQ(read.Value(), bytes_read + bytes.size());
+  EXPECT_EQ(checksum_failures.Value(), failures);
+
+  // One flipped byte in the middle of the entry stream.
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x41;
+  const std::string flipped_path = dir + "/flipped.store";
+  std::ofstream(flipped_path, std::ios::binary) << flipped;
+  auto loaded = LoadSketchStore(flipped_path);
+  EXPECT_NE(loaded.status().message().find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_EQ(load_ns.Count(), loads + 2);
+  EXPECT_EQ(read.Value(), bytes_read + 2 * bytes.size());
+  EXPECT_EQ(checksum_failures.Value(), failures + 1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

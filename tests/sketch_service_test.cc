@@ -355,7 +355,7 @@ TEST(SketchStoreTest, FailingBatchInsertsNothing) {
   for (uint64_t i = 0; i < 10; ++i) {
     batch.push_back({i, vector_of(i, i == 5 ? 8192 : 4096)});
   }
-  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  metrics::SetEnabledForTesting(true);
   auto& inserts = metrics::MetricsRegistry::Global().GetCounter(
       "ipsketch_store_inserts_total");
   ThreadPool pool(2);
@@ -588,7 +588,7 @@ TEST(CompactCatalogTest, QuantizeStoreKeepsSourceAndLayout) {
   for (uint64_t i = 0; i < 25; ++i) {
     ASSERT_TRUE(source.BuildAndInsert(i * 3, RandomVector(i)).ok());
   }
-  if (metrics::kCompiledIn) metrics::SetEnabledForTesting(true);
+  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& inserts = registry.GetCounter("ipsketch_store_inserts_total");
   auto& size_gauge = registry.GetGauge("ipsketch_store_size");
@@ -608,10 +608,8 @@ TEST(CompactCatalogTest, QuantizeStoreKeepsSourceAndLayout) {
     EXPECT_EQ(view->epoch, 1u) << "shard " << s;
   }
   // Every quantized sketch still counts as an insert and a live sketch.
-  if (metrics::kCompiledIn) {
-    EXPECT_EQ(inserts.Value(), inserts_before + 25);
-    EXPECT_EQ(size_gauge.Value(), size_before + 25);
-  }
+  EXPECT_EQ(inserts.Value(), inserts_before + 25);
+  EXPECT_EQ(size_gauge.Value(), size_before + 25);
 }
 
 // A fixed full-precision catalog for the quantization byte pin below:
@@ -848,7 +846,6 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
 // around the operation under test, never absolute values.
 
 TEST(ServiceMetricsTest, PoolRejectionIncrementsCounter) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::SetEnabledForTesting(true);
   auto& rejected = metrics::MetricsRegistry::Global().GetCounter(
       "ipsketch_pool_tasks_rejected_total");
@@ -872,7 +869,6 @@ TEST(ServiceMetricsTest, PoolRejectionIncrementsCounter) {
 }
 
 TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& size_gauge = registry.GetGauge("ipsketch_store_size");
@@ -911,7 +907,6 @@ TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
 // shares its publication, so its samples time the sketches alone), none
 // for a pre-built Insert, and one erase per id actually removed.
 TEST(ServiceMetricsTest, WritePathMetricsMoveOncePerCall) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& ingest = registry.GetHistogram("ipsketch_store_ingest_ns");
@@ -998,7 +993,6 @@ TEST(ServiceMetricsTest, QueryTraceCapturesTopKStages) {
 }
 
 TEST(ServiceMetricsTest, QueryCountersMoveOnTopK) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& queries = registry.GetCounter("ipsketch_query_total");
@@ -1019,7 +1013,6 @@ TEST(ServiceMetricsTest, QueryCountersMoveOnTopK) {
 // sample per call (per query for candidate counts), on both policies and
 // at any batch size.
 TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
-  if (!metrics::kCompiledIn) GTEST_SKIP() << "metrics compiled out";
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& topk_ns = registry.GetHistogram("ipsketch_query_topk_ns");

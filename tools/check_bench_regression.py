@@ -2,6 +2,7 @@
 """Fails CI when estimate throughput regresses against the committed baseline.
 
     tools/check_bench_regression.py BASELINE CURRENT [--threshold 0.25]
+    tools/check_bench_regression.py --self-test
 
 Compares the `estimate_pairs_per_sec` records of two BENCH_service.json
 files (bench/bench_service_throughput.cc) keyed by (family, m). The gated
@@ -35,13 +36,18 @@ win is small (don't gate). Three rules do that:
   under 4.3x). Microarchitectural spread (8.6x vs 6.2x) passes; a 4x
   kernel loss (8.6x → 2.1x) or a dead SIMD path (~1.0x) fails.
 
-Points present on only one side are reported and skipped. Sections of the
-record this script does not know about (e.g. "metrics" from
-bench_saturation) are ignored; a "saturation" section on both sides adds an
-informational — never gating — TopK p99 latency comparison, and a
-"saturation_async" section (bench_saturation --frontdoor) adds the same
-plus the per-level shed/expired counts. An "index"
-section (bench_index) is gated like the estimate points: each
+A gate that silently loses its input is off, so two gaps fail too: a
+point the baseline gates (speedup >= --gate-min) that is absent from the
+current record, and an "index" section in the baseline that shares no
+point with the current record (including a current record with no "index"
+member at all). Other points present on only one side are reported and
+skipped: CI's smoke run never produces the baseline's full-corpus index
+points. Sections of the record this script does not know about (e.g.
+"metrics" from bench_saturation) are ignored; a "saturation" section on
+both sides adds an informational — never gating — TopK p99 latency
+comparison, and a "saturation_async" section (bench_saturation
+--frontdoor) adds the same plus the per-level shed/expired counts. An
+"index" section (bench_index) is gated like the estimate points: each
 (bands, rows, corpus) point's banded-vs-exact *speedup* is a same-run,
 same-machine ratio, so it transfers across runners; it fails only when the
 speedup both dropped below 1 - THRESHOLD of the baseline's AND sits below
@@ -49,12 +55,26 @@ the max(2.0, baseline/2) backstop. recall@10 is reported informationally —
 recall depends only on (b, r) and the corpus, not the machine, but its
 acceptance evidence lives in the committed baseline, not in per-run CI
 noise. Malformed records produce a one-line error, not a traceback. Exit
-status: 0 ok, 1 regression, 2 usage/parse error.
+status: 0 ok, 1 regression or gap, 2 usage/parse error.
+
+--self-test writes records derived from the committed baseline to a temp
+dir and checks the verdicts: the baseline against itself passes, and each
+seeded fault fails (a wmh@128 speedup cut below half, a quartered index
+speedup, no "index" member, no gated wmh@128 point, an sse2 kernel under
+--require-kernel avx2). CI's static-analysis job runs it.
 """
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
+
+BASELINE = Path(__file__).resolve().parent.parent / "bench" / "baselines" / \
+    "BENCH_service.json"
 
 
 def load(path):
@@ -156,12 +176,17 @@ def report_index(base_record, curr_record, threshold):
     Same dual rule as the estimate gate: a matched point fails only when its
     speedup ratio vs baseline dropped below 1 - threshold AND its current
     speedup is under max(2.0, baseline/2). Recall@10 is printed but never
-    gated (see module docstring). Points on one side only are reported and
-    skipped — CI's smoke run matches only the baseline's smoke-sized corpus
-    points.
+    gated (see module docstring). A baseline index section that shares no
+    point with the current record fails; otherwise points on one side only
+    are reported and skipped — CI's smoke run matches only the baseline's
+    smoke-sized corpus points.
     """
     base = index_points(base_record)
     curr = index_points(curr_record)
+    if base and not set(base) & set(curr):
+        print(f"\nbanded index: the current record shares none of the "
+              f"baseline's {len(base)} index points")
+        return ["index: no point shared with the baseline"]
     if not curr:
         return []
     print("\nbanded index (gated on speedup; recall informational):")
@@ -198,24 +223,12 @@ def report_index(base_record, curr_record, threshold):
     return failed
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--threshold", type=float, default=0.25,
-                        help="allowed fractional speedup drop (default 0.25)")
-    parser.add_argument("--require-kernel", default=None,
-                        help="fail unless the current record's dispatched "
-                             "kernel is NAME (CI: avx2)")
-    parser.add_argument("--gate-min", type=float, default=1.75,
-                        help="points with baseline speedup below this are "
-                             "informational only (default 1.75)")
-    args = parser.parse_args()
-
-    base_record = load(args.baseline)
-    curr_record = load(args.current)
-    base = estimate_points(base_record, args.baseline)
-    curr = estimate_points(curr_record, args.current)
+def check(baseline, current, threshold, require_kernel, gate_min):
+    """Compares the record at `current` against `baseline`; exit status."""
+    base_record = load(baseline)
+    curr_record = load(current)
+    base = estimate_points(base_record, baseline)
+    curr = estimate_points(curr_record, current)
 
     base_kernel = base_record.get("kernel", "?")
     curr_kernel = curr_record.get("kernel", "?")
@@ -224,16 +237,16 @@ def main():
     print(f"current  kernel: {curr_kernel} "
           f"(hardware_concurrency {curr_record.get('hardware_concurrency', '?')})")
 
-    if args.require_kernel and curr_kernel != args.require_kernel:
+    if require_kernel and curr_kernel != require_kernel:
         print(f"\nFAIL: dispatched kernel is '{curr_kernel}', expected "
-              f"'{args.require_kernel}' — runtime dispatch regressed",
+              f"'{require_kernel}' — runtime dispatch regressed",
               file=sys.stderr)
         return 1
-    if args.require_kernel and base_kernel != args.require_kernel:
+    if require_kernel and base_kernel != require_kernel:
         # A mismatched baseline would otherwise hit the cross-tier skip
         # below and silently disable the gate on every future run.
         print(f"\nFAIL: committed baseline was recorded with kernel "
-              f"'{base_kernel}', expected '{args.require_kernel}' — "
+              f"'{base_kernel}', expected '{require_kernel}' — "
               f"regenerate bench/baselines from a matching machine",
               file=sys.stderr)
         return 1
@@ -252,8 +265,13 @@ def main():
     for key in sorted(set(base) | set(curr)):
         family, m = key
         if key not in curr:
-            print(f"{family:<14} {m:>6} {'—':>14} {'—':>13} {'—':>13} "
-                  f"{'—':>7}  missing from current (skipped)")
+            gated = base[key]["speedup"] >= gate_min
+            print(f"{family:<14} {m:>6} {'—':>14} "
+                  f"{base[key]['speedup']:>12.2f}x {'—':>13} {'—':>7}  "
+                  f"missing from current "
+                  f"({'GATED' if gated else 'skipped'})")
+            if gated:
+                failed.append(f"{family}@m={m} missing")
             continue
         if key not in base:
             print(f"{family:<14} {m:>6} {curr[key]['per_sec']:>14.0f} "
@@ -263,29 +281,106 @@ def main():
         b = base[key]["speedup"]
         c = curr[key]["speedup"]
         ratio = c / b if b > 0 else float("inf")
-        if b < args.gate_min:
+        if b < gate_min:
             print(f"{family:<14} {m:>6} {curr[key]['per_sec']:>14.0f} "
                   f"{b:>12.2f}x {c:>12.2f}x {ratio:>6.2f}x  "
-                  f"info only (baseline < {args.gate_min:.2f}x)")
+                  f"info only (baseline < {gate_min:.2f}x)")
             continue
         backstop = max(2.0, b / 2.0)
-        ok = ratio >= 1.0 - args.threshold or c >= backstop
+        ok = ratio >= 1.0 - threshold or c >= backstop
         print(f"{family:<14} {m:>6} {curr[key]['per_sec']:>14.0f} "
               f"{b:>12.2f}x {c:>12.2f}x {ratio:>6.2f}x  "
               f"{'ok' if ok else 'REGRESSION'}")
         if not ok:
             failed.append(f"{family}@m={m} ({ratio:.2f}x)")
 
-    failed += report_index(base_record, curr_record, args.threshold)
+    failed += report_index(base_record, curr_record, threshold)
     report_saturation(base_record, curr_record)
     report_saturation(base_record, curr_record, key="saturation_async")
 
     if failed:
-        print(f"\nFAIL: speedup dropped >{args.threshold:.0%} vs baseline: "
-              f"{', '.join(failed)}", file=sys.stderr)
+        print(f"\nFAIL: speedup dropped >{threshold:.0%} vs baseline, or a "
+              f"gated point is missing: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print(f"\nOK: no throughput regression beyond {args.threshold:.0%}")
+    print(f"\nOK: no throughput regression beyond {threshold:.0%}")
     return 0
+
+
+def self_test():
+    """Checks the gate's verdicts on records seeded from the baseline."""
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+
+    def estimate_point(record, family, m):
+        return next(p for p in record["estimate_pairs_per_sec"]
+                    if (p["family"], p["m"]) == (family, m))
+
+    def index_point(record, bands, rows, corpus):
+        return next(p for p in record["index"]["points"]
+                    if (p["bands"], p["rows"], p["corpus"]) ==
+                    (bands, rows, corpus))
+
+    def cut_wmh128(record):
+        # Exactly half is the backstop max(2, baseline/2), which passes.
+        estimate_point(record, "wmh", 128)["speedup"] *= 0.49
+
+    def quarter_index(record):
+        index_point(record, 16, 8, 4000)["speedup"] /= 4.0
+
+    def drop_wmh128(record):
+        record["estimate_pairs_per_sec"].remove(
+            estimate_point(record, "wmh", 128))
+
+    cases = [
+        ("the baseline against itself", lambda record: None, 0),
+        ("wmh@128 speedup cut to 0.49x", cut_wmh128, 1),
+        ("index b=16,r=8,n=4000 speedup quartered", quarter_index, 1),
+        ("no index member", lambda record: record.pop("index"), 1),
+        ("no wmh@128 estimate point", drop_wmh128, 1),
+        ("kernel sse2", lambda record: record.update(kernel="sse2"), 1),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="bench_gate_selftest_") as tmp:
+        current = Path(tmp) / "BENCH_service.json"
+        for label, seed, expected in cases:
+            record = copy.deepcopy(baseline)
+            seed(record)
+            current.write_text(json.dumps(record), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    status = check(str(BASELINE), str(current), 0.25,
+                                   "avx2", 1.75)
+                except SystemExit as e:
+                    status = e.code
+            verdict = "OK" if status == expected else \
+                f"exit {status}, expected {expected}"
+            print(f"self-test: {label}: {verdict}")
+            failures += status != expected
+    return 1 if failures else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("baseline", nargs="?")
+    parser.add_argument("current", nargs="?")
+    parser.add_argument("--threshold", type=float, default=0.25,
+                        help="allowed fractional speedup drop (default 0.25)")
+    parser.add_argument("--require-kernel", default=None,
+                        help="fail unless the current record's dispatched "
+                             "kernel is NAME (CI: avx2)")
+    parser.add_argument("--gate-min", type=float, default=1.75,
+                        help="points with baseline speedup below this are "
+                             "informational only (default 1.75)")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check the gate's verdicts on records seeded "
+                             "from the committed baseline")
+    args = parser.parse_args()
+    if args.self_test:
+        return self_test()
+    if args.current is None:
+        parser.error("BASELINE and CURRENT are required")
+    return check(args.baseline, args.current, args.threshold,
+                 args.require_kernel, args.gate_min)
 
 
 if __name__ == "__main__":
