@@ -1,5 +1,6 @@
 // Service-layer throughput: vectors/sec for batch ingest into a SketchStore,
-// queries/sec for QueryEngine::TopK at 1/2/4/8 worker threads, and pairwise
+// queries/sec for QueryEngine::TopK at 1/2/4/8 worker threads, serial
+// exact-scan TopKSketchBatch µs per query at batch 1/8/32, and pairwise
 // estimate throughput per family under the dispatched SIMD kernel vs the
 // scalar tier.
 //
@@ -14,12 +15,15 @@
 // Besides the human-readable table, the bench writes the record-level
 // members of BENCH_service.json (default path; --out overrides): the
 // dispatched kernel name, hardware_concurrency, the corpus, and the
-// machine-readable rates. bench_index and bench_saturation add their own
+// machine-readable rates. The batch points (topk_batch_us_per_query) are
+// informational: the gate does not read them and the committed baseline
+// has none. bench_index and bench_saturation add their own
 // sections to the same record through the same writer
 // (bench::WriteMembers), in any order; a re-run replaces only this
 // bench's members. tools/check_bench_regression.py diffs the estimate
 // throughput against the committed baseline in bench/baselines/.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -147,6 +151,72 @@ std::vector<EstimatePoint> MeasureEstimateThroughput() {
   return out;
 }
 
+/// One measured batch point: serial exact-scan TopKSketchBatch cost per
+/// query at one batch size.
+struct BatchPoint {
+  size_t batch = 0;
+  double us_per_query = 0.0;
+};
+
+/// Serial exact-scan TopKSketchBatch µs per query at batch 1, 8 and 32 over
+/// `store`, cycling through the sketches of `vectors`' first 32: the scan's
+/// per-shard scoring without the pool fan-out the TopK rates include. Batch
+/// 1 is what a synchronous TopK pays; 32 is the FrontDoor's largest batch.
+std::vector<BatchPoint> MeasureBatchScan(
+    const SketchStore& store, const std::vector<SparseVector>& vectors) {
+  const size_t kQueries = 32;
+  auto sketcher = store.family().MakeSketcher().value();
+  std::vector<std::unique_ptr<AnySketch>> sketches;
+  for (size_t q = 0; q < kQueries; ++q) {
+    sketches.push_back(store.family().NewSketch());
+    if (!sketcher->Sketch(vectors[q % vectors.size()], sketches.back().get())
+             .ok()) {
+      std::printf("sketch failed\n");
+      std::exit(1);
+    }
+  }
+  const QueryEngine engine(&store);
+  std::vector<BatchPoint> out;
+  std::printf("\n%-22s %14s\n", "exact top-10, serial", "us/query");
+  for (size_t batch : {1u, 8u, 32u}) {
+    std::vector<const AnySketch*> queries(batch);
+    const std::vector<size_t> ks(batch, 10);
+    // The fastest of five short windows, so a burst of load from elsewhere
+    // on the machine does not read as scan cost.
+    double calls_per_sec = 0.0;
+    for (int window = 0; window < 5; ++window) {
+      calls_per_sec = std::max(
+          calls_per_sec, bench::SustainedRate(0.2, [&](size_t call) {
+            for (size_t i = 0; i < batch; ++i) {
+              queries[i] = sketches[(call * batch + i) % kQueries].get();
+            }
+            for (const auto& result : engine.TopKSketchBatch(queries, ks)) {
+              if (!result.ok()) {
+                std::printf("top-k failed: %s\n",
+                            result.status().ToString().c_str());
+                std::exit(1);
+              }
+            }
+          }));
+    }
+    const double us_per_query =
+        1e6 / (calls_per_sec * static_cast<double>(batch));
+    std::printf("batch %-16zu %14.2f\n", batch, us_per_query);
+    out.push_back({batch, us_per_query});
+  }
+  return out;
+}
+
+std::string BatchJson(const std::vector<BatchPoint>& points) {
+  std::string out = "[";
+  for (size_t i = 0; i < points.size(); ++i) {
+    out += bench::Format("%s{\"batch\": %zu, \"us_per_query\": %.3f}",
+                         i == 0 ? "" : ", ", points[i].batch,
+                         points[i].us_per_query);
+  }
+  return out + "]";
+}
+
 std::string EstimateJson(const std::vector<EstimatePoint>& points) {
   std::string out = "[";
   for (size_t i = 0; i < points.size(); ++i) {
@@ -253,6 +323,9 @@ int main(int argc, char** argv) {
                 rate / base_rate, mark);
   }
 
+  // --- serial exact-scan cost per query, by batch size ----------------------
+  const std::vector<BatchPoint> batch_points = MeasureBatchScan(store, queries);
+
   // --- pairwise estimate throughput, dispatched kernel vs scalar ------------
   const std::vector<EstimatePoint> estimate_points =
       MeasureEstimateThroughput();
@@ -279,6 +352,7 @@ int main(int argc, char** argv) {
   members.emplace_back("ingest_dart_vs_active_index_1thread",
                        bench::Format("%.3f", dart_vs_active));
   members.emplace_back("topk_queries_per_sec", RatesJson(query_rates));
+  members.emplace_back("topk_batch_us_per_query", BatchJson(batch_points));
   members.emplace_back("estimate_pairs_per_sec", EstimateJson(estimate_points));
   const std::string json_path =
       bench::FlagValue(argc, argv, "--out", "BENCH_service.json");

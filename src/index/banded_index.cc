@@ -249,14 +249,22 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   const SketchFamily& family = store_->family();
   IPS_RETURN_IF_ERROR(family.CheckCompatible(query));
   const ShardViewPtr view = store_->PinShard(shard_index);
-  uint64_t scored = 0;
+  // Keep the candidates the view still holds (an id erased since the probe
+  // drops out), then score them in one family call.
+  std::vector<const AnySketch*> sketches;
+  sketches.reserve(candidates.size());
+  size_t scored = 0;
   for (uint64_t id : candidates) {
     const AnySketch* sketch = view->Find(id);
-    if (sketch == nullptr) continue;  // erased since the probe
-    auto est = family.Estimate(query, *sketch);
-    IPS_RETURN_IF_ERROR(est.status());
-    heap->Offer(static_cast<size_t>(id), est.value());
-    ++scored;
+    if (sketch == nullptr) continue;
+    candidates[scored++] = id;
+    sketches.push_back(sketch);
+  }
+  std::vector<double> estimates(scored);
+  const AnySketch* q = &query;
+  IPS_RETURN_IF_ERROR(family.EstimateMany({&q, 1}, sketches, estimates));
+  for (size_t i = 0; i < scored; ++i) {
+    heap->Offer(static_cast<size_t>(candidates[i]), estimates[i]);
   }
   stats->candidates += scored;
   candidates_->Add(scored);

@@ -11,9 +11,9 @@
 //
 // The index holds ids, never sketches. Candidates come from the buckets;
 // scores come from the store's pinned ShardView, through the same
-// SketchFamily::Estimate the exact scan calls, so a banded hit's estimate
-// is bit-identical to the exact scan's for that id — banding only ever
-// *misses* true hits, never mis-scores them.
+// SketchFamily::EstimateMany the exact scan calls, so a banded hit's
+// estimate is bit-identical to the exact scan's for that id — banding only
+// ever *misses* true hits, never mis-scores them.
 //
 // Each index shard is one flat BandPostings table of 16-byte (band key, id)
 // postings — no per-bucket or per-id allocation, and no record of which

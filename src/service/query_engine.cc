@@ -1,6 +1,7 @@
 #include "service/query_engine.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "common/mutex.h"
@@ -24,6 +25,14 @@ void ForEachShard(ThreadPool* pool, size_t n, const Fn& fn) {
   } else {
     for (size_t s = 0; s < n; ++s) fn(s);
   }
+}
+
+// The view's sketches as the span SketchFamily::EstimateMany reads.
+std::vector<const AnySketch*> SketchesOf(const ShardView& view) {
+  std::vector<const AnySketch*> sketches;
+  sketches.reserve(view.sketches.size());
+  for (const auto& sketch : view.sketches) sketches.push_back(sketch.get());
+  return sketches;
 }
 
 }  // namespace
@@ -106,7 +115,7 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
     return SketchQuery(query);
   }();
   IPS_RETURN_IF_ERROR(sketched.status());
-  const AnySketch& qs = *sketched.value();
+  const AnySketch* qs = sketched.value().get();
   const SketchFamily& family = store_->family();
 
   std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
@@ -118,14 +127,16 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
     metrics::ScopedSpan span(trace, "shard-scan");
     ForEachShard(pool_, store_->num_shards(), [&](size_t s) {
       const ShardViewPtr view = store_->PinShard(s);
-      for (size_t i = 0; i < view->ids.size(); ++i) {
-        auto est = family.Estimate(qs, *view->sketches[i]);
-        if (!est.ok()) {
-          MutexLock lock(&error_mu);
-          if (first_error.ok()) first_error = est.status();
-          return;
-        }
-        per_shard[s].push_back({view->ids[i], est.value()});
+      std::vector<double> estimates(view->ids.size());
+      Status st = family.EstimateMany({&qs, 1}, SketchesOf(*view), estimates);
+      if (!st.ok()) {
+        MutexLock lock(&error_mu);
+        if (first_error.ok()) first_error = std::move(st);
+        return;
+      }
+      per_shard[s].reserve(estimates.size());
+      for (size_t i = 0; i < estimates.size(); ++i) {
+        per_shard[s].push_back({view->ids[i], estimates[i]});
       }
     });
   }
@@ -215,19 +226,36 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
   switch (policy) {
     case IndexPolicy::kExactScan: {
       metrics::ScopedSpan span(trace, "shard-scan");
+      // The live queries score against each shard in one family call;
+      // slot[l] is live query l's position in the batch.
+      std::vector<const AnySketch*> scored;
+      std::vector<size_t> slot;
+      for (size_t q = 0; q < q_count; ++q) {
+        if (!live[q]) continue;
+        scored.push_back(queries[q]);
+        slot.push_back(q);
+      }
       ForEachShard(pool_, n, [&](size_t s) {
         const ShardViewPtr view = store_->PinShard(s);
-        entries_per_shard[s] = view->ids.size();
-        for (size_t i = 0; i < view->ids.size(); ++i) {
-          const AnySketch& sketch = *view->sketches[i];
-          for (size_t q = 0; q < q_count; ++q) {
-            if (!live[q]) continue;
-            auto est = family.Estimate(*queries[q], sketch);
-            if (!est.ok()) {
-              record_error(q, est.status());
+        const size_t count = view->ids.size();
+        entries_per_shard[s] = count;
+        const std::vector<const AnySketch*> sketches = SketchesOf(*view);
+        std::vector<double> estimates(scored.size() * count);
+        const bool all_scored =
+            family.EstimateMany(scored, sketches, estimates).ok();
+        for (size_t l = 0; l < scored.size(); ++l) {
+          const std::span<double> row(estimates.data() + l * count, count);
+          // Only on error: re-score each query alone, so a pair that fails
+          // to score fails only its own query.
+          if (!all_scored) {
+            Status st = family.EstimateMany({&scored[l], 1}, sketches, row);
+            if (!st.ok()) {
+              record_error(slot[l], st);
               continue;
             }
-            heaps[q][s].Offer(static_cast<size_t>(view->ids[i]), est.value());
+          }
+          for (size_t i = 0; i < count; ++i) {
+            heaps[slot[l]][s].Offer(static_cast<size_t>(view->ids[i]), row[i]);
           }
         }
       });

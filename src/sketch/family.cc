@@ -168,13 +168,15 @@ Status CommonValidate(const FamilyOptions& options) {
   return Status::Ok();
 }
 
+Status NotOfFamily(const std::string& family) {
+  return Status::InvalidArgument("sketch is not of family '" + family + "'");
+}
+
 /// Downcasts or explains which family the operation belongs to.
 template <typename T>
 Result<const T*> Cast(const std::string& family, const AnySketch& sketch) {
   const T* typed = GetSketchAs<T>(sketch);
-  if (typed == nullptr) {
-    return Status::InvalidArgument("sketch is not of family '" + family + "'");
-  }
+  if (typed == nullptr) return NotOfFamily(family);
   return typed;
 }
 
@@ -279,13 +281,39 @@ class TypedFamily final : public SketchFamily {
     return spec_.Check(*typed.value(), options().dimension);
   }
 
-  Result<double> Estimate(const AnySketch& a,
-                          const AnySketch& b) const override {
-    auto ta = Cast<SketchT>(name(), a);
-    IPS_RETURN_IF_ERROR(ta.status());
-    auto tb = Cast<SketchT>(name(), b);
-    IPS_RETURN_IF_ERROR(tb.status());
-    return Spec::Estimate(*ta.value(), *tb.value());
+  Status EstimateMany(std::span<const AnySketch* const> queries,
+                      std::span<const AnySketch* const> stored,
+                      std::span<double> out) const override {
+    IPS_CHECK(out.size() == queries.size() * stored.size());
+    if (out.empty()) return Status::Ok();
+    // Each query is downcast once per call: on the stack for any batch the
+    // FrontDoor forms (at most 32 queries), on the heap beyond that. The
+    // stack slots are left uninitialized because each is written before it
+    // is read, and zeroing them would cost the one-pair form more than the
+    // dispatch this call saves it.
+    constexpr size_t kStackQueries = 32;
+    const SketchT* stack_typed[kStackQueries];
+    std::vector<const SketchT*> heap_typed(
+        queries.size() > kStackQueries ? queries.size() : 0);
+    const SketchT** typed =
+        heap_typed.empty() ? stack_typed : heap_typed.data();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      typed[i] = GetSketchAs<SketchT>(*queries[i]);
+      if (typed[i] == nullptr) return NotOfFamily(name());
+    }
+    // Stored-major, so each stored sketch is downcast once and read while
+    // every query scores against it.
+    const size_t n = stored.size();
+    for (size_t j = 0; j < n; ++j) {
+      const SketchT* s = GetSketchAs<SketchT>(*stored[j]);
+      if (s == nullptr) return NotOfFamily(name());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const Result<double> estimate = Spec::Estimate(*typed[i], *s);
+        if (!estimate.ok()) return estimate.status();
+        out[i * n + j] = estimate.value();
+      }
+    }
+    return Status::Ok();
   }
 
   Result<std::unique_ptr<AnySketch>> Merge(const AnySketch& a,

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -208,13 +209,38 @@ class SketchFamily {
   /// guard that keeps every sketch in a store mutually comparable.
   virtual Status CheckCompatible(const AnySketch& sketch) const = 0;
 
-  /// Estimates ⟨a, b⟩ from two sketches of this family. The sketches must
-  /// be mutually comparable (equal parameters); they need not match this
-  /// family's `options()` — e.g. truncated sketches estimate fine. Every
-  /// served path (pairwise, exact scan, banded re-rank, FrontDoor) scores
-  /// through this one call, so their estimates are bit-identical.
-  virtual Result<double> Estimate(const AnySketch& a,
-                                  const AnySketch& b) const = 0;
+  /// Estimates ⟨q, s⟩ for every pair of a query q in `queries` and a stored
+  /// sketch s in `stored`: `out[i * stored.size() + j]` receives
+  /// ⟨queries[i], stored[j]⟩, row i holding query i's estimates.
+  /// `out.size()` must be `queries.size() * stored.size()`. The sketches
+  /// must be mutually comparable (equal parameters); they need not match
+  /// this family's `options()` — e.g. truncated sketches estimate fine.
+  ///
+  /// This is the one scoring call: every served path (pairwise, exact
+  /// scan, banded re-rank, FrontDoor) scores through it — a scan once per
+  /// shard — and `Estimate` is its one-pair form, so all their estimates
+  /// are bit-identical. Each sketch is type-checked once per call, not
+  /// once per pair.
+  ///
+  /// Empty `queries` or `stored` write nothing and return Ok. Otherwise
+  /// InvalidArgument if a sketch of either span is of another family, and
+  /// the first failing pair's status (in stored-major order) if a pair
+  /// fails to estimate; on error `out` holds unspecified values, so a
+  /// caller that must know which query failed re-scores per query.
+  virtual Status EstimateMany(std::span<const AnySketch* const> queries,
+                              std::span<const AnySketch* const> stored,
+                              std::span<double> out) const = 0;
+
+  /// Estimates ⟨a, b⟩: `EstimateMany` over one query and one stored
+  /// sketch. Allocates nothing.
+  Result<double> Estimate(const AnySketch& a, const AnySketch& b) const {
+    const AnySketch* query = &a;
+    const AnySketch* stored = &b;
+    double estimate = 0.0;
+    IPS_RETURN_IF_ERROR(
+        EstimateMany({&query, 1}, {&stored, 1}, {&estimate, 1}));
+    return estimate;
+  }
 
   /// A sketch of a + b from sketches of a and b, for families with
   /// `supports_merge()`; FailedPrecondition otherwise (WMH/ICWS/MH

@@ -1,7 +1,10 @@
 #include "sketch/family.h"
 
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,6 +207,60 @@ TEST_P(FamilyRegistryTest, RejectsSketchesOfOtherFamilies) {
   EXPECT_EQ(family->AppendLshCodes(*foreign, &codes).code(),
             capability_code(info.supports_banding));
   EXPECT_TRUE(codes.empty());
+}
+
+TEST_P(FamilyRegistryTest, EstimateManyMatchesPairwiseEstimate) {
+  const std::string& name = GetParam().name;
+  auto family = MakeFamily(name, SmallOptions()).value();
+  auto sketcher = family->MakeSketcher().value();
+  std::vector<std::unique_ptr<AnySketch>> owned;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    owned.push_back(family->NewSketch());
+    ASSERT_TRUE(sketcher->Sketch(RandomVector(seed), owned.back().get()).ok());
+  }
+  // A 3-query × 5-stored grid; row i holds query i's estimates.
+  const std::vector<const AnySketch*> queries = {
+      owned[0].get(), owned[1].get(), owned[2].get()};
+  const std::vector<const AnySketch*> stored = {
+      owned[3].get(), owned[4].get(), owned[5].get(), owned[6].get(),
+      owned[7].get()};
+  std::vector<double> grid(queries.size() * stored.size(), -1.0);
+  ASSERT_TRUE(family->EstimateMany(queries, stored, grid).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t j = 0; j < stored.size(); ++j) {
+      const auto pair = family->Estimate(*queries[i], *stored[j]);
+      ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+      EXPECT_EQ(std::memcmp(&grid[i * stored.size() + j], &pair.value(),
+                            sizeof(double)),
+                0)
+          << "query " << i << ", stored " << j;
+    }
+  }
+
+  // Empty spans write nothing and succeed.
+  std::vector<double> untouched(4, -1.0);
+  const std::span<double> none(untouched.data(), 0);
+  EXPECT_TRUE(family->EstimateMany({}, stored, none).ok());
+  EXPECT_TRUE(family->EstimateMany(queries, {}, none).ok());
+  for (double value : untouched) EXPECT_EQ(value, -1.0);
+
+  // A sketch of another family in either span is refused with the same
+  // message as every other downcast.
+  auto other = MakeFamily(name == "wmh" ? "jl" : "wmh", SmallOptions()).value();
+  auto foreign = other->NewSketch();
+  ASSERT_TRUE(
+      other->MakeSketcher().value()->Sketch(RandomVector(9), foreign.get())
+          .ok());
+  std::vector<const AnySketch*> bad_queries = queries;
+  bad_queries[1] = foreign.get();
+  std::vector<const AnySketch*> bad_stored = stored;
+  bad_stored[4] = foreign.get();
+  for (const Status& status :
+       {family->EstimateMany(bad_queries, stored, grid),
+        family->EstimateMany(queries, bad_stored, grid)}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "sketch is not of family '" + name + "'");
+  }
 }
 
 TEST_P(FamilyRegistryTest, StorageAndResidentWordsArePinned) {

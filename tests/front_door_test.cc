@@ -328,5 +328,47 @@ TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
   EXPECT_EQ(n_submitted, n_completed + n_shed + n_expired);
 }
 
+TEST(FrontDoorTest, BatchMetricsMoveOncePerBatch) {
+  metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& batch_size = registry.GetHistogram(
+      "ipsketch_frontdoor_batch_size",
+      "Requests coalesced per dispatched batch");
+  auto& queue_wait = registry.GetHistogram(
+      "ipsketch_frontdoor_queue_wait_ns",
+      "Time from submit to batch pickup (admission-queue delay)");
+  auto& queue_depth = registry.GetGauge(
+      "ipsketch_frontdoor_queue_depth",
+      "Requests waiting in the admission queue");
+  const metrics::HistogramSnapshot batches0 = batch_size.Snapshot();
+  const uint64_t waits0 = queue_wait.Snapshot().count;
+  const int64_t depth0 = queue_depth.Value();
+
+  SketchStore store = MakePopulatedStore(16);
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  BlockPool(&pool, &release);
+  FrontDoor door(&store, &pool);
+  // Every request queues behind the parked worker, so the one dispatch
+  // loop then takes them in two batches: kMaxBatch, and the rest.
+  constexpr size_t kRequests = FrontDoor::kMaxBatch + 8;
+  std::vector<FrontDoorFuture<std::vector<QueryHit>>> futures;
+  for (size_t i = 0; i < kRequests; ++i) {
+    futures.push_back(door.SubmitTopK(RandomVector(300 + i), 3));
+  }
+  EXPECT_EQ(queue_depth.Value(), static_cast<int64_t>(kRequests));
+  release.store(true);
+  for (auto& future : futures) {
+    auto r = future.Take();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+
+  const metrics::HistogramSnapshot batches = batch_size.Snapshot();
+  EXPECT_EQ(batches.count - batches0.count, 2u);
+  EXPECT_EQ(batches.sum - batches0.sum, kRequests);
+  EXPECT_EQ(queue_wait.Snapshot().count - waits0, kRequests);
+  EXPECT_EQ(queue_depth.Value(), depth0);
+}
+
 }  // namespace
 }  // namespace ipsketch

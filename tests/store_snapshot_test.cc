@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 
 #include "common/rng.h"
 #include "core/similarity_search.h"
+#include "core/wmh_sketch.h"
 #include "data/synthetic.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
@@ -248,6 +250,54 @@ TEST(StoreSnapshotTest, TopKSketchBatchIsolatesBadSlots) {
   // The healthy slots are unaffected by the bad one.
   ASSERT_EQ(results[0].value().size(), 5u);
   EXPECT_EQ(results[0].value()[0].id, 3u);  // the stored copy of itself
+}
+
+// A query every pair of which fails to score — a compatible sketch, but an
+// estimator error rather than a type error — fails only its own slot, on a
+// serial and a pooled engine alike: the exact scan scores each shard in one
+// family call, and the healthy queries still get exactly their
+// single-query answers.
+TEST(StoreSnapshotTest, TopKSketchBatchScoringErrorFailsOnlyItsQuery) {
+  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+  for (uint64_t id = 0; id < 16; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+  }
+  auto good_a = store.Lookup(3);
+  auto good_b = store.Lookup(11);
+  auto degenerate = store.Lookup(5);
+  ASSERT_TRUE(good_a.ok() && good_b.ok() && degenerate.ok());
+  // Every minimum hash 0.0: the sketch keeps its identity, so it passes
+  // CheckCompatible, but its minimum-hash sum against any stored sketch is
+  // 0 and every pair returns Internal.
+  WmhSketch* zeroed = GetMutableSketchAs<WmhSketch>(degenerate.value().get());
+  ASSERT_NE(zeroed, nullptr);
+  std::fill(zeroed->hashes.begin(), zeroed->hashes.end(), 0.0);
+  ASSERT_TRUE(store.family().CheckCompatible(*degenerate.value()).ok());
+
+  const std::vector<const AnySketch*> queries = {
+      good_a.value().get(), degenerate.value().get(), good_b.value().get()};
+  ThreadPool pool(3);
+  for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    QueryEngine engine(&store, engine_pool);
+    auto results = engine.TopKSketchBatch(queries, {5, 5, 5});
+    ASSERT_EQ(results.size(), 3u);
+    ASSERT_FALSE(results[1].ok());
+    EXPECT_EQ(results[1].status().code(), StatusCode::kInternal)
+        << results[1].status().ToString();
+    for (size_t slot : {size_t{0}, size_t{2}}) {
+      ASSERT_TRUE(results[slot].ok()) << results[slot].status().ToString();
+      auto single = engine.TopKSketch(*queries[slot], 5);
+      ASSERT_TRUE(single.ok());
+      const std::vector<QueryHit>& batched = results[slot].value();
+      ASSERT_EQ(batched.size(), single.value().size());
+      for (size_t j = 0; j < batched.size(); ++j) {
+        EXPECT_EQ(batched[j].id, single.value()[j].id);
+        EXPECT_EQ(std::memcmp(&batched[j].estimate,
+                              &single.value()[j].estimate, sizeof(double)),
+                  0);
+      }
+    }
+  }
 }
 
 // TSAN fodder: writers publish epochs while readers pin and estimate.

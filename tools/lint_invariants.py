@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — rules no off-the-shelf tool knows.
 
-Seven rules, each guarding an invariant the test suite can only probe
+Eight rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
@@ -41,6 +41,11 @@ point-wise but a static scan can prove tree-wide:
                  friend: SketchStore::InsertBatch is the only way to publish
                  inserts, so no caller can stage a view and publish it
                  around it.
+  scoring        No per-pair SketchFamily::Estimate call in src/index/, and
+                 in src/service/ only QueryEngine::EstimateInnerProduct's
+                 pairwise one: served scans score a shard (or a probe's
+                 candidates) with one EstimateMany call, so no scan pays
+                 the per-pair dispatch again.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -70,6 +75,7 @@ WIRE_FORMAT_MD = "docs/WIRE_FORMAT.md"
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 STORE_CC = "src/service/sketch_store.cc"
 STORE_H = "src/service/sketch_store.h"
+QUERY_ENGINE_CC = "src/service/query_engine.cc"
 
 # family name -> the translation unit holding its kernel-backed estimator.
 # A newly registered family must be added here *and* route its estimator
@@ -412,6 +418,35 @@ def check_store_writes(root: Path):
     return findings
 
 
+# A member or qualified call of the one-pair form (not EstimateMany, not
+# EstimateInnerProduct).
+PER_PAIR_ESTIMATE = re.compile(r"(?:\.|->|::)\s*Estimate\s*\(")
+# The one served per-pair call's home: the pairwise API's definition.
+PAIRWISE_API = re.compile(
+    r"QueryEngine::EstimateInnerProduct\(.*?\n\}", re.DOTALL)
+
+
+def check_scoring(root: Path):
+    findings = []
+    for top in ("src/index", "src/service"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = re.sub(r"//[^\n]*", "", path.read_text(encoding="utf-8"))
+            if rel == QUERY_ENGINE_CC:
+                # Blank the pairwise API's body, keeping its line count.
+                text = PAIRWISE_API.sub(
+                    lambda m: "\n" * m.group(0).count("\n"), text)
+            for match in PER_PAIR_ESTIMATE.finditer(text):
+                line = text.count("\n", 0, match.start()) + 1
+                findings.append(
+                    f"scoring: {rel}:{line}: per-pair Estimate call — a "
+                    "served scan scores a shard or a probe's candidates "
+                    "with one SketchFamily::EstimateMany call")
+    return findings
+
+
 RULES = {
     "wire-tags": check_wire_tags,
     "families": check_families,
@@ -420,6 +455,7 @@ RULES = {
     "fuzz-coverage": check_fuzz_coverage,
     "docs-freshness": check_docs_freshness,
     "store-writes": check_store_writes,
+    "scoring": check_scoring,
 }
 
 
@@ -554,6 +590,19 @@ def seed_store_friend(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_per_pair_scan(root: Path):
+    path = root / QUERY_ENGINE_CC
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace(
+        "        entries_per_shard[s] = count;\n",
+        "        entries_per_shard[s] = count;\n"
+        "        for (size_t i = 0; i < count; ++i) {\n"
+        "          (void)family.Estimate(*scored[0], *view->sketches[i]);\n"
+        "        }\n", 1)
+    assert seeded != text, "per-pair scan seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
 # rule -> (seed label, seed fn) pairs; each seed is planted in its own tree
 # copy and must be caught by its rule independently.
 SEEDS = {
@@ -575,6 +624,7 @@ SEEDS = {
         ("ShardView staged outside the store", seed_staged_view),
         ("friend in sketch_store.h", seed_store_friend),
     ],
+    "scoring": [("per-pair Estimate in the exact scan", seed_per_pair_scan)],
 }
 
 
