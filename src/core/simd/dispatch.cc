@@ -28,8 +28,6 @@ const EstimateKernel* Resolve() {
   if (CpuHasAvx2()) {
     if (const EstimateKernel* k = Avx2Kernel()) return k;
   }
-  if (const EstimateKernel* k = NeonKernel()) return k;
-  if (const EstimateKernel* k = Sse2Kernel()) return k;
   return &ScalarKernel();
 }
 
@@ -52,11 +50,9 @@ const char* ActiveKernelName() { return ActiveKernel().name; }
 std::vector<const EstimateKernel*> AvailableKernels() {
   std::vector<const EstimateKernel*> out;
   out.push_back(&ScalarKernel());
-  if (const EstimateKernel* k = Sse2Kernel()) out.push_back(k);
   if (CpuHasAvx2()) {
     if (const EstimateKernel* k = Avx2Kernel()) out.push_back(k);
   }
-  if (const EstimateKernel* k = NeonKernel()) out.push_back(k);
   return out;
 }
 

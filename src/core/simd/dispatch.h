@@ -1,15 +1,16 @@
-// Runtime kernel dispatch: picks the widest EstimateKernel tier the running
-// CPU supports, once, at first use. One binary runs everywhere — the AVX2
-// tier is compiled into its own translation unit and only ever entered
-// after a cpuid check.
+// Runtime kernel dispatch: picks the EstimateKernel tier the running CPU
+// supports, once, at first use. One binary runs everywhere — the AVX2 tier
+// is compiled into its own translation unit and only ever entered after a
+// cpuid check.
 //
-// Selection order: avx2 (x86-64 with runtime AVX2) → neon (AArch64) → sse2
-// (x86-64 baseline) → scalar. IPSKETCH_FORCE_SCALAR=1 in the environment
-// (read once, at first resolution) forces the scalar tier; "0", "off",
-// "false", "no" (any case), and empty mean no force. CI runs the whole test
-// suite a second time under it, and field debugging uses it too. The vector
-// tiers are still listed by AvailableKernels(), so the equivalence tests
-// exercise them under the force as well; only dispatch is pinned.
+// Selection order: avx2 (x86 with runtime AVX2 support) → scalar (every
+// other host: pre-AVX2 x86, AArch64, ...). IPSKETCH_FORCE_SCALAR=1 in the
+// environment (read once, at first resolution) forces the scalar tier; "0",
+// "off", "false", "no" (any case), and empty mean no force. CI runs the
+// whole test suite a second time under it, which is exactly what a host
+// without AVX2 runs, and field debugging uses it too. The AVX2 tier is
+// still listed by AvailableKernels(), so the equivalence tests exercise it
+// under the force as well; only dispatch is pinned.
 //
 // All estimators fetch the table per call via ActiveKernel(), so the test
 // override below takes effect everywhere at once.
@@ -28,8 +29,8 @@ namespace simd {
 /// for the life of the process unless overridden for testing.
 const EstimateKernel& ActiveKernel();
 
-/// The dispatched tier's name ("scalar", "sse2", "avx2", "neon") — recorded
-/// in bench artifacts so results are interpretable across runners.
+/// The dispatched tier's name ("scalar" or "avx2") — recorded in bench
+/// artifacts so results are interpretable across runners.
 const char* ActiveKernelName();
 
 /// Every tier this binary can run on this machine, scalar first. The

@@ -1,7 +1,8 @@
 // The pairwise estimation kernels: the hot loops every estimator in the
 // library runs over two coordinated sketches, expressed over raw spans so
-// one interface serves the scalar reference and the vectorized (SSE2 /
-// AVX2 / NEON) implementations behind runtime dispatch (dispatch.h).
+// one interface serves its two implementation tiers behind runtime
+// dispatch (dispatch.h): the scalar reference, which every host can run,
+// and the AVX2 tier.
 //
 // Bit-identity contract
 // ---------------------
@@ -12,14 +13,14 @@
 //   1. Fixed reduction order. Floating-point accumulation is performed in
 //      kAccumLanes = 4 independent partial sums; element i contributes to
 //      lane i mod 4, and the final value is (l0 + l1) + (l2 + l3). The
-//      scalar kernel implements this literally; a 256-bit implementation
-//      gets it for free from one 4-wide accumulator, and 128-bit
-//      implementations use two 2-wide accumulators. With the order pinned,
-//      every per-element operation left is an individually correctly
-//      rounded IEEE op (add, mul, div, min, compare, float→double), which
-//      vector units and scalar units compute identically.
+//      scalar kernel implements this literally, and the 256-bit AVX2
+//      kernel gets it for free from one 4-wide accumulator. With the order
+//      pinned, every per-element operation left is an individually
+//      correctly rounded IEEE op (add, mul, div, min, compare,
+//      float→double), which vector units and scalar units compute
+//      identically.
 //   2. No contraction. The library builds with -ffp-contract=off
-//      (CMakeLists.txt) and the vector kernels use explicit mul/add — never
+//      (CMakeLists.txt) and the AVX2 kernels use explicit mul/add — never
 //      FMA — so gcc and clang cannot fuse a·b+c differently per path.
 //
 // Masked accumulation (e.g. "add va·vb/q only where the hashes match") is
@@ -67,8 +68,8 @@ inline constexpr size_t kAccumLanes = 4;
 /// Dequantization of a 32-bit fixed-point minimum hash: mid-point
 /// (q + 0.5)/2³², with the saturated bucket — the empty-slot sentinel —
 /// pinned back to exactly 1.0. The single source of truth for the inverse
-/// of sketch/quantize.cc's QuantizeHash; the vector tiers' in-register
-/// dequantization and their scalar tails must both agree with it bit for
+/// of sketch/quantize.cc's QuantizeHash; the AVX2 tier's in-register
+/// dequantization and its scalar tails must both agree with it bit for
 /// bit. Declared `static` deliberately: each kernel TU compiles its own
 /// internal-linkage copy with its own target flags, so the linker can
 /// never substitute, say, an AVX-encoded copy into a TU that must run on
@@ -107,8 +108,7 @@ struct MhPairStats {
 /// immutable statics; estimators fetch the dispatched table once per call
 /// via simd::ActiveKernel() (dispatch.h).
 struct EstimateKernel {
-  /// Tier name recorded in bench artifacts: "scalar", "sse2", "avx2",
-  /// "neon".
+  /// Tier name recorded in bench artifacts: "scalar" or "avx2".
   const char* name;
 
   WmhPairStats (*wmh_pair)(const double* ha, const double* hb,
@@ -144,16 +144,15 @@ struct EstimateKernel {
   double (*dot_f64)(const double* x, const double* y, size_t m);
 };
 
-/// The scalar reference tier; always available, defines the semantics every
-/// vector tier must reproduce bit for bit.
+/// The scalar reference tier; always available, defines the semantics the
+/// AVX2 tier must reproduce bit for bit, and is what every host without
+/// AVX2 runs.
 const EstimateKernel& ScalarKernel();
 
-/// Vector tiers, or nullptr when not compiled in for this target. Runtime
-/// CPU support is NOT checked here — use dispatch.h's ActiveKernel() /
-/// AvailableKernels() for that.
-const EstimateKernel* Sse2Kernel();
+/// The AVX2 tier, or nullptr when not compiled in for this target (any
+/// non-x86 build). Runtime CPU support is NOT checked here — use
+/// dispatch.h's ActiveKernel() / AvailableKernels() for that.
 const EstimateKernel* Avx2Kernel();
-const EstimateKernel* NeonKernel();
 
 }  // namespace simd
 }  // namespace ipsketch

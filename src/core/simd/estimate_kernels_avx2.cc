@@ -33,7 +33,7 @@ __m256d CvtU32ToF64(__m128i v) {
 /// The masked weighted-match term for four lanes: [eq ∧ q>0] va·vb/q, with
 /// masked lanes contributing +0.0 and counted into *count. Masked-out lanes
 /// divide by 1.0 instead of a possibly-zero q, so no spurious Inf/NaN is
-/// ever formed; the AND then zeroes them. Mirrors the SSE2/NEON helpers.
+/// ever formed; the AND then zeroes them.
 __m256d WeightedTerm(__m256d eq, __m256d va, __m256d vb, uint64_t* count) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d ones = _mm256_set1_pd(1.0);

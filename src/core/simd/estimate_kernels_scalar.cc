@@ -1,6 +1,7 @@
 // Scalar reference tier. This file *defines* the semantics of every kernel:
-// the vector tiers reproduce these loops bit for bit by following the same
-// 4-lane accumulation order (see estimate_kernels.h).
+// the AVX2 tier reproduces these loops bit for bit by following the same
+// 4-lane accumulation order (see estimate_kernels.h). It is also what every
+// host without AVX2 runs.
 //
 // The lane structure below is deliberate, not an optimization: element i
 // accumulates into lane i & 3 and the lanes reduce as (l0 + l1) + (l2 + l3),

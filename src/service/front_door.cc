@@ -1,6 +1,7 @@
 #include "service/front_door.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "index/banded_index.h"
@@ -24,7 +25,8 @@ struct FrontDoor::Request {
   size_t k = 0;
   TopKCallback topk_done;
 
-  /// Absolute steady-clock expiry (metrics::NowNs base); 0 = none.
+  /// Absolute steady-clock expiry (metrics::NowNs base); 0 = none, and
+  /// UINT64_MAX (a saturated budget) never passes.
   uint64_t deadline_ns = 0;
   uint64_t enqueue_ns = 0;
 
@@ -94,7 +96,12 @@ FrontDoor::~FrontDoor() {
 void FrontDoor::Enqueue(std::unique_ptr<Request> req) {
   submitted_->Add(1);
   req->enqueue_ns = metrics::NowNs();
-  if (req->deadline_ns != 0) req->deadline_ns += req->enqueue_ns;
+  if (req->deadline_ns != 0) {
+    // Saturate: a wrapped sum would expire a huge budget at once.
+    const uint64_t headroom =
+        std::numeric_limits<uint64_t>::max() - req->enqueue_ns;
+    req->deadline_ns = std::min(req->deadline_ns, headroom) + req->enqueue_ns;
+  }
 
   std::unique_ptr<Request> shed;
   const char* shed_reason = nullptr;

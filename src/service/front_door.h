@@ -153,7 +153,9 @@ class FrontDoor {
   const FrontDoorOptions& options() const { return options_; }
 
   /// Estimates ⟨a, b⟩ between two stored vectors. `deadline_ns` is a
-  /// relative budget from now (0 = no deadline).
+  /// relative budget from now (0 = no deadline); the absolute expiry
+  /// saturates at UINT64_MAX, so a budget past the steady clock's range
+  /// (UINT64_MAX included) never expires.
   FrontDoorFuture<double> SubmitEstimate(uint64_t id_a, uint64_t id_b,
                                          uint64_t deadline_ns = 0);
   void SubmitEstimate(uint64_t id_a, uint64_t id_b, EstimateCallback done,

@@ -5,6 +5,7 @@
 #include "service/front_door.h"
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,6 +205,33 @@ TEST(FrontDoorTest, DeadlineExpiresWhileQueued) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(patient.Take().ok());
+}
+
+// A budget past the steady clock's range saturates instead of wrapping to
+// an expiry in the past: both request kinds still complete Ok.
+TEST(FrontDoorTest, HugeRelativeDeadlineNeverExpires) {
+  metrics::SetEnabledForTesting(true);
+  auto& expired = metrics::MetricsRegistry::Global().GetCounter(
+      "ipsketch_frontdoor_deadline_expired_total",
+      "Requests whose deadline passed while queued (DeadlineExceeded)");
+  const uint64_t expired0 = expired.Value();
+
+  SketchStore store = MakePopulatedStore(16);
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  BlockPool(&pool, &release);
+  FrontDoor door(&store, &pool);
+  constexpr uint64_t kForever = std::numeric_limits<uint64_t>::max();
+  auto topk = door.SubmitTopK(RandomVector(1), 3, kForever);
+  auto estimate = door.SubmitEstimate(1, 2, kForever);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  release.store(true);
+
+  auto hits = topk.Take();
+  EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+  auto value = estimate.Take();
+  EXPECT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(expired.Value(), expired0);
 }
 
 TEST(FrontDoorTest, DestructionCompletesEveryInFlightFuture) {

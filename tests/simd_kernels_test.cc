@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,6 +289,25 @@ TEST(SimdDispatchTest, ActiveKernelIsAvailableAndNamed) {
                      << "' missing from AvailableKernels()";
   // Scalar is always first so the equivalence loops have their reference.
   EXPECT_STREQ(AvailableKernels().front()->name, "scalar");
+}
+
+// Dispatch offers exactly two tiers: the scalar reference on every host,
+// plus AVX2 where the CPU runs it. Unless pinned to scalar, dispatch picks
+// AVX2 exactly when it is offered.
+TEST(SimdDispatchTest, TiersAreScalarAndAvx2) {
+  std::vector<std::string> names;
+  for (const EstimateKernel* kernel : AvailableKernels()) {
+    names.push_back(kernel->name);
+  }
+  const bool has_avx2 =
+      std::find(names.begin(), names.end(), "avx2") != names.end();
+  const std::vector<std::string> expected =
+      has_avx2 ? std::vector<std::string>{"scalar", "avx2"}
+               : std::vector<std::string>{"scalar"};
+  EXPECT_EQ(names, expected);
+  if (!ParseForceScalarEnv(std::getenv("IPSKETCH_FORCE_SCALAR"))) {
+    EXPECT_STREQ(ActiveKernelName(), has_avx2 ? "avx2" : "scalar");
+  }
 }
 
 TEST(SimdDispatchTest, TestingOverridePinsAndRestores) {

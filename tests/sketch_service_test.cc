@@ -868,6 +868,50 @@ TEST(ServiceMetricsTest, PoolRejectionIncrementsCounter) {
   EXPECT_GE(executed.Value(), executed_before + 1);
 }
 
+// Each pool task moves the queue-depth gauge up at submit and back down at
+// dequeue, and adds one wait sample, one run sample and one executed count:
+// the inputs of the service benchmark's pool.task_wait_p99_us and
+// pool.busy_frac.
+TEST(ServiceMetricsTest, PoolMetricsMoveOncePerTask) {
+  metrics::SetEnabledForTesting(true);
+  auto& registry = metrics::MetricsRegistry::Global();
+  auto& depth = registry.GetGauge("ipsketch_pool_queue_depth");
+  auto& wait = registry.GetHistogram("ipsketch_pool_task_wait_ns");
+  auto& run = registry.GetHistogram("ipsketch_pool_task_run_ns");
+  auto& executed = registry.GetCounter("ipsketch_pool_tasks_executed_total");
+  const int64_t depth0 = depth.Value();
+  const uint64_t waits0 = wait.Count();
+  const uint64_t runs0 = run.Count();
+  const uint64_t executed0 = executed.Value();
+
+  constexpr size_t kTasks = 5;
+  std::atomic<size_t> ran{0};
+  {
+    ThreadPool pool(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> release{false};
+    EXPECT_TRUE(pool.Submit([&] {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }));
+    // Once the blocker runs it has left the queue: only the tasks below
+    // wait there.
+    while (!started.load()) std::this_thread::yield();
+    EXPECT_EQ(depth.Value(), depth0);
+    for (size_t i = 0; i < kTasks; ++i) {
+      EXPECT_TRUE(pool.Submit([&ran] { ran.fetch_add(1); }));
+    }
+    EXPECT_EQ(depth.Value(), depth0 + static_cast<int64_t>(kTasks));
+    release.store(true);
+    // ~ThreadPool drains the queue and joins the worker.
+  }
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(wait.Count(), waits0 + kTasks + 1);
+  EXPECT_EQ(run.Count(), runs0 + kTasks + 1);
+  EXPECT_EQ(executed.Value(), executed0 + kTasks + 1);
+  EXPECT_EQ(depth.Value(), depth0);
+}
+
 TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();

@@ -60,8 +60,9 @@ status: 0 ok, 1 regression or gap, 2 usage/parse error.
 --self-test writes records derived from the committed baseline to a temp
 dir and checks the verdicts: the baseline against itself passes, and each
 seeded fault fails (a wmh@128 speedup cut below half, a quartered index
-speedup, no "index" member, no gated wmh@128 point, an sse2 kernel under
---require-kernel avx2). CI's static-analysis job runs it.
+speedup, no "index" member, no gated wmh@128 point, a scalar kernel —
+what a host without AVX2 dispatches — under --require-kernel avx2). CI's
+static-analysis job runs it.
 """
 
 import argparse
@@ -336,7 +337,7 @@ def self_test():
         ("index b=16,r=8,n=4000 speedup quartered", quarter_index, 1),
         ("no index member", lambda record: record.pop("index"), 1),
         ("no wmh@128 estimate point", drop_wmh128, 1),
-        ("kernel sse2", lambda record: record.update(kernel="sse2"), 1),
+        ("kernel scalar", lambda record: record.update(kernel="scalar"), 1),
     ]
     failures = 0
     with tempfile.TemporaryDirectory(prefix="bench_gate_selftest_") as tmp:

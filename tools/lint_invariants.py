@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — rules no off-the-shelf tool knows.
 
-Eight rules, each guarding an invariant the test suite can only probe
+Nine rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
@@ -46,6 +46,12 @@ point-wise but a static scan can prove tree-wide:
                  pairwise one: served scans score a shard (or a probe's
                  candidates) with one EstimateMany call, so no scan pays
                  the per-pair dispatch again.
+  kernel-tiers   src/core/simd/ holds exactly two estimator kernel tier
+                 files, estimate_kernels_scalar.cc and
+                 estimate_kernels_avx2.cc, and estimate_kernels.h declares
+                 exactly two tier accessors, ScalarKernel and Avx2Kernel:
+                 every tier a host can dispatch to is one CI compiles and
+                 checks bit for bit, so no tier ships that nothing runs.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -76,6 +82,10 @@ MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 STORE_CC = "src/service/sketch_store.cc"
 STORE_H = "src/service/sketch_store.h"
 QUERY_ENGINE_CC = "src/service/query_engine.cc"
+SIMD_DIR = "src/core/simd"
+KERNELS_H = "src/core/simd/estimate_kernels.h"
+KERNEL_TIER_FILES = {"estimate_kernels_scalar.cc", "estimate_kernels_avx2.cc"}
+KERNEL_TIER_ACCESSORS = {"ScalarKernel", "Avx2Kernel"}
 
 # family name -> the translation unit holding its kernel-backed estimator.
 # A newly registered family must be added here *and* route its estimator
@@ -447,6 +457,33 @@ def check_scoring(root: Path):
     return findings
 
 
+# A tier accessor declaration: `const EstimateKernel& Name();` or
+# `const EstimateKernel* Name();`.
+TIER_ACCESSOR = re.compile(
+    r"\bconst\s+EstimateKernel\s*[*&]\s*(\w+)\s*\(\s*\)\s*;")
+
+
+def check_kernel_tiers(root: Path):
+    findings = []
+    tier_files = {path.name for path in (root / SIMD_DIR).glob(
+        "estimate_kernels_*.cc")}
+    for name in sorted(tier_files - KERNEL_TIER_FILES):
+        findings.append(
+            f"kernel-tiers: {SIMD_DIR}/{name}: a third kernel tier file — "
+            "the estimator has two tiers, scalar and AVX2")
+    for name in sorted(KERNEL_TIER_FILES - tier_files):
+        findings.append(
+            f"kernel-tiers: {SIMD_DIR}/{name}: missing kernel tier file")
+    header = re.sub(r"//[^\n]*", "", read(root, KERNELS_H))
+    accessors = set(TIER_ACCESSOR.findall(header))
+    if accessors != KERNEL_TIER_ACCESSORS:
+        findings.append(
+            f"kernel-tiers: {KERNELS_H}: declares tier accessors "
+            f"{sorted(accessors)}, expected exactly "
+            f"{sorted(KERNEL_TIER_ACCESSORS)}")
+    return findings
+
+
 RULES = {
     "wire-tags": check_wire_tags,
     "families": check_families,
@@ -456,6 +493,7 @@ RULES = {
     "docs-freshness": check_docs_freshness,
     "store-writes": check_store_writes,
     "scoring": check_scoring,
+    "kernel-tiers": check_kernel_tiers,
 }
 
 
@@ -603,6 +641,22 @@ def seed_per_pair_scan(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_third_tier_accessor(root: Path):
+    path = root / KERNELS_H
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace(
+        "const EstimateKernel* Avx2Kernel();",
+        "const EstimateKernel* Avx2Kernel();\n"
+        "const EstimateKernel* Avx512Kernel();", 1)
+    assert seeded != text, "third tier accessor seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
+def seed_third_tier_file(root: Path):
+    shutil.copy(root / SIMD_DIR / "estimate_kernels_avx2.cc",
+                root / SIMD_DIR / "estimate_kernels_avx512.cc")
+
+
 # rule -> (seed label, seed fn) pairs; each seed is planted in its own tree
 # copy and must be caught by its rule independently.
 SEEDS = {
@@ -625,6 +679,10 @@ SEEDS = {
         ("friend in sketch_store.h", seed_store_friend),
     ],
     "scoring": [("per-pair Estimate in the exact scan", seed_per_pair_scan)],
+    "kernel-tiers": [
+        ("third tier accessor", seed_third_tier_accessor),
+        ("third tier file", seed_third_tier_file),
+    ],
 }
 
 
