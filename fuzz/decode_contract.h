@@ -104,13 +104,6 @@ inline void CheckIcws(std::string_view data) {
       [](const IcwsSketch& s) { return SerializeIcws(s); });
 }
 
-inline void CheckSimHash(std::string_view data) {
-  CheckCodec(
-      "simhash", data,
-      [](std::string_view b) { return DeserializeSimHash(b); },
-      [](const SimHashSketch& s) { return SerializeSimHash(s); });
-}
-
 inline void CheckCompactWmh(std::string_view data) {
   CheckCodec(
       "wmh_compact", data,
@@ -228,14 +221,12 @@ inline void CheckFamilyOptions(std::string_view data) {
 /// crash files through all of them, so a corpus file found by any one
 /// target keeps guarding the whole surface.
 inline void CheckAllDecoders(std::string_view data) {
-  (void)PeekSketchType(data);
   CheckWmh(data);
   CheckMh(data);
   CheckKmv(data);
   CheckJl(data);
   CheckCs(data);
   CheckIcws(data);
-  CheckSimHash(data);
   CheckCompactWmh(data);
   CheckBbitWmh(data);
   CheckStore(data);

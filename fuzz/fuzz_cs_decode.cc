@@ -7,7 +7,6 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
-  (void)ipsketch::PeekSketchType(bytes);
   ipsketch::fuzz::CheckCs(bytes);
   return 0;
 }

@@ -11,7 +11,7 @@
 //     (such as the expanded vectors of Algorithm 3, size n·L) that exceed
 //     2^31 elements.
 //   * SignHash / BucketHash — the ±1 and bucket hashes used by linear
-//     sketches (JL, CountSketch, SimHash).
+//     sketches (JL, CountSketch).
 //
 // Every family is deterministic given (seed, stream index), so independently
 // computed sketches are coordinated.
@@ -93,7 +93,7 @@ class CarterWegman61 {
   uint64_t b_;
 };
 
-/// ±1-valued hash used by AMS/JL/CountSketch/SimHash. 4-wise independence is
+/// ±1-valued hash used by AMS/JL/CountSketch. 4-wise independence is
 /// the textbook requirement for AMS variance bounds; we implement it as a
 /// degree-3 polynomial over p = 2^61 − 1 whose low bit supplies the sign.
 class SignHash {

@@ -43,8 +43,6 @@
 //   * mh_pair      — unweighted MinHash loop (sketch/minhash.cc): matches
 //                    require h < 1.0 (the empty-sketch sentinel never
 //                    matches) and accumulate v_a·v_b unscaled.
-//   * count_eq_f64 / count_eq_below1_f64 / min_sum_f64 — the Jaccard and
-//                    union estimators' reduced forms.
 //   * sum_f64      — plain lane-ordered sum (KMV's pooled matched
 //                    products, sketch/kmv.cc).
 //   * dot_f64      — lane-ordered dot product (JL rows, CountSketch
@@ -126,16 +124,6 @@ struct EstimateKernel {
 
   MhPairStats (*mh_pair)(const double* ha, const double* hb,
                          const double* va, const double* vb, size_t m);
-
-  /// #{i : ha[i] == hb[i]}.
-  uint64_t (*count_eq_f64)(const double* ha, const double* hb, size_t m);
-
-  /// #{i : ha[i] == hb[i] ∧ ha[i] < 1.0}.
-  uint64_t (*count_eq_below1_f64)(const double* ha, const double* hb,
-                                  size_t m);
-
-  /// Σ min(ha[i], hb[i]).
-  double (*min_sum_f64)(const double* ha, const double* hb, size_t m);
 
   /// Σ x[i].
   double (*sum_f64)(const double* x, size_t m);

@@ -222,47 +222,6 @@ MhPairStats MhPair(const double* ha, const double* hb, const double* va,
   return {Reduce(min_l), Reduce(w_l)};
 }
 
-uint64_t CountEqF64(const double* ha, const double* hb, size_t m) {
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256d eq = _mm256_cmp_pd(_mm256_loadu_pd(ha + i),
-                                     _mm256_loadu_pd(hb + i), _CMP_EQ_OQ);
-    count += std::popcount(static_cast<unsigned>(_mm256_movemask_pd(eq)));
-  }
-  for (; i < m; ++i) count += (ha[i] == hb[i]);
-  return count;
-}
-
-uint64_t CountEqBelow1F64(const double* ha, const double* hb, size_t m) {
-  const __m256d ones = _mm256_set1_pd(1.0);
-  uint64_t count = 0;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256d ha4 = _mm256_loadu_pd(ha + i);
-    const __m256d eq =
-        _mm256_cmp_pd(ha4, _mm256_loadu_pd(hb + i), _CMP_EQ_OQ);
-    const __m256d below1 = _mm256_cmp_pd(ha4, ones, _CMP_LT_OQ);
-    count += std::popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_and_pd(eq, below1))));
-  }
-  for (; i < m; ++i) count += (ha[i] == hb[i] && ha[i] < 1.0);
-  return count;
-}
-
-double MinSumF64(const double* ha, const double* hb, size_t m) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_min_pd(_mm256_loadu_pd(ha + i),
-                                           _mm256_loadu_pd(hb + i)));
-  }
-  double l[4];
-  _mm256_storeu_pd(l, acc);
-  for (; i < m; ++i) l[i & 3] += std::min(ha[i], hb[i]);
-  return Reduce(l);
-}
-
 double SumF64(const double* x, size_t m) {
   __m256d acc = _mm256_setzero_pd();
   size_t i = 0;
@@ -292,9 +251,8 @@ double DotF64(const double* x, const double* y, size_t m) {
 
 const EstimateKernel* Avx2Kernel() {
   static constexpr EstimateKernel kAvx2 = {
-      "avx2",     &WmhPair,    &MatchU64, &CompactPair, &MatchU32,
-      &MhPair,    &CountEqF64, &CountEqBelow1F64,
-      &MinSumF64, &SumF64,     &DotF64,
+      "avx2",    &WmhPair, &MatchU64, &CompactPair,
+      &MatchU32, &MhPair,  &SumF64,   &DotF64,
   };
   return &kAvx2;
 }

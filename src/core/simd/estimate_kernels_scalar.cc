@@ -111,24 +111,6 @@ MhPairStats MhPair(const double* ha, const double* hb, const double* va,
   return out;
 }
 
-uint64_t CountEqF64(const double* ha, const double* hb, size_t m) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < m; ++i) count += (ha[i] == hb[i]);
-  return count;
-}
-
-uint64_t CountEqBelow1F64(const double* ha, const double* hb, size_t m) {
-  uint64_t count = 0;
-  for (size_t i = 0; i < m; ++i) count += (ha[i] == hb[i] && ha[i] < 1.0);
-  return count;
-}
-
-double MinSumF64(const double* ha, const double* hb, size_t m) {
-  Lanes sum;
-  for (size_t i = 0; i < m; ++i) sum.Add(i, std::min(ha[i], hb[i]));
-  return sum.Reduce();
-}
-
 double SumF64(const double* x, size_t m) {
   Lanes sum;
   for (size_t i = 0; i < m; ++i) sum.Add(i, x[i]);
@@ -148,9 +130,8 @@ double DotF64(const double* x, const double* y, size_t m) {
 
 const EstimateKernel& ScalarKernel() {
   static constexpr EstimateKernel kScalar = {
-      "scalar",    &WmhPair,        &MatchU64, &CompactPair, &MatchU32,
-      &MhPair,     &CountEqF64,     &CountEqBelow1F64,
-      &MinSumF64,  &SumF64,         &DotF64,
+      "scalar",  &WmhPair, &MatchU64, &CompactPair,
+      &MatchU32, &MhPair,  &SumF64,   &DotF64,
   };
   return kScalar;
 }

@@ -86,27 +86,6 @@ Result<double> EstimateWmhSpans(const double* a_hashes,
   return a_norm * b_norm * inner_unit;
 }
 
-Result<double> EstimateWeightedJaccard(const WmhSketch& a,
-                                       const WmhSketch& b) {
-  IPS_RETURN_IF_ERROR(CheckCompatible(a, b));
-  if (a.norm == 0.0 || b.norm == 0.0) return 0.0;
-  const uint64_t matches = simd::ActiveKernel().count_eq_f64(
-      a.hashes.data(), b.hashes.data(), a.num_samples());
-  return static_cast<double>(matches) /
-         static_cast<double>(a.num_samples());
-}
-
-Result<double> EstimateWeightedUnion(const WmhSketch& a, const WmhSketch& b) {
-  IPS_RETURN_IF_ERROR(CheckCompatible(a, b));
-  const double min_hash_sum = simd::ActiveKernel().min_sum_f64(
-      a.hashes.data(), b.hashes.data(), a.num_samples());
-  if (min_hash_sum <= 0.0) {
-    return Status::Internal("degenerate minimum-hash sum");
-  }
-  const double md = static_cast<double>(a.num_samples());
-  return (md / min_hash_sum - 1.0) / static_cast<double>(a.L);
-}
-
 WmhSketch TruncatedWmh(const WmhSketch& sketch, size_t m) {
   IPS_CHECK(m > 0 && m <= sketch.num_samples());
   WmhSketch out = sketch;

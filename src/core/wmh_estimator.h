@@ -61,17 +61,6 @@ Result<double> EstimateWmhSpans(
     const double* b_hashes, const double* b_values, double b_norm, size_t m,
     uint64_t L, const WmhEstimateOptions& options = WmhEstimateOptions());
 
-/// Estimates the *weighted Jaccard similarity* of the squared normalized
-/// vectors, J̄ = Σ min(ã², b̃²) / Σ max(ã², b̃²) (Fact 5): the fraction of
-/// matching samples. This is the quantity classic Weighted MinHash was
-/// built for; exposed because dataset-search systems rank by it directly.
-Result<double> EstimateWeightedJaccard(const WmhSketch& a, const WmhSketch& b);
-
-/// Estimates the weighted union size M = Σ max(ã², b̃²) via the
-/// Flajolet–Martin estimator of Algorithm 5 line 2 (Lemma 1). For unit
-/// vectors M ∈ [1, 2]; M = 1 iff the vectors coincide elementwise in square.
-Result<double> EstimateWeightedUnion(const WmhSketch& a, const WmhSketch& b);
-
 /// A prefix of a WMH sketch: the first `m` samples, which are themselves a
 /// valid m-sample sketch (samples are i.i.d. across hash functions). Used to
 /// evaluate many storage budgets from one sketching pass. `m` must not

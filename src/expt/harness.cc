@@ -64,19 +64,6 @@ Result<SweepResult> RunStorageSweep(
   return result;
 }
 
-Result<SweepResult> RunStorageSweepForFamilies(
-    const std::vector<std::string>& families,
-    const std::vector<EvalPair>& pairs, const SweepOptions& options) {
-  std::vector<std::unique_ptr<MethodEvaluator>> methods;
-  methods.reserve(families.size());
-  for (const std::string& family : families) {
-    auto made = MakeFamilyEvaluator(family);
-    IPS_RETURN_IF_ERROR(made.status());
-    methods.push_back(std::move(made).value());
-  }
-  return RunStorageSweep(methods, pairs, options);
-}
-
 Result<std::vector<PairErrors>> ComputePairErrors(
     const std::vector<std::unique_ptr<MethodEvaluator>>& methods,
     const std::vector<EvalPair>& pairs, double storage_words, size_t trials,

@@ -50,14 +50,6 @@ Result<SweepResult> RunStorageSweep(
     const std::vector<std::unique_ptr<MethodEvaluator>>& methods,
     const std::vector<EvalPair>& pairs, const SweepOptions& options);
 
-/// `RunStorageSweep` over methods named by sketch/family.h registry key
-/// ("wmh", "icws", "mh", "kmv", "cs", "jl"): each evaluator is built
-/// through the family registry — the same code path the service layer
-/// estimates with. InvalidArgument on unknown family names.
-Result<SweepResult> RunStorageSweepForFamilies(
-    const std::vector<std::string>& families,
-    const std::vector<EvalPair>& pairs, const SweepOptions& options);
-
 /// One observation for a winning table: covariates plus per-method errors.
 struct PairErrors {
   double overlap = 0.0;

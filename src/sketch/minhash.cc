@@ -80,44 +80,6 @@ Result<double> EstimateMhSpans(const double* a_hashes, const double* a_values,
   return (u_tilde / md) * stats.match_sum;
 }
 
-namespace {
-
-Status CheckMhCompatible(const MhSketch& a, const MhSketch& b) {
-  if (a.num_samples() != b.num_samples() || a.num_samples() == 0) {
-    return Status::InvalidArgument("sketch sample counts differ or empty");
-  }
-  if (a.seed != b.seed) return Status::InvalidArgument("sketch seeds differ");
-  if (a.hash_kind != b.hash_kind) {
-    return Status::InvalidArgument("sketch hash families differ");
-  }
-  if (a.dimension != b.dimension) {
-    return Status::InvalidArgument("sketch dimensions differ");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Result<double> EstimateSupportJaccard(const MhSketch& a, const MhSketch& b) {
-  IPS_RETURN_IF_ERROR(CheckMhCompatible(a, b));
-  // The 1.0 sentinel (empty sketch) never counts as a match.
-  const uint64_t matches = simd::ActiveKernel().count_eq_below1_f64(
-      a.hashes.data(), b.hashes.data(), a.num_samples());
-  return static_cast<double>(matches) /
-         static_cast<double>(a.num_samples());
-}
-
-Result<double> EstimateSupportUnion(const MhSketch& a, const MhSketch& b) {
-  IPS_RETURN_IF_ERROR(CheckMhCompatible(a, b));
-  const double min_hash_sum = simd::ActiveKernel().min_sum_f64(
-      a.hashes.data(), b.hashes.data(), a.num_samples());
-  if (min_hash_sum <= 0.0) {
-    return Status::Internal("degenerate minimum-hash sum");
-  }
-  const double md = static_cast<double>(a.num_samples());
-  return md / min_hash_sum - 1.0;
-}
-
 MhSketch TruncatedMh(const MhSketch& sketch, size_t m) {
   IPS_CHECK(m > 0 && m <= sketch.num_samples());
   MhSketch out = sketch;

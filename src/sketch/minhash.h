@@ -77,14 +77,6 @@ Result<double> EstimateMhSpans(const double* a_hashes, const double* a_values,
                                const double* b_hashes, const double* b_values,
                                size_t m);
 
-/// Estimates the support Jaccard similarity |A∩B| / |A∪B| (Fact 3): the
-/// fraction of matching samples.
-Result<double> EstimateSupportJaccard(const MhSketch& a, const MhSketch& b);
-
-/// Estimates the support union size |A∪B| via Ũ = m/Σ min(h_a, h_b) − 1
-/// (Lemma 1, the Flajolet–Martin variant).
-Result<double> EstimateSupportUnion(const MhSketch& a, const MhSketch& b);
-
 /// Prefix of the first m samples (a valid m-sample sketch).
 MhSketch TruncatedMh(const MhSketch& sketch, size_t m);
 

@@ -482,40 +482,6 @@ Result<IcwsSketch> DeserializeIcws(std::string_view bytes) {
   return s;
 }
 
-// --- SimHash -------------------------------------------------------------------
-
-std::string SerializeSimHash(const SimHashSketch& sketch) {
-  std::string out;
-  PutHeader(&out, SketchTypeTag::kSimHash);
-  PutU64(&out, sketch.seed);
-  PutU64(&out, sketch.dimension);
-  PutU64(&out, sketch.num_bits);
-  PutDouble(&out, sketch.norm);
-  PutU64s(&out, sketch.bits);
-  return out;
-}
-
-Result<SimHashSketch> DeserializeSimHash(std::string_view bytes) {
-  Reader r(bytes);
-  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kSimHash));
-  SimHashSketch s;
-  IPS_RETURN_IF_ERROR(r.ReadU64(&s.seed));
-  IPS_RETURN_IF_ERROR(r.ReadU64(&s.dimension));
-  uint64_t num_bits = 0;
-  IPS_RETURN_IF_ERROR(r.ReadU64(&num_bits));
-  s.num_bits = static_cast<size_t>(num_bits);
-  IPS_RETURN_IF_ERROR(r.ReadDouble(&s.norm));
-  IPS_RETURN_IF_ERROR(r.ReadU64s(&s.bits));
-  // Overflow-free word-count check: `(num_bits + 63) / 64` wraps to 0 for
-  // num_bits near 2⁶⁴, which let a hostile header pair an absurd num_bits
-  // with an empty bits vector and mis-decode silently.
-  if (s.bits.size() != num_bits / 64 + (num_bits % 64 != 0 ? 1 : 0)) {
-    return Status::InvalidArgument("SimHash bit-word count mismatch");
-  }
-  IPS_RETURN_IF_ERROR(r.ExpectEnd());
-  return s;
-}
-
 // --- compact / b-bit WMH -------------------------------------------------------
 
 namespace {
@@ -605,23 +571,6 @@ Result<BbitWmhSketch> DeserializeBbitWmh(std::string_view bytes) {
   IPS_RETURN_IF_ERROR(CheckBbitFingerprintWidths(s));
   IPS_RETURN_IF_ERROR(r.ExpectEnd());
   return s;
-}
-
-Result<SketchTypeTag> PeekSketchType(std::string_view bytes) {
-  Reader r(bytes);
-  uint32_t magic = 0;
-  Status st = r.ReadU32(&magic);
-  if (!st.ok() || magic != kMagic) {
-    return Status::NotFound("not a serialized sketch");
-  }
-  uint8_t version = 0;
-  uint8_t tag = 0;
-  IPS_RETURN_IF_ERROR(r.ReadU8(&version));
-  IPS_RETURN_IF_ERROR(r.ReadU8(&tag));
-  if (tag < 1 || tag > static_cast<uint8_t>(SketchTypeTag::kBbitWmh)) {
-    return Status::NotFound("unknown sketch type tag");
-  }
-  return static_cast<SketchTypeTag>(tag);
 }
 
 }  // namespace ipsketch

@@ -31,7 +31,6 @@
 #include "sketch/kmv.h"
 #include "sketch/minhash.h"
 #include "sketch/quantize.h"
-#include "sketch/simhash.h"
 
 namespace ipsketch {
 namespace wire {
@@ -129,9 +128,6 @@ Result<CountSketch> DeserializeCountSketch(std::string_view bytes);
 std::string SerializeIcws(const IcwsSketch& sketch);
 Result<IcwsSketch> DeserializeIcws(std::string_view bytes);
 
-std::string SerializeSimHash(const SimHashSketch& sketch);
-Result<SimHashSketch> DeserializeSimHash(std::string_view bytes);
-
 /// Serializes a compact (32-bit hash, float32 value) WMH sketch. The wire
 /// form carries the engine byte, exactly as full-precision WMH payloads do:
 /// compact sketches are only comparable across equal engines. These tags
@@ -145,8 +141,9 @@ Result<CompactWmhSketch> DeserializeCompactWmh(std::string_view bytes);
 std::string SerializeBbitWmh(const BbitWmhSketch& sketch);
 Result<BbitWmhSketch> DeserializeBbitWmh(std::string_view bytes);
 
-/// Identifies which sketch type a serialized blob holds without parsing the
-/// payload. Returns NotFound for non-sketch bytes.
+/// The type byte of every serialized sketch; each decoder accepts only its
+/// own tag. Tag 7 is retired: it is never reused, and no decoder accepts
+/// it.
 enum class SketchTypeTag : uint8_t {
   kWmh = 1,
   kMh = 2,
@@ -154,11 +151,9 @@ enum class SketchTypeTag : uint8_t {
   kJl = 4,
   kCountSketch = 5,
   kIcws = 6,
-  kSimHash = 7,
   kCompactWmh = 8,
   kBbitWmh = 9,
 };
-Result<SketchTypeTag> PeekSketchType(std::string_view bytes);
 
 }  // namespace ipsketch
 

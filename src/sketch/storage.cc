@@ -38,12 +38,6 @@ size_t SamplesForStorageWords(double storage_words, StorageClass storage_class) 
       // m < 1 guard below maps them to 0 instead of wrapping in the cast.
       m = (storage_words - 1.0) / 1.5;
       break;
-    case StorageClass::kBits:
-      // Bits are charged in whole 64-bit words (StorageWordsForSamples uses
-      // ceil), so a fractional budget holds no partial word: floor first, or
-      // the round-trip through StorageWordsForSamples would exceed budget.
-      m = std::floor(storage_words) * 64.0;
-      break;
     case StorageClass::kCompactSamplingWithNorm:
       m = storage_words - 1.0;
       break;
@@ -63,8 +57,6 @@ double StorageWordsForSamples(size_t m, StorageClass storage_class) {
       return 1.5 * md;
     case StorageClass::kSamplingWithNorm:
       return 1.5 * md + 1.0;
-    case StorageClass::kBits:
-      return std::ceil(md / 64.0);
     case StorageClass::kCompactSamplingWithNorm:
       return md + 1.0;
     case StorageClass::kBbitSamplingWithNorm:

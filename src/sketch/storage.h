@@ -21,7 +21,6 @@ enum class StorageClass {
   kLinear = 0,    ///< m doubles (JL, CountSketch)
   kSampling = 1,  ///< m (double value, 32-bit hash) pairs (MH, KMV)
   kSamplingWithNorm = 2,  ///< sampling + one norm scalar (WMH, ICWS)
-  kBits = 3,      ///< m single bits (SimHash)
   /// m (32-bit hash, float32 value) pairs + the norm: 1 word per sample
   /// (the "wmh_compact" family).
   kCompactSamplingWithNorm = 4,

@@ -22,7 +22,6 @@
 #include "service/persistence.h"
 #include "service/sketch_store.h"
 #include "sketch/serialize.h"
-#include "sketch/simhash.h"
 
 namespace ipsketch {
 namespace {
@@ -214,25 +213,6 @@ TEST(GoldenBytesTest, CountSketch) {
   s.tables = {{1.0, -1.0}, {0.5, 0.25}};
   EXPECT_EQ(ToHex(SerializeCountSketch(s)), kGoldenCs);
   EXPECT_TRUE(DeserializeCountSketch(FromHex(kGoldenCs)).ok());
-}
-
-constexpr char kGoldenSimHash[] =
-    "4853504902070700000000000000000200000000000060000000000000000000000000"
-    "0004400200000000000000efcdab89674523010000ffff00000000";
-
-TEST(GoldenBytesTest, SimHash) {
-  SimHashSketch s;
-  s.seed = 7;
-  s.dimension = 512;
-  s.num_bits = 96;
-  s.bits = {0x0123456789abcdefULL, 0x00000000ffff0000ULL};
-  s.norm = 2.5;
-  EXPECT_EQ(ToHex(SerializeSimHash(s)), kGoldenSimHash);
-  const auto parsed = DeserializeSimHash(FromHex(kGoldenSimHash));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().num_bits, 96u);
-  EXPECT_EQ(parsed.value().bits, s.bits);
-  EXPECT_EQ(parsed.value().norm, 2.5);
 }
 
 // --- persistence v2 store header --------------------------------------------

@@ -127,17 +127,6 @@ TEST(SerializeIcwsTest, RoundTrip) {
   EXPECT_EQ(restored.norm, s.norm);
 }
 
-TEST(SerializeSimHashTest, RoundTrip) {
-  SimHashOptions o;
-  o.num_bits = 100;
-  o.seed = 23;
-  const auto s = SketchSimHash(TestVector(10), o).value();
-  const auto restored = DeserializeSimHash(SerializeSimHash(s)).value();
-  EXPECT_EQ(restored.bits, s.bits);
-  EXPECT_EQ(restored.num_bits, s.num_bits);
-  EXPECT_EQ(restored.norm, s.norm);
-}
-
 TEST(SerializeRobustnessTest, RejectsEmptyAndGarbage) {
   EXPECT_FALSE(DeserializeWmh("").ok());
   EXPECT_FALSE(DeserializeWmh("garbage bytes here").ok());
@@ -188,31 +177,6 @@ TEST(SerializeRobustnessTest, RejectsBadVersion) {
   std::string bytes = SerializeWmh(s);
   bytes[4] = 99;  // version byte
   EXPECT_FALSE(DeserializeWmh(bytes).ok());
-}
-
-TEST(PeekSketchTypeTest, IdentifiesAllTypes) {
-  WmhOptions wo;
-  wo.num_samples = 4;
-  EXPECT_EQ(PeekSketchType(SerializeWmh(SketchWmh(TestVector(15), wo).value()))
-                .value(),
-            SketchTypeTag::kWmh);
-  JlOptions jo;
-  jo.num_rows = 4;
-  EXPECT_EQ(PeekSketchType(SerializeJl(SketchJl(TestVector(16), jo).value()))
-                .value(),
-            SketchTypeTag::kJl);
-  KmvOptions ko;
-  ko.k = 4;
-  EXPECT_EQ(PeekSketchType(SerializeKmv(SketchKmv(TestVector(17), ko).value()))
-                .value(),
-            SketchTypeTag::kKmv);
-  const auto full = SketchWmh(TestVector(18), wo).value();
-  EXPECT_EQ(PeekSketchType(SerializeCompactWmh(CompactFromWmh(full))).value(),
-            SketchTypeTag::kCompactWmh);
-  EXPECT_EQ(
-      PeekSketchType(SerializeBbitWmh(BbitFromWmh(full, 16).value())).value(),
-      SketchTypeTag::kBbitWmh);
-  EXPECT_FALSE(PeekSketchType("nope").ok());
 }
 
 TEST(QuantizedSerializeTest, RoundTripsAndRejectsMalformedBytes) {

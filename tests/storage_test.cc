@@ -29,12 +29,6 @@ TEST(StorageTest, SamplingWithNormReservesOneWord) {
       StorageWordsForSamples(266, StorageClass::kSamplingWithNorm), 400.0);
 }
 
-TEST(StorageTest, BitsFamilyPacksSixtyFourPerWord) {
-  EXPECT_EQ(SamplesForStorageWords(4, StorageClass::kBits), 256u);
-  EXPECT_DOUBLE_EQ(StorageWordsForSamples(256, StorageClass::kBits), 4.0);
-  EXPECT_DOUBLE_EQ(StorageWordsForSamples(70, StorageClass::kBits), 2.0);
-}
-
 TEST(StorageTest, CompactSamplingChargesOneWordPlusNorm) {
   // The 32-bit compact encoding: (32+32) bits = 1 word per sample + norm.
   EXPECT_EQ(
@@ -92,7 +86,7 @@ TEST(StorageTest, RoundTripNeverExceedsBudget) {
   for (double words : {2.0, 10.0, 100.0, 400.0, 1000.0}) {
     for (auto family :
          {StorageClass::kLinear, StorageClass::kSampling,
-          StorageClass::kSamplingWithNorm, StorageClass::kBits,
+          StorageClass::kSamplingWithNorm,
           StorageClass::kCompactSamplingWithNorm,
           StorageClass::kBbitSamplingWithNorm}) {
       const size_t m = SamplesForStorageWords(words, family);
@@ -113,8 +107,7 @@ TEST(StorageTest, TinyBudgetsYieldZeroSamples) {
 
 TEST(StorageTest, OneSampleBoundaryPerFamily) {
   // One sample costs exactly 1 word (linear), 1.5 (sampling), 2.5 (sampling
-  // + norm); one word holds 64 bits. Just under fits nothing; exactly at
-  // fits the first sample.
+  // + norm). Just under fits nothing; exactly at fits the first sample.
   EXPECT_EQ(SamplesForStorageWords(0.999, StorageClass::kLinear), 0u);
   EXPECT_EQ(SamplesForStorageWords(1.0, StorageClass::kLinear), 1u);
   EXPECT_EQ(SamplesForStorageWords(1.499, StorageClass::kSampling), 0u);
@@ -122,14 +115,12 @@ TEST(StorageTest, OneSampleBoundaryPerFamily) {
   EXPECT_EQ(SamplesForStorageWords(2.499, StorageClass::kSamplingWithNorm),
             0u);
   EXPECT_EQ(SamplesForStorageWords(2.5, StorageClass::kSamplingWithNorm), 1u);
-  EXPECT_EQ(SamplesForStorageWords(0.999, StorageClass::kBits), 0u);
-  EXPECT_EQ(SamplesForStorageWords(1.0, StorageClass::kBits), 64u);
 }
 
 TEST(StorageTest, SubSampleBudgetsNeverUnderflow) {
   for (auto family :
        {StorageClass::kLinear, StorageClass::kSampling,
-        StorageClass::kSamplingWithNorm, StorageClass::kBits,
+        StorageClass::kSamplingWithNorm,
         StorageClass::kCompactSamplingWithNorm,
         StorageClass::kBbitSamplingWithNorm}) {
     for (double words : {-1.0, 0.0, 0.25, 0.5, 0.9}) {
@@ -139,21 +130,10 @@ TEST(StorageTest, SubSampleBudgetsNeverUnderflow) {
   }
 }
 
-TEST(StorageTest, FractionalBitsBudgetStaysWithinBudget) {
-  // ceil-based accounting charges whole words, so a 1.5-word budget holds
-  // only one word of bits — 96 samples would round-trip to 2 words.
-  EXPECT_EQ(SamplesForStorageWords(1.5, StorageClass::kBits), 64u);
-  EXPECT_DOUBLE_EQ(StorageWordsForSamples(64, StorageClass::kBits), 1.0);
-  EXPECT_LE(StorageWordsForSamples(
-                SamplesForStorageWords(1.5, StorageClass::kBits),
-                StorageClass::kBits),
-            1.5);
-}
-
 TEST(StorageTest, NanBudgetsYieldZero) {
   for (auto family :
        {StorageClass::kLinear, StorageClass::kSampling,
-        StorageClass::kSamplingWithNorm, StorageClass::kBits,
+        StorageClass::kSamplingWithNorm,
         StorageClass::kCompactSamplingWithNorm,
         StorageClass::kBbitSamplingWithNorm}) {
     EXPECT_EQ(SamplesForStorageWords(std::nan(""), family), 0u);
@@ -164,7 +144,7 @@ TEST(StorageTest, UnrepresentablyLargeBudgetsSaturate) {
   constexpr size_t kMax = std::numeric_limits<size_t>::max();
   for (auto family :
        {StorageClass::kLinear, StorageClass::kSampling,
-        StorageClass::kSamplingWithNorm, StorageClass::kBits,
+        StorageClass::kSamplingWithNorm,
         StorageClass::kCompactSamplingWithNorm,
         StorageClass::kBbitSamplingWithNorm}) {
     // Casting a double >= 2^64 to size_t is UB; these must clamp instead.

@@ -9,9 +9,9 @@
 //      checked in there; tools/make_corpus.py regenerates the named seeds
 //      for the bugs fixed when this harness was introduced.
 //   2. Named regressions: each fixed decoder bug (length-field multiply
-//      wrapping before the bounds check, zero-width row allocation,
-//      word-count arithmetic overflow, NaN escaping a sortedness check,
-//      duplicate option keys collapsing silently) is asserted rejected.
+//      wrapping before the bounds check, zero-width row allocation, NaN
+//      escaping a sortedness check, duplicate option keys collapsing
+//      silently) is asserted rejected, and so is the retired wire tag 7.
 //   3. Systematic malformed inputs: for every golden payload, truncation at
 //      every byte boundary; oversized length fields; unknown tag, version,
 //      and engine bytes.
@@ -27,6 +27,7 @@
 
 #include "fuzz/decode_contract.h"
 #include "gtest/gtest.h"
+#include "vector/sparse_vector.h"
 
 namespace ipsketch {
 namespace {
@@ -41,6 +42,38 @@ std::string ReadFileOrDie(const std::filesystem::path& path) {
                          << " (run tools/make_corpus.py?)";
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The golden empty v2 store (a "wmh" store: dimension 512, m = 64, seed
+/// 42, L = 4096, dart engine) with its final u64, the zero entry count,
+/// replaced by `entries` and the checksum trailer re-sealed, so the entry
+/// section itself (not the trailer) must reject a bad file.
+std::string ResealedStore(std::string_view entries) {
+  const std::string empty = ReadFileOrDie(
+      SourcePath("fuzz/corpus/fuzz_store_decode/golden_store_v2_empty"));
+  EXPECT_GE(empty.size(), 16u);
+  std::string payload = empty.substr(0, empty.size() - 16);
+  payload.append(entries);
+  wire::AppendU64(&payload, fuzz::StoreChecksum(payload));
+  return payload;
+}
+
+/// ResealedStore with one entry, id 1, holding `sketch_bytes`.
+std::string StoreWithOneEntry(std::string_view sketch_bytes) {
+  std::string entries;
+  wire::AppendU64(&entries, 1);  // entry count
+  wire::AppendU64(&entries, 1);  // id
+  wire::AppendBytes(&entries, sketch_bytes);
+  return ResealedStore(entries);
 }
 
 // --- 1. replay every checked-in regression file ------------------------------
@@ -80,12 +113,56 @@ TEST(WireFuzzRegressions, CountSketchZeroWidthRowsRejected) {
   EXPECT_FALSE(DeserializeCountSketch(bytes).ok());
 }
 
-TEST(WireFuzzRegressions, SimHashWordCountCannotWrap) {
-  // num_bits near 2^64 made the old `(num_bits + 63) / 64` wrap to 0,
-  // matching an empty bits vector and decoding silently.
-  const std::string bytes =
+TEST(WireFuzzRegressions, RetiredTagSevenRejectedEverywhere) {
+  // Tag 7 is retired and never reused. A well-formed payload under it (the
+  // last golden bytes its codec produced: seed 7, dimension 512, 96 bits
+  // in two words, norm 2.5) and the checked-in word-count overflow payload
+  // must fail every registered family's decoder.
+  const std::string well_formed = FromHex(
+      "4853504902070700000000000000000200000000000060000000000000000000000000"
+      "0004400200000000000000efcdab89674523010000ffff00000000");
+  const std::string overflow =
       ReadFileOrDie(SourcePath("fuzz/regressions/simhash_numbits_overflow"));
-  EXPECT_FALSE(DeserializeSimHash(bytes).ok());
+  FamilyOptions options;
+  options.dimension = 512;
+  options.num_samples = 64;
+  options.seed = 7;
+  for (const std::string& bytes : {well_formed, overflow}) {
+    ASSERT_GT(bytes.size(), 5u);
+    ASSERT_EQ(bytes[5], 7);  // tag byte follows magic + version
+    for (const FamilyInfo& info : RegisteredFamilies()) {
+      SCOPED_TRACE(info.name);
+      const auto family = MakeFamily(info.name, options);
+      ASSERT_TRUE(family.ok()) << family.status().ToString();
+      EXPECT_EQ(family.value()->Deserialize(bytes).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+
+  // A store file carrying a tag-7 entry must not load. The control entry,
+  // a real sketch under the store's own options, proves the file is well
+  // formed apart from the tag.
+  FamilyOptions store_options;
+  store_options.dimension = 512;
+  store_options.num_samples = 64;
+  store_options.seed = 42;
+  store_options.params["L"] = "4096";
+  store_options.params["engine"] = "dart";
+  const auto wmh = MakeFamily("wmh", store_options);
+  ASSERT_TRUE(wmh.ok()) << wmh.status().ToString();
+  auto sketcher = wmh.value()->MakeSketcher();
+  ASSERT_TRUE(sketcher.ok()) << sketcher.status().ToString();
+  auto sketch = wmh.value()->NewSketch();
+  ASSERT_TRUE(sketcher.value()
+                  ->Sketch(SparseVector::MakeOrDie(512, {{3, 1.0}, {9, -2.0}}),
+                           sketch.get())
+                  .ok());
+  const auto control = DecodeSketchStore(
+      StoreWithOneEntry(wmh.value()->Serialize(*sketch).value()));
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  EXPECT_EQ(control.value().size(), 1u);
+  EXPECT_EQ(DecodeSketchStore(StoreWithOneEntry(well_formed)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(WireFuzzRegressions, KmvNanHashRejected) {
@@ -149,8 +226,6 @@ const GoldenCase kGoldenCases[] = {
      [](std::string_view b) { return DeserializeIcws(b).status(); }},
     {"fuzz/corpus/fuzz_icws_decode/v1_icws",
      [](std::string_view b) { return DeserializeIcws(b).status(); }},
-    {"fuzz/corpus/fuzz_simhash_decode/golden_sim_hash",
-     [](std::string_view b) { return DeserializeSimHash(b).status(); }},
     {"fuzz/corpus/fuzz_wmh_compact_decode/golden_compact_wmh",
      [](std::string_view b) { return DeserializeCompactWmh(b).status(); }},
     {"fuzz/corpus/fuzz_wmh_bbit_decode/golden_bbit_wmh",
@@ -219,16 +294,9 @@ TEST(WireFuzzRegressions, OversizedVectorCountsRejected) {
 }
 
 TEST(WireFuzzRegressions, OversizedStoreEntryCountRejected) {
-  // The empty golden store's final u64 before the trailer is the entry
-  // count; blow it up and re-seal the checksum so the count check itself
-  // (not the trailer) must reject the file.
-  std::string bytes = ReadFileOrDie(
-      SourcePath("fuzz/corpus/fuzz_store_decode/golden_store_v2_empty"));
-  ASSERT_GE(bytes.size(), 16u);
-  std::string payload = bytes.substr(0, bytes.size() - 16);
-  wire::AppendU64(&payload, uint64_t{1} << 61);  // entry count
-  wire::AppendU64(&payload, fuzz::StoreChecksum(payload));
-  EXPECT_FALSE(DecodeSketchStore(payload).ok());
+  std::string entries;
+  wire::AppendU64(&entries, uint64_t{1} << 61);  // entry count, no entries
+  EXPECT_FALSE(DecodeSketchStore(ResealedStore(entries)).ok());
 }
 
 // --- 3c. unknown tag / version / engine bytes ---------------------------------
@@ -236,10 +304,10 @@ TEST(WireFuzzRegressions, OversizedStoreEntryCountRejected) {
 TEST(WireFuzzRegressions, UnknownTagAndVersionBytesRejected) {
   const std::string golden =
       ReadFileOrDie(SourcePath("fuzz/corpus/fuzz_wmh_decode/golden_wmh"));
-  for (uint8_t tag : {uint8_t{0}, uint8_t{10}, uint8_t{255}}) {
+  // 7 is the retired tag; 0, 10 and 255 were never assigned.
+  for (uint8_t tag : {uint8_t{0}, uint8_t{7}, uint8_t{10}, uint8_t{255}}) {
     std::string b = golden;
     b[5] = static_cast<char>(tag);  // tag byte follows magic + version
-    EXPECT_FALSE(PeekSketchType(b).ok()) << unsigned{tag};
     EXPECT_FALSE(DeserializeWmh(b).ok()) << unsigned{tag};
   }
   std::string bad_version = golden;

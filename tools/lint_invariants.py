@@ -5,10 +5,12 @@ Nine rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
-                 producer (PutHeader) in serialize.cc, and every producer's
+                 producer (PutHeader) in serialize.cc, every producer's
                  serializer is locked by tests/golden_bytes_test.cc — a tag
                  without a golden payload can drift silently and corrupt
-                 stored catalogs.
+                 stored catalogs — and every producer is called by a family
+                 Spec in src/sketch/family.cc, so no wire format ships that
+                 no registered family serves.
   families       Every family in RegisteredFamilies() is exercised by the
                  parameterized family-registry test and has a kernel-backed
                  estimator TU (ActiveKernel() — the EstimateKernel dispatch
@@ -52,6 +54,11 @@ point-wise but a static scan can prove tree-wide:
                  exactly two tier accessors, ScalarKernel and Avx2Kernel:
                  every tier a host can dispatch to is one CI compiles and
                  checks bit for bit, so no tier ships that nothing runs.
+                 Every EstimateKernel entry point is called through
+                 ActiveKernel() in a family estimator TU
+                 (FAMILY_ESTIMATOR_TU), by a function that a family Spec in
+                 family.cc reaches, so no kernel is kept bit-identical
+                 across both tiers for a caller no registered family uses.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -114,7 +121,6 @@ TAG_FUZZ_TARGET = {
     "kJl": "fuzz_jl_decode",
     "kCountSketch": "fuzz_cs_decode",
     "kIcws": "fuzz_icws_decode",
-    "kSimHash": "fuzz_simhash_decode",
     "kCompactWmh": "fuzz_wmh_compact_decode",
     "kBbitWmh": "fuzz_wmh_bbit_decode",
 }
@@ -127,6 +133,13 @@ EXTRA_FUZZ_TARGETS = {
 
 def read(root: Path, rel: str) -> str:
     return (root / rel).read_text(encoding="utf-8")
+
+
+# A family Spec's body in family.cc (`struct XSpec {` to its closing `};`)
+# and a wire serializer called in it.
+FAMILY_SPEC = re.compile(
+    r"^struct\s+\w+Spec\s*\{(.*?)^\};", re.DOTALL | re.MULTILINE)
+SERIALIZER_CALL = re.compile(r"\b(Serialize\w+)\s*\(")
 
 
 def check_wire_tags(root: Path):
@@ -162,6 +175,10 @@ def check_wire_tags(root: Path):
             producers.setdefault(header_use.group(1), fn_match.group(1))
 
     golden = read(root, GOLDEN_TEST)
+    family_serializers = set()
+    for body in FAMILY_SPEC.findall(read(root, FAMILY_CC)):
+        family_serializers.update(SERIALIZER_CALL.findall(
+            re.sub(r"//[^\n]*", "", body)))
     for name, _value in tags:
         serializer = producers.get(name)
         if serializer is None:
@@ -169,11 +186,17 @@ def check_wire_tags(root: Path):
                 f"wire-tags: {SERIALIZE_CC}: tag {name} has no "
                 "PutHeader producer — dead wire value or unregistered "
                 "serializer")
-        elif serializer not in golden:
+            continue
+        if serializer not in golden:
             findings.append(
                 f"wire-tags: {GOLDEN_TEST}: tag {name} ({serializer}) has "
                 "no golden-bytes lock — add a pinned-payload test so the "
                 "format cannot drift")
+        if serializer not in family_serializers:
+            findings.append(
+                f"wire-tags: {FAMILY_CC}: tag {name} ({serializer}) is "
+                "called by no family Spec — a wire format no registered "
+                "family serves is dead surface; retire the tag instead")
     return findings
 
 
@@ -461,6 +484,36 @@ def check_scoring(root: Path):
 # `const EstimateKernel* Name();`.
 TIER_ACCESSOR = re.compile(
     r"\bconst\s+EstimateKernel\s*[*&]\s*(\w+)\s*\(\s*\)\s*;")
+# The kernel table and one entry point in it: `R (*name)(args);`.
+KERNEL_TABLE = re.compile(r"\bstruct\s+EstimateKernel\s*\{(.*?)\n\};",
+                          re.DOTALL)
+KERNEL_ENTRY = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
+# A function defined at column 0 (name, body up to its column-0 `}`).
+TOP_LEVEL_FUNCTION = re.compile(
+    r"^(?!namespace\b|struct\b|class\b|using\b|template\b)"
+    r"[A-Za-z_][^;{}=]*?\b(\w+)\s*\([^;{}]*\)[^;{}]*\{(.*?)^\}",
+    re.DOTALL | re.MULTILINE)
+CALL = re.compile(r"\b(\w+)\s*\(")
+
+
+def family_reached_bodies(root: Path):
+    """Bodies of the estimator-TU functions a family Spec reaches."""
+    bodies = {}  # function name -> bodies (overloads share a name)
+    for tu in sorted(set(FAMILY_ESTIMATOR_TU.values())):
+        text = re.sub(r"//[^\n]*", "", read(root, tu))
+        for match in TOP_LEVEL_FUNCTION.finditer(text):
+            bodies.setdefault(match.group(1), []).append(match.group(2))
+    pending = [name for body in FAMILY_SPEC.findall(read(root, FAMILY_CC))
+               for name in CALL.findall(re.sub(r"//[^\n]*", "", body))]
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in bodies:
+            continue
+        reached.add(name)
+        for body in bodies[name]:
+            pending.extend(CALL.findall(body))
+    return [body for name in sorted(reached) for body in bodies[name]]
 
 
 def check_kernel_tiers(root: Path):
@@ -481,6 +534,20 @@ def check_kernel_tiers(root: Path):
             f"kernel-tiers: {KERNELS_H}: declares tier accessors "
             f"{sorted(accessors)}, expected exactly "
             f"{sorted(KERNEL_TIER_ACCESSORS)}")
+
+    table = KERNEL_TABLE.search(header)
+    if table is None:
+        findings.append(
+            f"kernel-tiers: {KERNELS_H}: struct EstimateKernel not found")
+        return findings
+    callers = "\n".join(family_reached_bodies(root))
+    for entry in KERNEL_ENTRY.findall(table.group(1)):
+        if not re.search(rf"ActiveKernel\(\)\s*\.\s*{entry}\s*\(", callers):
+            findings.append(
+                f"kernel-tiers: {KERNELS_H}: EstimateKernel entry point "
+                f"'{entry}' is called through ActiveKernel() by no function "
+                "a family Spec reaches — both tiers would keep it "
+                "bit-identical for a caller no registered family uses")
     return findings
 
 
@@ -512,6 +579,30 @@ def seed_wire_tags(root: Path):
     text = path.read_text(encoding="utf-8")
     path.write_text(
         re.sub(r"(kBbitWmh\s*=\s*)\d+", r"\g<1>1", text), encoding="utf-8")
+
+
+def seed_unserved_wire_tag(root: Path):
+    # A new tag with a producer and a golden lock that no family Spec calls.
+    path = root / SERIALIZE_H
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace("  kBbitWmh = 9,",
+                          "  kBbitWmh = 9,\n  kPhantom = 10,", 1)
+    assert seeded != text, "unserved wire tag seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+    with (root / SERIALIZE_CC).open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "std::string SerializePhantom(const JlSketch& sketch) {\n"
+            "  std::string out;\n"
+            "  PutHeader(&out, SketchTypeTag::kPhantom);\n"
+            "  return out;\n"
+            "}\n"
+            "}  // namespace ipsketch\n")
+    with (root / GOLDEN_TEST).open("a", encoding="utf-8") as f:
+        f.write(
+            "\nTEST(GoldenBytesTest, Phantom) {\n"
+            "  EXPECT_FALSE(SerializePhantom(JlSketch()).empty());\n"
+            "}\n")
 
 
 def seed_families(root: Path):
@@ -657,10 +748,41 @@ def seed_third_tier_file(root: Path):
                 root / SIMD_DIR / "estimate_kernels_avx512.cc")
 
 
+def seed_unread_kernel_field(root: Path):
+    # A kernel entry point that no family estimator calls.
+    path = root / KERNELS_H
+    text = path.read_text(encoding="utf-8")
+    anchor = "  double (*dot_f64)(const double* x, const double* y, size_t m);\n"
+    seeded = text.replace(
+        anchor,
+        anchor + "\n  /// Σ max(ha[i], hb[i]).\n"
+        "  double (*max_sum_f64)(const double* ha, const double* hb, "
+        "size_t m);\n", 1)
+    assert seeded != text, "unread kernel field seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
+def seed_side_estimator_kernel(root: Path):
+    # The field is read, but only by an estimator no family Spec calls.
+    seed_unread_kernel_field(root)
+    with (root / "src/core/wmh_estimator.cc").open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "Result<double> EstimateMaxHashSum(const WmhSketch& a,\n"
+            "                                  const WmhSketch& b) {\n"
+            "  return simd::ActiveKernel().max_sum_f64(\n"
+            "      a.hashes.data(), b.hashes.data(), a.num_samples());\n"
+            "}\n"
+            "}  // namespace ipsketch\n")
+
+
 # rule -> (seed label, seed fn) pairs; each seed is planted in its own tree
 # copy and must be caught by its rule independently.
 SEEDS = {
-    "wire-tags": [("duplicate wire value", seed_wire_tags)],
+    "wire-tags": [
+        ("duplicate wire value", seed_wire_tags),
+        ("tag with no family serializer", seed_unserved_wire_tag),
+    ],
     "families": [
         ("unmapped family", seed_families),
         ("second SketchFamily subclass", seed_second_family_class),
@@ -682,6 +804,8 @@ SEEDS = {
     "kernel-tiers": [
         ("third tier accessor", seed_third_tier_accessor),
         ("third tier file", seed_third_tier_file),
+        ("unread kernel field", seed_unread_kernel_field),
+        ("kernel read only by a side estimator", seed_side_estimator_kernel),
     ],
 }
 

@@ -41,7 +41,6 @@ GOLDEN_TO_TARGET = {
     "kGoldenJl": "fuzz_jl_decode",
     "kGoldenCs": "fuzz_cs_decode",
     "kGoldenIcws": "fuzz_icws_decode",
-    "kGoldenSimHash": "fuzz_simhash_decode",
     "kGoldenCompactWmh": "fuzz_wmh_compact_decode",
     "kGoldenBbitWmh": "fuzz_wmh_bbit_decode",
     "kGoldenStoreV2Empty": "fuzz_store_decode",
@@ -188,8 +187,9 @@ def regression_seeds():
     cs_zero_width_rows = (
         sketch_header(5) + u64(0) + u64(0) + u64(1 << 61) + u64(0)
     )
-    # SimHash: (num_bits + 63) / 64 wrapped to 0 near 2^64, so an absurd
-    # num_bits paired with an empty bits vector decoded silently.
+    # Retired tag 7: its decoder once let a num_bits near 2^64 wrap its
+    # word-count check and pair with an empty bits vector. The tag is gone;
+    # the payload stays as one that every decoder must reject.
     simhash_numbits_overflow = (
         sketch_header(7)
         + u64(0)  # seed
@@ -273,7 +273,6 @@ def dictionaries():
         4: "fuzz_jl_decode",
         5: "fuzz_cs_decode",
         6: "fuzz_icws_decode",
-        7: "fuzz_simhash_decode",
         8: "fuzz_wmh_compact_decode",
         9: "fuzz_wmh_bbit_decode",
     }.items():
