@@ -1,10 +1,11 @@
 // Shared helpers for the plain (non-google-benchmark) bench binaries: flag
-// parsing, the service benches' corpus and store options, a clock, one
-// sustained-rate loop, and the one writer of the BENCH_service.json record.
+// parsing, the service benches' corpus and store options, a clock, the
+// sustained-rate loops, and the one writer of the BENCH_service.json record.
 
 #ifndef IPSKETCH_BENCH_BENCH_COMMON_H_
 #define IPSKETCH_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdarg>
@@ -136,6 +137,18 @@ double SustainedRate(double window_secs, Op op) {
     secs = SecondsSince(start);
   } while (secs < window_secs);
   return static_cast<double>(calls) / secs;
+}
+
+/// The fastest of `windows` SustainedRate windows of `window_secs` each, so
+/// a burst of load from elsewhere on the machine does not read as the op's
+/// cost. `op` sees its call count restart at 0 in every window.
+template <typename Op>
+double FastestRate(int windows, double window_secs, Op op) {
+  double best = 0.0;
+  for (int window = 0; window < windows; ++window) {
+    best = std::max(best, SustainedRate(window_secs, op));
+  }
+  return best;
 }
 
 // --- the bench record -------------------------------------------------------

@@ -117,11 +117,12 @@ std::vector<EstimatePoint> MeasureEstimateThroughput() {
       std::exit(1);
     }
     // Sustained single-thread pairwise estimate rate over the resident
-    // catalog, under `forced` (nullptr = dispatched kernel).
+    // catalog, under `forced` (nullptr = dispatched kernel): the fastest of
+    // five 0.1 s windows.
     double sink = 0.0;
     const auto pairs_per_sec = [&](const simd::EstimateKernel* forced) {
       simd::SetActiveKernelForTesting(forced);
-      const double rate = bench::SustainedRate(0.25, [&](size_t) {
+      const double rate = bench::FastestRate(5, 0.1, [&](size_t) {
         for (const auto& sketch : catalog) {
           auto est = family->Estimate(*query, *sketch);
           if (!est.ok()) {
@@ -181,24 +182,18 @@ std::vector<BatchPoint> MeasureBatchScan(
   for (size_t batch : {1u, 8u, 32u}) {
     std::vector<const AnySketch*> queries(batch);
     const std::vector<size_t> ks(batch, 10);
-    // The fastest of five short windows, so a burst of load from elsewhere
-    // on the machine does not read as scan cost.
-    double calls_per_sec = 0.0;
-    for (int window = 0; window < 5; ++window) {
-      calls_per_sec = std::max(
-          calls_per_sec, bench::SustainedRate(0.2, [&](size_t call) {
-            for (size_t i = 0; i < batch; ++i) {
-              queries[i] = sketches[(call * batch + i) % kQueries].get();
-            }
-            for (const auto& result : engine.TopKSketchBatch(queries, ks)) {
-              if (!result.ok()) {
-                std::printf("top-k failed: %s\n",
-                            result.status().ToString().c_str());
-                std::exit(1);
-              }
-            }
-          }));
-    }
+    const double calls_per_sec = bench::FastestRate(5, 0.2, [&](size_t call) {
+      for (size_t i = 0; i < batch; ++i) {
+        queries[i] = sketches[(call * batch + i) % kQueries].get();
+      }
+      for (const auto& result : engine.TopKSketchBatch(queries, ks)) {
+        if (!result.ok()) {
+          std::printf("top-k failed: %s\n",
+                      result.status().ToString().c_str());
+          std::exit(1);
+        }
+      }
+    });
     const double us_per_query =
         1e6 / (calls_per_sec * static_cast<double>(batch));
     std::printf("batch %-16zu %14.2f\n", batch, us_per_query);

@@ -3,9 +3,10 @@
 // engine's O(nnz·m·log L) vs the expanded reference's O(m·L), ICWS's
 // O(nnz·m) (and its dart variant), and the baseline sketches.
 //
-// The BM_WmhIngest_* group is the per-engine ingest head-to-head at the
-// service configuration (m = 128, L = 4096): kDart must beat kActiveIndex
-// by ≥5× on this workload.
+// BM_WmhIngest is the per-engine ingest head-to-head at m = 128,
+// L = 4096, small enough for kActiveIndex to run: kDart must beat it by ≥5×
+// there. The service itself sketches at L = DefaultL(2^24) = 2^32 with
+// m = 128 or 256; BM_WmhDart carries those points.
 
 #include <benchmark/benchmark.h>
 
@@ -67,7 +68,7 @@ void BM_WmhDart(benchmark::State& state) {
   const uint64_t L = static_cast<uint64_t>(state.range(1));
   const auto v = MakeVector(1 << 20, nnz, 1);
   WmhOptions o;
-  o.num_samples = 64;
+  o.num_samples = static_cast<size_t>(state.range(2));
   o.L = L;
   o.engine = WmhEngine::kDart;
   for (auto _ : state) {
@@ -76,19 +77,26 @@ void BM_WmhDart(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * nnz *
                           o.num_samples);
 }
-// Runtime should be flat along BOTH axes beyond the O(nnz) rounding term:
-// the dart count is m·(ln m + 4) regardless of L and of nnz.
+// Args are (nnz, L, m). Runtime should be flat along the nnz and L axes
+// beyond the O(nnz) rounding term: the dart count is m·(ln m + 4)
+// regardless of L and of nnz. The last four points are the service's: a
+// query-sized and a heavy catalog vector at L = DefaultL(2^24) = 2^32,
+// m = 128 and 256.
 BENCHMARK(BM_WmhDart)
-    ->Args({256, 1 << 12})
-    ->Args({256, 1 << 18})
-    ->Args({256, 1 << 24})
-    ->Args({256, 1ll << 32})
-    ->Args({1024, 1 << 18})
-    ->Args({4096, 1 << 18});
+    ->Args({256, 1 << 12, 64})
+    ->Args({256, 1 << 18, 64})
+    ->Args({256, 1 << 24, 64})
+    ->Args({256, 1ll << 32, 64})
+    ->Args({1024, 1 << 18, 64})
+    ->Args({4096, 1 << 18, 64})
+    ->Args({150, 1ll << 32, 128})
+    ->Args({2000, 1ll << 32, 128})
+    ->Args({150, 1ll << 32, 256})
+    ->Args({2000, 1ll << 32, 256});
 
-// The per-engine ingest head-to-head at the service configuration: one
-// sketcher context reused across vectors, exactly like SketchStore batch
-// ingest. items_processed counts vectors, so "items_per_second" is ingest
+// The per-engine ingest head-to-head at m = 128, L = 4096: one sketcher
+// context reused across vectors, exactly like SketchStore batch ingest.
+// items_processed counts vectors, so "items_per_second" is ingest
 // vectors/sec for each engine.
 void BM_WmhIngest(benchmark::State& state) {
   const size_t kBatch = 32;

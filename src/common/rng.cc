@@ -9,45 +9,14 @@ namespace {
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ull;
-
 }  // namespace
-
-uint64_t Mix64(uint64_t x) {
-  x += kGolden;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-uint64_t MixCombine(uint64_t a, uint64_t b) { return Mix64(Mix64(a) ^ b); }
-
-uint64_t MixCombine(uint64_t a, uint64_t b, uint64_t c) {
-  return Mix64(MixCombine(a, b) ^ c);
-}
-
-double UnitFromU64(uint64_t x) {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-double PositiveUnitFromU64(uint64_t x) {
-  return (static_cast<double>(x >> 11) + 1.0) * 0x1.0p-53;
-}
-
-uint64_t SplitMix64::Next() {
-  state_ += kGolden;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 Xoshiro256StarStar::Xoshiro256StarStar(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();
   // All-zero state is the one invalid state for xoshiro; SplitMix64 cannot
   // produce four zero outputs in a row from any seed, but guard regardless.
-  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = kGolden;
+  if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = kSplitMixGolden;
 }
 
 uint64_t Xoshiro256StarStar::operator()() {
@@ -78,17 +47,6 @@ double Xoshiro256StarStar::NextGaussian() {
   const double u2 = NextUnit();
   const double r = std::sqrt(-2.0 * std::log(u1));
   return r * std::cos(2.0 * M_PI * u2);
-}
-
-uint64_t GeometricFromUnit(double u, double p) {
-  IPS_CHECK(u > 0.0 && u <= 1.0);
-  IPS_CHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 1;
-  const double g = std::floor(std::log(u) / std::log1p(-p));
-  // g is >= 0 since log(u) <= 0 and log1p(-p) < 0. Guard against overflow for
-  // astronomically small p * u combinations.
-  if (g >= 9.0e18) return UINT64_MAX;
-  return static_cast<uint64_t>(g) + 1;
 }
 
 }  // namespace ipsketch

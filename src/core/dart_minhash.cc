@@ -21,6 +21,39 @@ constexpr uint64_t kDartFallbackTag = 0xFA11BAC4FA11BAC4ull;
 // dart count m·(ln m + slack) — stays small.
 constexpr double kDartCoverageSlack = 4.0;
 
+// One block's Bernoulli(θ) skip-walk over the slot-major grid p = slot·m + s,
+// p ∈ [0, span) with span = reps·m, from the stream keyed `key`. `log_q` is
+// log1p(−θ). Returns how many samples got their first dart here. Pos is
+// uint64_t when span fits in 64 bits and unsigned __int128 otherwise
+// (reps·m can pass 2^64 for extreme (L, m) pairs). Gaps can be
+// astronomically large for tiny θ, so the exit test is `gap >= span - pos`,
+// which cannot overflow in either type.
+template <typename Pos>
+size_t WalkBlock(uint64_t key, Pos span, size_t m, double theta, double log_q,
+                 double value, double* hashes, double* values) {
+  SplitMix64 rng(key);
+  size_t covered = 0;
+  // First hit, 0-based.
+  Pos pos = GeometricFromUnitLogQ(PositiveUnitFromU64(rng.Next()), log_q) - 1;
+  while (pos < span) {
+    // Draw order is (gap, value, gap, value, ...): a vector whose walk
+    // stops earlier never consumes the value of a hit beyond its span, so
+    // shorter and longer prefixes read identical bytes in common.
+    const double hit = theta * PositiveUnitFromU64(rng.Next());
+    const size_t s = static_cast<size_t>(pos % m);
+    if (hit < hashes[s]) {
+      if (hashes[s] > 1.0) ++covered;  // first dart for this sample
+      hashes[s] = hit;
+      values[s] = value;
+    }
+    const uint64_t gap =
+        GeometricFromUnitLogQ(PositiveUnitFromU64(rng.Next()), log_q);
+    if (gap >= span - pos) break;
+    pos += gap;
+  }
+  return covered;
+}
+
 }  // namespace
 
 double DartThreshold(size_t num_samples, uint64_t L) {
@@ -54,33 +87,25 @@ void SketchWithDartThreshold(const DiscretizedVector& dv, uint64_t seed,
     (*values)[s] = 0.0;
   }
 
-  // Dart layer: per block, one Bernoulli(θ) skip-walk over the slot-major
-  // grid p = slot·m + s, p ∈ [0, reps·m). The stream is keyed by
-  // (seed, block) only and the walk order is a prefix in the slot count, so
-  // every vector containing this block reads the identical dart sequence up
-  // to its own repetition count. 128-bit positions: reps·m can exceed 2^64
-  // for extreme (L, m) pairs, and geometric gaps can be astronomically
-  // large for tiny θ.
+  // Dart layer: per block, one skip-walk (WalkBlock). The stream is keyed
+  // by (seed, block) only — MixCombine(seed, kDartStreamTag, index), with
+  // its first two components mixed once per sketch — and the walk order is
+  // a prefix in the slot count, so every vector containing this block reads
+  // the identical dart sequence up to its own repetition count. log1p(−θ)
+  // is computed once per sketch, so a dart costs one libm log; cutting that
+  // changes the hash function, which needs a new engine id.
+  const uint64_t stream_base = MixCombine(seed, kDartStreamTag);
+  const double log_q = std::log1p(-theta);
   size_t covered = 0;
   for (const DiscretizedEntry& e : dv.entries) {
-    SplitMix64 rng(MixCombine(seed, kDartStreamTag, e.index));
-    const unsigned __int128 span =
-        static_cast<unsigned __int128>(e.reps) * m;
-    unsigned __int128 pos =
-        GeometricFromUnit(PositiveUnitFromU64(rng.Next()), theta);
-    pos -= 1;  // first hit, 0-based
-    while (pos < span) {
-      // Draw order is (gap, value, gap, value, ...): a vector whose walk
-      // stops earlier never consumes the value of a hit beyond its span, so
-      // shorter and longer prefixes read identical bytes in common.
-      const double hit = theta * PositiveUnitFromU64(rng.Next());
-      const size_t s = static_cast<size_t>(pos % m);
-      if (hit < (*hashes)[s]) {
-        if ((*hashes)[s] > 1.0) ++covered;  // first dart for this sample
-        (*hashes)[s] = hit;
-        (*values)[s] = e.value;
-      }
-      pos += GeometricFromUnit(PositiveUnitFromU64(rng.Next()), theta);
+    const uint64_t key = Mix64(stream_base ^ e.index);
+    if (e.reps <= UINT64_MAX / m) {
+      covered += WalkBlock<uint64_t>(key, e.reps * m, m, theta, log_q,
+                                     e.value, hashes->data(), values->data());
+    } else {
+      covered += WalkBlock<unsigned __int128>(
+          key, static_cast<unsigned __int128>(e.reps) * m, m, theta, log_q,
+          e.value, hashes->data(), values->data());
     }
   }
   if (covered == m) return;

@@ -11,15 +11,21 @@
 //   3. the same checks at production-scale L, where only kDart and
 //      kActiveIndex can run, plus the fast-ICWS variant built on the same
 //      kernel.
+//
+// Above all three sits bit identity: the production walk must reproduce a
+// frozen reference walk bit for bit, because stored catalogs, band keys and
+// the engine id all assume the hash function never moves.
 
 #include "core/dart_minhash.h"
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/active_index.h"
 #include "core/icws.h"
 #include "core/rounding.h"
 #include "core/wmh_estimator.h"
@@ -145,6 +151,186 @@ TEST(DartKernelTest, ThresholdFormula) {
   EXPECT_EQ(DartThreshold(128, 2), 1.0);
   // Production-scale L drives θ — and with it the dart count — down.
   EXPECT_LT(DartThreshold(256, 1 << 20) * (1 << 20) * 256.0, 3000.0);
+}
+
+// --- bit identity with the reference walk ------------------------------------
+
+// The dart walk as first written, kept verbatim as the reference: every gap
+// through its own copy of the original GeometricFromUnit (which recomputes
+// log1p(−θ) per draw), the three-argument MixCombine stream key, and
+// 128-bit positions for every block. It shares the mixers and unit maps
+// (which rng_test pins by known answers) and the fallback layer's
+// ActiveIndexBlockMin with the library. A production walk that moves one
+// hash or value bit against it changes the hash function, which needs a new
+// engine id, not a rewrite.
+constexpr uint64_t kReferenceDartStreamTag = 0xDA27DA27DA27DA27ull;
+constexpr uint64_t kReferenceDartFallbackTag = 0xFA11BAC4FA11BAC4ull;
+
+uint64_t ReferenceGeometric(double u, double p) {
+  if (p >= 1.0) return 1;
+  const double g = std::floor(std::log(u) / std::log1p(-p));
+  if (g >= 9.0e18) return UINT64_MAX;
+  return static_cast<uint64_t>(g) + 1;
+}
+
+void ReferenceDartSketch(const DiscretizedVector& dv, uint64_t seed,
+                         size_t num_samples, double theta,
+                         std::vector<double>* hashes,
+                         std::vector<double>* values) {
+  const size_t m = num_samples;
+  if (dv.entries.empty()) {
+    for (size_t s = 0; s < m; ++s) {
+      (*hashes)[s] = 1.0;
+      (*values)[s] = 0.0;
+    }
+    return;
+  }
+  for (size_t s = 0; s < m; ++s) {
+    (*hashes)[s] = 2.0;
+    (*values)[s] = 0.0;
+  }
+  size_t covered = 0;
+  for (const DiscretizedEntry& e : dv.entries) {
+    SplitMix64 rng(MixCombine(seed, kReferenceDartStreamTag, e.index));
+    const unsigned __int128 span =
+        static_cast<unsigned __int128>(e.reps) * m;
+    unsigned __int128 pos =
+        ReferenceGeometric(PositiveUnitFromU64(rng.Next()), theta);
+    pos -= 1;
+    while (pos < span) {
+      const double hit = theta * PositiveUnitFromU64(rng.Next());
+      const size_t s = static_cast<size_t>(pos % m);
+      if (hit < (*hashes)[s]) {
+        if ((*hashes)[s] > 1.0) ++covered;
+        (*hashes)[s] = hit;
+        (*values)[s] = e.value;
+      }
+      pos += ReferenceGeometric(PositiveUnitFromU64(rng.Next()), theta);
+    }
+  }
+  if (covered == m) return;
+  const uint64_t fallback_seed = MixCombine(seed, kReferenceDartFallbackTag);
+  for (size_t s = 0; s < m; ++s) {
+    if ((*hashes)[s] <= 1.0) continue;
+    double best_v = 2.0;
+    double best_value = 0.0;
+    for (const DiscretizedEntry& e : dv.entries) {
+      const double v = ActiveIndexBlockMin(fallback_seed, s, e.index, e.reps);
+      if (v < best_v) {
+        best_v = v;
+        best_value = e.value;
+      }
+    }
+    (*hashes)[s] = theta + (1.0 - theta) * best_v;
+    (*values)[s] = best_value;
+  }
+}
+
+// Sketches `dv` with both walks and compares every hash and value bit.
+// `covered`, if given, receives how many samples the dart layer reached
+// (hash ≤ θ), so a caller can show the walk it meant to test ran at all.
+::testing::AssertionResult MatchesReference(const DiscretizedVector& dv,
+                                            uint64_t seed, size_t m,
+                                            double theta,
+                                            size_t* covered = nullptr) {
+  std::vector<double> ref_hashes(m), ref_values(m), hashes(m), values(m);
+  ReferenceDartSketch(dv, seed, m, theta, &ref_hashes, &ref_values);
+  SketchWithDartThreshold(dv, seed, m, theta, &hashes, &values);
+  if (covered != nullptr) *covered = 0;
+  for (size_t s = 0; s < m; ++s) {
+    if (std::bit_cast<uint64_t>(hashes[s]) !=
+            std::bit_cast<uint64_t>(ref_hashes[s]) ||
+        std::bit_cast<uint64_t>(values[s]) !=
+            std::bit_cast<uint64_t>(ref_values[s])) {
+      return ::testing::AssertionFailure()
+             << "sample " << s << " of m " << m << " at theta " << theta
+             << " seed " << seed << ": (" << hashes[s] << ", " << values[s]
+             << ") vs reference (" << ref_hashes[s] << ", " << ref_values[s]
+             << ")";
+    }
+    if (covered != nullptr && hashes[s] <= theta) ++*covered;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A heavy-tailed vector (one entry in ten scaled 25×) rounded at L, so
+// repetition counts spread over several orders of magnitude.
+DiscretizedVector RandomDiscretized(uint64_t L, size_t nnz, uint64_t seed) {
+  Xoshiro256StarStar rng(seed);
+  const uint64_t dim = uint64_t{1} << 24;
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < nnz; ++i) {
+    double v = rng.NextGaussian();
+    if (v == 0.0) v = 1.0;
+    if (rng.NextUnit() < 0.1) v *= 25.0;
+    entries.push_back({i * (dim / nnz) + rng.NextBounded(dim / nnz), v});
+  }
+  return Round(SparseVector::MakeOrDie(dim, std::move(entries)), L).value();
+}
+
+const size_t kBitIdentitySamples[] = {1, 3, 64, 128, 256};
+
+// The dense walk (θ = 1), a mid threshold, and θ = 1e-4, where at L = 512
+// almost every sample falls through to the fallback layer. The empty vector
+// rides along at every threshold.
+TEST(DartBitIdentityTest, MatchesReferenceAtFixedThresholds) {
+  for (double theta : {1.0, 0.25, 1e-4}) {
+    for (size_t m : kBitIdentitySamples) {
+      EXPECT_TRUE(MatchesReference(MakeDv({}), 5, m, theta));
+      for (uint64_t trial = 0; trial < 12; ++trial) {
+        const uint64_t L = trial % 2 == 0 ? 64 : 512;
+        const auto dv = RandomDiscretized(L, 1 + trial * 5, 100 + trial);
+        EXPECT_TRUE(MatchesReference(dv, trial * 7919, m, theta))
+            << "trial " << trial;
+      }
+    }
+  }
+}
+
+// The threshold the service sketches at: L = DefaultL(2^24) = 2^32, with
+// query-sized and heavy catalog vectors.
+TEST(DartBitIdentityTest, MatchesReferenceAtServiceThreshold) {
+  const uint64_t L = DefaultL(uint64_t{1} << 24);
+  for (size_t m : kBitIdentitySamples) {
+    const double theta = DartThreshold(m, L);
+    for (size_t nnz : {1u, 10u, 150u, 2000u}) {
+      for (uint64_t trial = 0; trial < 24; ++trial) {
+        const auto dv = RandomDiscretized(L, nnz, 1000 * nnz + trial);
+        EXPECT_TRUE(MatchesReference(dv, 42 + trial, m, theta))
+            << "nnz " << nnz << " trial " << trial;
+      }
+    }
+  }
+}
+
+// Blocks whose span reps·m reaches 2^64 take the 128-bit walk; the ones
+// just below take the 64-bit walk with span up to 2^64 − 1. Thresholds near
+// 1e-18 keep each block to about a hundred darts, and every case must reach
+// some samples through the dart layer.
+TEST(DartBitIdentityTest, MatchesReferenceAroundSixtyFourBitSpans) {
+  struct Case {
+    size_t m;
+    uint64_t reps;
+    double theta;
+  };
+  const uint64_t kMax = ~uint64_t{0};
+  const Case cases[] = {
+      {64, uint64_t{1} << 60, 1e-18},  // span 2^66: about 74 darts
+      {256, uint64_t{1} << 58, 1e-18},
+      {3, kMax / 3, 1e-17},            // span 2^64 − 1: the 64-bit walk
+      {3, kMax / 3 + 1, 1e-17},        // span 2^64 + 2: the 128-bit walk
+      {1, kMax, 1e-17},
+      {128, kMax, 1e-20},              // span ≈ 2^71
+  };
+  for (const Case& c : cases) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      const auto dv = MakeDv({{7, c.reps, 0.5}, {9, 1, -0.25}});
+      size_t covered = 0;
+      EXPECT_TRUE(MatchesReference(dv, seed, c.m, c.theta, &covered))
+          << "m " << c.m << " reps " << c.reps;
+      EXPECT_GT(covered, 0u) << "m " << c.m << " reps " << c.reps;
+    }
+  }
 }
 
 TEST(DartEngineTest, CrossEngineEstimationIsRejected) {

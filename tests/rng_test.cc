@@ -14,6 +14,22 @@ TEST(Mix64Test, Deterministic) {
   EXPECT_NE(Mix64(12345), Mix64(12346));
 }
 
+// Known answers. Every sketch byte, band key and stored catalog depends on
+// these exact outputs, so they are pinned here rather than only compared
+// between two generators.
+TEST(Mix64Test, KnownAnswers) {
+  EXPECT_EQ(Mix64(0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(Mix64(1), 0x910A2DEC89025CC1ull);
+  EXPECT_EQ(Mix64(0x0123456789ABCDEFull), 0x157A3807A48FAA9Dull);
+  EXPECT_EQ(Mix64(~uint64_t{0}), 0xE4D971771B652C20ull);
+  EXPECT_EQ(MixCombine(1, 2), 0xBCD9DBB49673066Bull);
+  EXPECT_EQ(MixCombine(2, 1), 0xE06DD043328BD285ull);
+  EXPECT_EQ(MixCombine(1, 2, 3), 0xD0734750FDE362B3ull);
+  // The three-component form is the two-component one mixed once more,
+  // which is what lets a caller hoist MixCombine(a, b) out of a loop.
+  EXPECT_EQ(MixCombine(1, 2, 3), Mix64(MixCombine(1, 2) ^ 3));
+}
+
 TEST(Mix64Test, AvalancheFlipsManyBits) {
   // Flipping one input bit should flip roughly half the output bits.
   size_t total = 0;
@@ -55,9 +71,35 @@ TEST(UnitFromU64Test, PositiveUnitNeverZero) {
   EXPECT_LE(PositiveUnitFromU64(~uint64_t{0}), 1.0);
 }
 
+TEST(UnitFromU64Test, KnownAnswers) {
+  EXPECT_EQ(UnitFromU64(uint64_t{1} << 63), 0.5);
+  EXPECT_EQ(UnitFromU64(~uint64_t{0}), 1.0 - 0x1.0p-53);
+  EXPECT_EQ(PositiveUnitFromU64(0), 0x1.0p-53);
+  EXPECT_EQ(PositiveUnitFromU64(uint64_t{1} << 63), 0.5 + 0x1.0p-53);
+  EXPECT_EQ(PositiveUnitFromU64(~uint64_t{0}), 1.0);
+  // The low 11 bits are dropped.
+  EXPECT_EQ(PositiveUnitFromU64(0x7FF), 0x1.0p-53);
+  EXPECT_EQ(PositiveUnitFromU64(0x800), 0x1.0p-52);
+}
+
 TEST(SplitMix64Test, KnownSequenceIsDeterministic) {
   SplitMix64 a(99), b(99);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a.Next(), b.Next());
+}
+
+TEST(SplitMix64Test, KnownSequences) {
+  SplitMix64 zero(0);
+  // SplitMix64 draws Mix64 of its state, then advances it by the golden
+  // increment: the first output from state 0 is Mix64(0).
+  EXPECT_EQ(zero.Next(), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(zero.Next(), 0x6E789E6AA1B965F4ull);
+  EXPECT_EQ(zero.Next(), 0x06C45D188009454Full);
+  EXPECT_EQ(zero.Next(), 0xF88BB8A8724C81ECull);
+  SplitMix64 fixed(1234567);
+  EXPECT_EQ(fixed.Next(), 0x599ED017FB08FC85ull);
+  EXPECT_EQ(fixed.Next(), 0x2C73F08458540FA5ull);
+  EXPECT_EQ(fixed.Next(), 0x883EBCE5A3F27C77ull);
+  EXPECT_EQ(fixed.Next(), 0x3FBEF740E9177B3Full);
 }
 
 TEST(SplitMix64Test, DifferentSeedsDiverge) {
@@ -161,6 +203,40 @@ TEST(GeometricTest, SurvivalMatchesClosedForm) {
       ++exceed;
   }
   EXPECT_NEAR(static_cast<double>(exceed) / n, std::pow(1 - p, k), 0.01);
+}
+
+// Fixed, exactly representable (u, p) whose quotient log(u)/log1p(−p) is
+// far from an integer, so the answer does not hinge on the last ulp of libm.
+TEST(GeometricTest, KnownAnswers) {
+  EXPECT_EQ(GeometricFromUnit(1.0, 0.5), 1u);  // log(1) = 0
+  EXPECT_EQ(GeometricFromUnit(0.5, 1.0), 1u);  // p = 1
+  EXPECT_EQ(GeometricFromUnit(0.9375, 0.5), 1u);
+  EXPECT_EQ(GeometricFromUnit(0.375, 0.125), 8u);
+  EXPECT_EQ(GeometricFromUnit(0x1.0p-10, 0x1.0p-4), 108u);
+  EXPECT_EQ(GeometricFromUnit(0x1.0p-20, 0x1.0p-10), 14189u);
+  // Quotient about 8.6e20: past the 9e18 guard.
+  EXPECT_EQ(GeometricFromUnit(0x1.0p-1074, 0x1.0p-60), UINT64_MAX);
+}
+
+// The precomputed-log draw is the same function as GeometricFromUnit, bit
+// for bit, across the whole range of p, including p = 1 and the overflow
+// guard.
+TEST(GeometricTest, PrecomputedLogMatchesGeometricFromUnit) {
+  std::vector<double> units = {0x1.0p-1074, 1e-300, 1e-18, 1e-9, 0.001,
+                               0.1,         0.375,  0.5,   0.9,  1.0};
+  Xoshiro256StarStar rng(41);
+  for (int i = 0; i < 200; ++i) units.push_back(rng.NextPositiveUnit());
+  std::vector<double> ps = {0x1.0p-1074, 1e-300, 1e-18, 1e-12, 1e-6,
+                            1e-4,        0.01,   0.25,  0.5,   0.999,
+                            1.0 - 0x1.0p-53,     1.0};
+  for (int i = 0; i < 50; ++i) ps.push_back(rng.NextPositiveUnit());
+  for (double p : ps) {
+    const double log_q = std::log1p(-p);
+    for (double u : units) {
+      ASSERT_EQ(GeometricFromUnitLogQ(u, log_q), GeometricFromUnit(u, p))
+          << "u " << u << " p " << p;
+    }
+  }
 }
 
 TEST(GeometricTest, TinyPDoesNotOverflow) {

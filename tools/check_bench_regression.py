@@ -27,8 +27,8 @@ win is small (don't gate). Three rules do that:
 * Points whose BASELINE speedup is below --gate-min (default 1.75) are
   reported but never gated: a ~1.4x win (icws, wmh_bbit — their scalar
   loops already skip the division on mismatch) is within shared-runner
-  noise at the bench's 0.25 s measurement windows, and gating it would
-  flake.
+  noise at the bench's sub-second measurement windows, and gating it
+  would flake.
 * A gated point fails only when BOTH conditions miss: its speedup ratio
   vs baseline dropped below 1 - THRESHOLD (catches same-machine
   regressions tightly), AND its current speedup is below
