@@ -22,8 +22,9 @@
 // The rank order encodes the service layer's documented acquisition
 // chains (see each rank's comment); the deepest real chain is
 // AttachListener's kListenerRegistry → kStoreShard → kIndexShard — the
-// store-shard → index-shard order the SketchStore::Listener mirror
-// protocol (index/banded_index.h) relies on.
+// store-shard → index-shard order in which the store's one write path
+// calls SketchStore::Listener::OnWrite and the banded index mirrors the
+// write (index/banded_index.h).
 
 #ifndef IPSKETCH_COMMON_MUTEX_H_
 #define IPSKETCH_COMMON_MUTEX_H_
@@ -45,13 +46,14 @@ enum class LockRank : int {
   /// *across* the per-shard replay in AttachListener, so it must rank
   /// below every shard lock.
   kListenerRegistry = 10,
-  /// SketchStore per-shard locks. Mutation paths notify the attached
-  /// listener while holding one, so everything a listener acquires must
-  /// rank above this.
+  /// SketchStore per-shard locks. The store's one write path (an insert
+  /// batch or an erase) publishes the shard's view and calls the attached
+  /// listener's OnWrite while holding one, so everything a listener
+  /// acquires must rank above this.
   kStoreShard = 20,
-  /// BandedIndex per-shard locks — acquired inside listener callbacks
-  /// under the store shard lock (the store-shard → index-shard order of
-  /// the mirror protocol).
+  /// BandedIndex per-shard locks — acquired inside OnWrite under the store
+  /// shard lock (the store-shard → index-shard order of the mirror
+  /// protocol).
   kIndexShard = 30,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
   /// for queue pushes/pops and the batch-slot bookkeeping. It is taken with

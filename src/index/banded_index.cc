@@ -145,7 +145,7 @@ Result<std::unique_ptr<BandedIndex>> BandedIndex::MakeAttached(
   }
   IPS_RETURN_IF_ERROR(params.Validate(family.options().num_samples));
   std::unique_ptr<BandedIndex> index(new BandedIndex(store, params));
-  // Attach replays every resident sketch through OnInsert, so the index
+  // Attach replays every resident sketch through OnWrite, so the index
   // comes back consistent with the store no matter when it is created.
   IPS_RETURN_IF_ERROR(store->AttachListener(index.get()));
   index->attached_ = true;
@@ -182,34 +182,24 @@ std::vector<uint64_t> BandedIndex::BandKeys(
   return keys;
 }
 
-std::vector<uint64_t> BandedIndex::SketchKeys(const AnySketch& sketch) const {
+std::vector<uint64_t> BandedIndex::SketchKeys(const AnySketch* sketch) const {
   std::vector<uint64_t> keys;
-  IPS_CHECK(QueryBandKeys(sketch, &keys).ok());
+  if (sketch != nullptr) IPS_CHECK(QueryBandKeys(*sketch, &keys).ok());
   return keys;
 }
 
-void BandedIndex::OnInsert(uint64_t id, const AnySketch& sketch,
-                           const AnySketch* replaced) {
-  // Keys are computed before taking the lock. A replace unfiles the id
-  // under the displaced sketch's keys, then files it under the new ones.
-  const std::vector<uint64_t> keys = SketchKeys(sketch);
-  const std::vector<uint64_t> stale =
-      replaced != nullptr ? SketchKeys(*replaced) : std::vector<uint64_t>{};
+void BandedIndex::OnWrite(uint64_t id, const AnySketch* stored,
+                          const AnySketch* displaced) {
+  // Keys are computed before taking the lock. The id is unfiled under the
+  // displaced sketch's keys, then filed under the stored one's.
+  const std::vector<uint64_t> stale = SketchKeys(displaced);
+  const std::vector<uint64_t> keys = SketchKeys(stored);
   Shard& shard = *shards_[store_->ShardOf(id)];
   MutexLock lock(&shard.mu);
   for (uint64_t key : stale) IPS_CHECK(shard.postings.Erase(key, id));
   for (uint64_t key : keys) shard.postings.Insert(key, id);
-  inserts_->Add(1);
-  if (replaced == nullptr) size_gauge_->Add(1);
-}
-
-void BandedIndex::OnErase(uint64_t id, const AnySketch& erased) {
-  const std::vector<uint64_t> keys = SketchKeys(erased);
-  Shard& shard = *shards_[store_->ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  for (uint64_t key : keys) IPS_CHECK(shard.postings.Erase(key, id));
-  erases_->Add(1);
-  size_gauge_->Add(-1);
+  (stored != nullptr ? inserts_ : erases_)->Add(1);
+  size_gauge_->Add(int64_t{stored != nullptr} - int64_t{displaced != nullptr});
 }
 
 Status BandedIndex::QueryBandKeys(const AnySketch& query,

@@ -17,18 +17,20 @@
 //
 // Each index shard is one flat BandPostings table of 16-byte (band key, id)
 // postings — no per-bucket or per-id allocation, and no record of which
-// keys an id was filed under: the store hands the listener the sketch a
-// replace displaced or an erase removed, and the index recomputes that
+// keys an id was filed under: the store's one write callback hands the
+// listener the sketch a write displaced, and the index recomputes that
 // sketch's b keys to unfile it.
 //
 // The index is a SketchStore::Listener: MakeAttached subscribes it to the
-// store and replays what is already resident, after which every insert,
-// replace, and erase is mirrored synchronously under the store's shard lock
-// for that id. The index's shard partition mirrors the store's
-// (SketchStore::ShardOf), and each index shard has its own mutex; the only
-// lock order is store-shard → index-shard. A probe holds one index-shard
-// lock while it collects candidate ids and releases it before scoring, so
-// queries never deadlock against writers.
+// store and replays what is already resident, after which every write —
+// insert, replace or erase — is mirrored synchronously by its one callback,
+// OnWrite, under the store's shard lock for that id: it unfiles the
+// displaced sketch's keys and files the stored one's. The index's shard
+// partition mirrors the store's (SketchStore::ShardOf), and each index
+// shard has its own mutex; the only lock order is store-shard →
+// index-shard. A probe holds one index-shard lock while it collects
+// candidate ids and releases it before scoring, so queries never deadlock
+// against writers.
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -137,7 +139,7 @@ class BandPostings {
 /// the locking model.
 class BandedIndex final : public SketchStore::Listener {
  public:
-  /// Builds an index over `store` and attaches it as the store's mutation
+  /// Builds an index over `store` and attaches it as the store's write
   /// listener, replaying everything already resident. FailedPrecondition if
   /// the store's family does not support banding or a listener is already
   /// attached; InvalidArgument for out-of-range (b, r). The store must
@@ -162,9 +164,8 @@ class BandedIndex final : public SketchStore::Listener {
   size_t size() const;
 
   // SketchStore::Listener — called under the store's shard lock.
-  void OnInsert(uint64_t id, const AnySketch& sketch,
-                const AnySketch* replaced) override;
-  void OnErase(uint64_t id, const AnySketch& erased) override;
+  void OnWrite(uint64_t id, const AnySketch* stored,
+               const AnySketch* displaced) override;
 
   /// The query's b band keys, in band order — computed once per query and
   /// shared across shard probes. InvalidArgument unless `query` passes the
@@ -184,8 +185,8 @@ class BandedIndex final : public SketchStore::Listener {
 
  private:
   struct Shard {
-    /// kIndexShard: acquired inside listener callbacks while the store's
-    /// shard lock (kStoreShard) is held — the mirror protocol's only order.
+    /// kIndexShard: acquired inside OnWrite while the store's shard lock
+    /// (kStoreShard) is held — the mirror protocol's only order.
     mutable Mutex mu{LockRank::kIndexShard};
     /// One posting per (band, resident id) of this shard. Keys are salted
     /// per band, so cross-band collisions are as unlikely as any other.
@@ -194,10 +195,10 @@ class BandedIndex final : public SketchStore::Listener {
 
   BandedIndex(SketchStore* store, const BandedLshParams& params);
 
-  /// QueryBandKeys for a stored sketch. Cannot fail: every sketch reaching
-  /// the listener passed the store's CheckCompatible, and MakeAttached
-  /// admits only banding families.
-  std::vector<uint64_t> SketchKeys(const AnySketch& sketch) const;
+  /// QueryBandKeys for a stored sketch, or no keys for nullptr. Cannot
+  /// fail: every sketch reaching the listener passed the store's
+  /// CheckCompatible, and MakeAttached admits only banding families.
+  std::vector<uint64_t> SketchKeys(const AnySketch* sketch) const;
 
   /// The b band keys of `codes` (one LSH code per sample), in band order.
   std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& codes) const;

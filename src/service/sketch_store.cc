@@ -108,25 +108,6 @@ void SketchStore::PublishLocked(Shard& shard, std::shared_ptr<ShardView> next) {
   shard.view.swap(superseded);
 }
 
-std::shared_ptr<const AnySketch> SketchStore::PublishEraseLocked(
-    Shard& shard, uint64_t id) {
-  const ShardViewPtr prev = shard.Pin();
-  const auto pos = std::lower_bound(prev->ids.begin(), prev->ids.end(), id);
-  if (pos == prev->ids.end() || *pos != id) return nullptr;
-  auto next = std::make_shared<ShardView>();
-  const size_t i = static_cast<size_t>(pos - prev->ids.begin());
-  std::shared_ptr<const AnySketch> erased = prev->sketches[i];
-  next->ids.reserve(prev->ids.size() - 1);
-  next->sketches.reserve(prev->ids.size() - 1);
-  next->ids.assign(prev->ids.begin(), pos);
-  next->ids.insert(next->ids.end(), pos + 1, prev->ids.end());
-  next->sketches.assign(prev->sketches.begin(), prev->sketches.begin() + i);
-  next->sketches.insert(next->sketches.end(), prev->sketches.begin() + i + 1,
-                        prev->sketches.end());
-  PublishLocked(shard, std::move(next));
-  return erased;
-}
-
 ShardViewPtr SketchStore::PinShard(size_t shard) const {
   IPS_CHECK(shard < shards_.size());
   return shards_[shard]->Pin();
@@ -160,17 +141,26 @@ Status SketchStore::InsertBatch(
     }
     IPS_RETURN_IF_ERROR(family_->CheckCompatible(*sketch));
   }
+  const size_t count = entries.size();
+  ApplyWrites(std::move(entries));
+  // Every entry counts, as if the batch had been inserted one by one.
+  inserts_->Add(count);
+  return Status::Ok();
+}
+
+size_t SketchStore::ApplyWrites(
+    std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> writes) {
   struct Pending {
     size_t shard;
     uint64_t id;
-    std::shared_ptr<const AnySketch> sketch;
+    std::shared_ptr<const AnySketch> sketch;  // nullptr: erase
     size_t pos = 0;  // lower bound of `id` in the shard's current view
   };
-  // Newest entry first: after the stable sort by (shard, id), the first
-  // entry of each id is the one that wins.
+  // Newest write first: after the stable sort by (shard, id), the first
+  // write of each id is the one that wins.
   std::vector<Pending> pending;
-  pending.reserve(entries.size());
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+  pending.reserve(writes.size());
+  for (auto it = writes.rbegin(); it != writes.rend(); ++it) {
     pending.push_back({ShardOf(it->first), it->first, std::move(it->second)});
   }
   const auto by_shard_then_id = [](const Pending& a, const Pending& b) {
@@ -183,27 +173,35 @@ Status SketchStore::InsertBatch(
   pending.erase(std::unique(pending.begin(), pending.end(), same_id),
                 pending.end());
 
-  for (auto run = pending.begin(); run != pending.end();) {
-    auto run_end = run;
+  size_t erased_total = 0;
+  for (auto run = pending.begin(), run_end = run; run != pending.end();
+       run = run_end) {
     while (run_end != pending.end() && run_end->shard == run->shard) ++run_end;
     const size_t shard_index = run->shard;
     Shard& shard = *shards_[shard_index];
-    int64_t added = 0;
+    int64_t added = 0;   // new ids stored
+    int64_t erased = 0;  // resident ids erased
     {
       MutexLock lock(&shard.mu);
       // Pinned until the last callback returns: the sketches this run
-      // replaces live in it.
+      // displaces live in it.
       const ShardViewPtr prev = shard.Pin();
       const std::vector<uint64_t>& ids = prev->ids;
-      const auto replaces = [&](const Pending& p) {
+      const auto resident = [&](const Pending& p) {
         return p.pos < ids.size() && ids[p.pos] == p.id;
       };
+      bool changes = false;
       auto from = ids.begin();
       for (auto it = run; it != run_end; ++it) {
         from = std::lower_bound(from, ids.end(), it->id);
         it->pos = static_cast<size_t>(from - ids.begin());
-        if (!replaces(*it)) ++added;
+        const bool stores = it->sketch != nullptr;
+        const bool present = resident(*it);
+        added += stores && !present;
+        erased += !stores && present;
+        changes |= stores || present;
       }
+      if (!changes) continue;
       // Merge. Each untouched stretch of the current view is copied in
       // bulk, so a run of one copies exactly what a one-id splice would.
       auto next = std::make_shared<ShardView>();
@@ -219,27 +217,28 @@ Status SketchStore::InsertBatch(
       };
       for (auto it = run; it != run_end; ++it) {
         copy_until(it->pos);
-        next->ids.push_back(it->id);
-        next->sketches.push_back(it->sketch);
-        copied = it->pos + (replaces(*it) ? 1 : 0);
+        if (it->sketch != nullptr) {
+          next->ids.push_back(it->id);
+          next->sketches.push_back(it->sketch);
+        }
+        copied = it->pos + (resident(*it) ? 1 : 0);
       }
       copy_until(ids.size());
       PublishLocked(shard, std::move(next));
       if (shard.listener != nullptr) {
         for (auto it = run; it != run_end; ++it) {
-          const AnySketch* replaced =
-              replaces(*it) ? prev->sketches[it->pos].get() : nullptr;
-          shard.listener->OnInsert(it->id, *it->sketch, replaced);
+          const AnySketch* displaced =
+              resident(*it) ? prev->sketches[it->pos].get() : nullptr;
+          if (it->sketch == nullptr && displaced == nullptr) continue;
+          shard.listener->OnWrite(it->id, it->sketch.get(), displaced);
         }
       }
     }
-    shard_occupancy_[shard_index]->Add(added);
-    size_gauge_->Add(added);
-    run = run_end;
+    shard_occupancy_[shard_index]->Add(added - erased);
+    size_gauge_->Add(added - erased);
+    erased_total += static_cast<size_t>(erased);
   }
-  // Every entry counts, as if the batch had been inserted one by one.
-  inserts_->Add(entries.size());
-  return Status::Ok();
+  return erased_total;
 }
 
 Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
@@ -315,21 +314,12 @@ Result<std::unique_ptr<AnySketch>> SketchStore::Lookup(uint64_t id) const {
 }
 
 Status SketchStore::Erase(uint64_t id) {
-  const size_t shard_index = ShardOf(id);
-  Shard& shard = *shards_[shard_index];
-  {
-    MutexLock lock(&shard.mu);
-    const std::shared_ptr<const AnySketch> erased =
-        PublishEraseLocked(shard, id);
-    if (erased == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id));
-    }
-    if (shard.listener != nullptr) shard.listener->OnErase(id, *erased);
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> one;
+  one.emplace_back(id, nullptr);
+  if (ApplyWrites(std::move(one)) == 0) {
+    return Status::NotFound("no sketch stored under id " + std::to_string(id));
   }
   erases_->Add(1);
-  size_gauge_->Add(-1);
-  shard_occupancy_[shard_index]->Add(-1);
   return Status::Ok();
 }
 
@@ -344,14 +334,14 @@ Status SketchStore::AttachListener(Listener* listener) {
   }
   listener_ = listener;
   // Publish + replay shard by shard under one lock hold each: once a
-  // shard's mirror is set, every later mutation of that shard notifies, and
+  // shard's mirror is set, every later write to that shard notifies, and
   // everything already resident is replayed now — exactly-once per entry.
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     shard->listener = listener;
     const ShardViewPtr view = shard->Pin();
     for (size_t i = 0; i < view->ids.size(); ++i) {
-      listener->OnInsert(view->ids[i], *view->sketches[i], nullptr);
+      listener->OnWrite(view->ids[i], view->sketches[i].get(), nullptr);
     }
   }
   return Status::Ok();

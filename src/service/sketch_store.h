@@ -16,8 +16,10 @@
 // docs/ARCHITECTURE.md's snapshot-epoch protocol). One mutex per shard
 // serializes that shard's writers, which build and publish the successor
 // view; writers to different shards never contend.
-// Every insert (Insert, batch ingest, decode, QuantizeStore) goes through
-// InsertBatch, which publishes each touched shard once. Batch ingest
+// Every write goes through one private merge: InsertBatch (behind Insert,
+// batch ingest, decode and QuantizeStore) hands it the batch, and Erase
+// hands it a one-entry run. It publishes each shard it changes once and
+// tells the listener of each write through one callback. Batch ingest
 // sketches *outside* any lock with one family Sketcher per worker thread.
 //
 // Every sketch in a store shares the family's resolved options — the
@@ -87,27 +89,26 @@ using ShardViewPtr = std::shared_ptr<const ShardView>;
 /// thread-safe.
 class SketchStore {
  public:
-  /// Receives synchronous mutation notifications (see AttachListener). Both
-  /// callbacks run *under the shard lock* of the mutated id's shard, right
+  /// Receives synchronous write notifications (see AttachListener). The
+  /// callback runs *under the shard lock* of the written id's shard, right
   /// after the successor view is published, so a listener observing one
-  /// shard's stream sees its mutations in order and can mirror the shard
-  /// consistently; a batch's OnInserts for a shard follow its one
-  /// publication, in id order. Each callback also carries the sketch the
-  /// mutation took out of the store, so a listener can unfile whatever it
-  /// derived from that sketch without keeping its own per-id record.
-  /// Callbacks must be fast and must never mutate the store (the lock is
-  /// held — deadlock); reads, which only pin views, are fine. The sketch
-  /// references are valid only for the duration of the call.
+  /// shard's stream sees its writes in order and can mirror the shard
+  /// consistently; a batch's callbacks for a shard follow its one
+  /// publication, one per surviving id, in id order. Each call also carries
+  /// the sketch the write took out of the store, so a listener can unfile
+  /// whatever it derived from that sketch without keeping its own per-id
+  /// record. Callbacks must be fast and must never mutate the store (the
+  /// lock is held — deadlock); reads, which only pin views, are fine. The
+  /// sketch pointers are valid only for the duration of the call.
   class Listener {
    public:
     virtual ~Listener() = default;
-    /// After `sketch` was stored under `id`. `replaced` is the sketch it
-    /// displaced, or nullptr if `id` was not stored (a new id, or a replay
-    /// at attach).
-    virtual void OnInsert(uint64_t id, const AnySketch& sketch,
-                          const AnySketch* replaced) = 0;
-    /// After `id` was removed; `erased` is the sketch it held.
-    virtual void OnErase(uint64_t id, const AnySketch& erased) = 0;
+    /// After a write to `id`. `stored` is the sketch now stored under it,
+    /// or nullptr for an erase. `displaced` is the sketch it held before,
+    /// or nullptr if `id` was not stored (a new id, or a replay at
+    /// attach). An erase of an absent id is not a write and calls nothing.
+    virtual void OnWrite(uint64_t id, const AnySketch* stored,
+                         const AnySketch* displaced) = 0;
   };
 
   /// Builds the family from the registry (resolving option defaults) and an
@@ -142,11 +143,11 @@ class SketchStore {
   /// point-in-time snapshot across shards).
   size_t size() const;
 
-  /// The store's one insert path: inserts (or replaces) every entry, later
-  /// entries winning on duplicate ids. All or nothing: InvalidArgument, and
-  /// nothing inserted, if any sketch is null or incompatible with the
-  /// family's options. Each touched shard is published once (shard after
-  /// shard, so a reader may see some before others).
+  /// Inserts (or replaces) every entry, later entries winning on duplicate
+  /// ids. All or nothing: InvalidArgument, and nothing inserted, if any
+  /// sketch is null or incompatible with the family's options. Each
+  /// touched shard is published once (shard after shard, so a reader may
+  /// see some before others).
   Status InsertBatch(
       std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries);
 
@@ -174,14 +175,15 @@ class SketchStore {
   /// Copies out the sketch stored under `id`; NotFound if absent.
   Result<std::unique_ptr<AnySketch>> Lookup(uint64_t id) const;
 
-  /// Removes `id`. NotFound if absent.
+  /// Removes `id`: a one-entry run of the merge InsertBatch runs. NotFound,
+  /// with nothing published or counted, if absent.
   Status Erase(uint64_t id);
 
-  /// Attaches the single mutation listener and replays every resident entry
-  /// through OnInsert (shard by shard, under each shard's lock). Each entry
-  /// is delivered exactly once: the listener pointer is published under the
-  /// same shard-lock hold that replays the shard, so an entry is either
-  /// replayed then or notifies on a later mutation, never both.
+  /// Attaches the single write listener and replays every resident entry
+  /// as OnWrite(id, sketch, nullptr), shard by shard, under each shard's
+  /// lock. Each entry is delivered exactly once: the listener pointer is
+  /// published under the same shard-lock hold that replays the shard, so an
+  /// entry is either replayed then or notifies on a later write, never both.
   /// FailedPrecondition if a listener is already attached. Detach before
   /// destroying either side; the store must not be moved from or assigned
   /// to while a listener is attached.
@@ -221,11 +223,11 @@ class SketchStore {
 
  private:
   struct Shard {
-    /// Serializes this shard's writers: epoch, publication, and the
-    /// listener pointer. Readers never take it.
+    /// Serializes this shard's writers (ApplyWrites): epoch, publication,
+    /// and the listener pointer. Readers never take it.
     mutable Mutex mu{LockRank::kStoreShard};
-    /// Mirror of the store-level listener, guarded by `mu` so mutation
-    /// paths need no second lock to find it.
+    /// Mirror of the store-level listener, guarded by `mu` so the write
+    /// path needs no second lock to find it.
     Listener* listener IPS_GUARDED_BY(mu) = nullptr;
     /// Publication count — the epoch stamped into the next view.
     uint64_t version IPS_GUARDED_BY(mu) = 0;
@@ -250,12 +252,15 @@ class SketchStore {
   SketchStore(SketchStoreOptions options,
               std::shared_ptr<const SketchFamily> family);
 
-  /// Publishes the successor view of `shard` with `id` removed and returns
-  /// the sketch it held; returns nullptr, publishing nothing, iff `id` is
-  /// not stored in the shard.
-  std::shared_ptr<const AnySketch> PublishEraseLocked(Shard& shard,
-                                                      uint64_t id)
-      IPS_REQUIRES(shard.mu);
+  /// The store's one write path: stores each sketch of `writes` under its
+  /// id, or erases the id where the sketch is null, the later write to an
+  /// id winning. Per shard, under its lock, it merges the shard's sorted
+  /// run into the current view, publishes the result once, then calls the
+  /// listener once per surviving write, in id order; a shard whose writes
+  /// change nothing (erases of absent ids) is not published. Returns the
+  /// number of resident ids erased. Callers validate the sketches first.
+  size_t ApplyWrites(
+      std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> writes);
 
   /// Stamps `next` with the shard's next epoch and publishes it; the
   /// superseded view is released after the pin lock is dropped.
@@ -271,7 +276,7 @@ class SketchStore {
   // unique_ptrs because Shard (mutex) is immovable but the store is not.
   std::vector<std::unique_ptr<Shard>> shards_;
   // Serializes attach/detach; unique_ptr because the store is movable
-  // (Mutex is not). The per-shard mirrors are what mutations read.
+  // (Mutex is not). The per-shard mirrors are what the write path reads.
   // kListenerRegistry: AttachListener holds it *across* the per-shard
   // replay, so it must rank below every shard lock.
   std::unique_ptr<Mutex> listener_mu_ =

@@ -949,7 +949,10 @@ TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
 // Each write-path call moves the ingest histogram and the erase counter by
 // exactly its own work: one ingest sample per vector sketched (a batch
 // shares its publication, so its samples time the sketches alone), none
-// for a pre-built Insert, and one erase per id actually removed.
+// for a pre-built Insert, and one erase per id actually removed. An erase
+// moves the size gauge and its own shard's occupancy gauge by one and
+// publishes only its own shard; a NotFound erase moves and publishes
+// nothing.
 TEST(ServiceMetricsTest, WritePathMetricsMoveOncePerCall) {
   metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
@@ -980,11 +983,37 @@ TEST(ServiceMetricsTest, WritePathMetricsMoveOncePerCall) {
   ASSERT_TRUE(store.Insert(2, std::move(sketch)).ok());
   EXPECT_EQ(ingest.Count(), samples);
 
-  const uint64_t erased = erases.Value();
-  ASSERT_TRUE(store.Erase(2).ok());
-  EXPECT_EQ(erases.Value(), erased + 1);
-  EXPECT_EQ(store.Erase(2).code(), StatusCode::kNotFound);
-  EXPECT_EQ(erases.Value(), erased + 1);
+  auto& size_gauge = registry.GetGauge("ipsketch_store_size");
+  const auto occupancy = [&](size_t s) {
+    return registry
+        .GetGauge("ipsketch_store_shard_occupancy{shard=\"" +
+                  std::to_string(s) + "\"}")
+        .Value();
+  };
+  for (const bool present : {true, false}) {
+    SCOPED_TRACE(present ? "present" : "absent");
+    const std::vector<ShardViewPtr> views = store.PinStore();
+    std::vector<int64_t> occupied;
+    for (size_t s = 0; s < store.num_shards(); ++s) {
+      occupied.push_back(occupancy(s));
+    }
+    const uint64_t erased = erases.Value();
+    const int64_t size = size_gauge.Value();
+    EXPECT_EQ(store.Erase(2).code(),
+              present ? StatusCode::kOk : StatusCode::kNotFound);
+    const int64_t moved = present ? 1 : 0;
+    EXPECT_EQ(erases.Value(), erased + moved);
+    EXPECT_EQ(size_gauge.Value(), size - moved);
+    for (size_t s = 0; s < store.num_shards(); ++s) {
+      if (present && s == store.ShardOf(2)) {
+        EXPECT_EQ(occupancy(s), occupied[s] - 1);
+        EXPECT_EQ(store.PinShard(s)->epoch, views[s]->epoch + 1);
+      } else {
+        EXPECT_EQ(occupancy(s), occupied[s]) << "shard " << s;
+        EXPECT_EQ(store.PinShard(s), views[s]) << "shard " << s;
+      }
+    }
+  }
 }
 
 // The stage names of `trace`, in recording order.

@@ -1,13 +1,15 @@
 // Epoch-snapshot read path of SketchStore (PinShard / ShardView) and the
 // batch top-k API that rides on it: copy-on-write publication semantics
 // (one publication per insert, and per touched shard for a batch),
-// RCU liveness of pinned views, pinned reads racing writers, and batch
+// RCU liveness of pinned views, the write listener's one-callback contract
+// checked with a recording fake, pinned reads racing writers, and batch
 // answers checked against an independent ranking.
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,6 +168,151 @@ TEST(StoreSnapshotTest, PinnedViewKeepsSketchesAliveAcrossMutations) {
   auto direct = QueryEngine(&store).EstimateInnerProduct(1, 2);
   EXPECT_FALSE(direct.ok());  // gone from the live store...
   EXPECT_TRUE(std::isfinite(est.value()));  // ...but the pin still serves
+}
+
+// Records every OnWrite call together with what a PinShard of the id's
+// shard, taken inside the callback, shows.
+class RecordingListener : public SketchStore::Listener {
+ public:
+  struct Call {
+    uint64_t id;
+    const AnySketch* stored;
+    const AnySketch* displaced;
+    const AnySketch* pinned;  // the pinned view's sketch under `id`
+    uint64_t epoch;           // the pinned view's epoch
+    bool operator==(const Call&) const = default;
+  };
+
+  explicit RecordingListener(const SketchStore* store) : store_(store) {}
+
+  void OnWrite(uint64_t id, const AnySketch* stored,
+               const AnySketch* displaced) override {
+    const ShardViewPtr view = store_->PinShard(store_->ShardOf(id));
+    calls.push_back({id, stored, displaced, view->Find(id), view->epoch});
+  }
+
+  std::vector<Call> calls;
+
+ private:
+  const SketchStore* store_;
+};
+
+using Call = RecordingListener::Call;
+
+TEST(StoreListenerTest, AttachReplaysEachResidentIdWithNothingDisplaced) {
+  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+  for (uint64_t id = 0; id < 24; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+  }
+  const std::vector<ShardViewPtr> views = store.PinStore();
+  RecordingListener listener(&store);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  // Shard by shard, in id order, each resident sketch once.
+  std::vector<Call> want;
+  for (const ShardViewPtr& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      const AnySketch* sketch = view->sketches[i].get();
+      want.push_back({view->ids[i], sketch, nullptr, sketch, view->epoch});
+    }
+  }
+  EXPECT_EQ(listener.calls, want);
+  ASSERT_TRUE(store.DetachListener(&listener).ok());
+}
+
+TEST(StoreListenerTest, NewReplaceAndEraseCarryStoredAndDisplaced) {
+  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+  RecordingListener listener(&store);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  const size_t s = store.ShardOf(7);
+  // Each pin keeps its epoch's sketch alive, so pointers stay unique.
+  ASSERT_TRUE(store.BuildAndInsert(7, RandomVector(1)).ok());
+  const ShardViewPtr v1 = store.PinShard(s);
+  ASSERT_TRUE(store.BuildAndInsert(7, RandomVector(2)).ok());
+  const ShardViewPtr v2 = store.PinShard(s);
+  ASSERT_TRUE(store.Erase(7).ok());
+  const ShardViewPtr v3 = store.PinShard(s);
+  const std::vector<Call> want = {
+      {7, v1->Find(7), nullptr, v1->Find(7), v1->epoch},      // new id
+      {7, v2->Find(7), v1->Find(7), v2->Find(7), v2->epoch},  // replace
+      {7, nullptr, v2->Find(7), nullptr, v3->epoch},          // erase
+  };
+  EXPECT_EQ(listener.calls, want);
+  ASSERT_TRUE(store.DetachListener(&listener).ok());
+}
+
+// One InsertBatch delivers one callback per surviving id — the later entry
+// of a repeated id wins — shard by shard in id order, each after its
+// shard's one publication.
+TEST(StoreListenerTest, BatchCallsOncePerSurvivingIdAfterItsShardPublishes) {
+  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+  for (uint64_t id = 0; id < 20; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+  }
+  RecordingListener listener(&store);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  listener.calls.clear();
+  const std::vector<ShardViewPtr> before = store.PinStore();
+
+  // New ids, replaces, and ids repeated within the batch.
+  const std::vector<uint64_t> ids = {30, 5, 31, 5, 12, 30, 0, 19, 12, 40};
+  auto sketcher = store.family().MakeSketcher().value();
+  std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries;
+  std::map<uint64_t, const AnySketch*> survivor;  // each id's last entry
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto sketch = store.family().NewSketch();
+    ASSERT_TRUE(sketcher->Sketch(RandomVector(100 + i), sketch.get()).ok());
+    survivor[ids[i]] = sketch.get();
+    entries.emplace_back(ids[i], std::move(sketch));
+  }
+  ASSERT_TRUE(store.InsertBatch(std::move(entries)).ok());
+  const std::vector<ShardViewPtr> after = store.PinStore();
+
+  std::vector<Call> want;
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    for (const auto& [id, stored] : survivor) {
+      if (store.ShardOf(id) != s) continue;
+      EXPECT_EQ(after[s]->epoch, before[s]->epoch + 1) << "shard " << s;
+      want.push_back(
+          {id, stored, before[s]->Find(id), stored, after[s]->epoch});
+    }
+  }
+  EXPECT_EQ(listener.calls, want);
+  ASSERT_TRUE(store.DetachListener(&listener).ok());
+}
+
+// Writes that change nothing deliver nothing: an erase of an absent id,
+// and a batch rejected for a null or an incompatible sketch.
+TEST(StoreListenerTest, AbsentEraseAndRejectedBatchCallNothing) {
+  SketchStore store = MakeStoreOrDie(SmallStoreOptions());
+  for (uint64_t id = 0; id < 8; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
+  }
+  RecordingListener listener(&store);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  listener.calls.clear();
+
+  EXPECT_EQ(store.Erase(999).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(store.Erase(3).ok());
+  EXPECT_EQ(store.Erase(3).code(), StatusCode::kNotFound);
+  ASSERT_EQ(listener.calls.size(), 1u);
+  EXPECT_EQ(listener.calls[0].id, 3u);
+  listener.calls.clear();
+
+  // A sketch from an incompatible family identity (different seed).
+  SketchStoreOptions other_opts = SmallStoreOptions();
+  other_opts.sketch.seed = 4242;
+  SketchStore other = MakeStoreOrDie(other_opts);
+  ASSERT_TRUE(other.BuildAndInsert(0, RandomVector(0)).ok());
+  for (const bool null_entry : {true, false}) {
+    SCOPED_TRACE(null_entry ? "null sketch" : "incompatible sketch");
+    std::vector<std::pair<uint64_t, std::unique_ptr<AnySketch>>> entries;
+    entries.emplace_back(1, store.Lookup(2).value());
+    entries.emplace_back(100, null_entry ? nullptr : other.Lookup(0).value());
+    EXPECT_EQ(store.InsertBatch(std::move(entries)).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_TRUE(listener.calls.empty());
+  ASSERT_TRUE(store.DetachListener(&listener).ok());
 }
 
 TEST(StoreSnapshotTest, TopKSketchBatchMatchesSingleQueries) {

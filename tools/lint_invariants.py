@@ -39,10 +39,12 @@ point-wise but a static scan can prove tree-wide:
                  tree cannot silently rot behind the code, in either
                  direction.
   store-writes   No file in src/ but src/service/sketch_store.cc constructs
-                 a ShardView, and src/service/sketch_store.h declares no
-                 friend: SketchStore::InsertBatch is the only way to publish
-                 inserts, so no caller can stage a view and publish it
-                 around it.
+                 a ShardView, src/service/sketch_store.h declares no
+                 friend, and sketch_store.cc calls PublishLocked from
+                 exactly one function: every insert and erase publishes
+                 through the store's one merge, so no caller can stage a
+                 view and publish it around it, and no second splice can
+                 grow back inside the store.
   scoring        No per-pair SketchFamily::Estimate call in src/index/, and
                  in src/service/ only QueryEngine::EstimateInnerProduct's
                  pairwise one: served scans score a shard (or a probe's
@@ -448,7 +450,33 @@ def check_store_writes(root: Path):
         findings.append(
             f"store-writes: {STORE_H}: declares a friend — a friend can "
             "publish views around SketchStore::InsertBatch")
+    publishers = publish_callers(re.sub(r"//[^\n]*", "", read(root, STORE_CC)))
+    if len(publishers) != 1:
+        findings.append(
+            f"store-writes: {STORE_CC}: calls PublishLocked from "
+            f"{len(publishers)} functions ({', '.join(publishers)}), "
+            "expected exactly one — every write goes through the store's "
+            "one merge")
     return findings
+
+
+# A call of PublishLocked (its qualified definition is not one).
+PUBLISH_CALL = re.compile(r"(?<!::)\bPublishLocked\s*\(")
+
+
+def publish_callers(text: str):
+    """Sorted names of the functions in `text` that call PublishLocked. A
+    call outside every body TOP_LEVEL_FUNCTION finds is named by its line,
+    so it still counts."""
+    bodies = [(m.start(2), m.end(2), m.group(1))
+              for m in TOP_LEVEL_FUNCTION.finditer(text)]
+    callers = set()
+    for call in PUBLISH_CALL.finditer(text):
+        owners = [name for start, end, name in bodies
+                  if start <= call.start() < end]
+        line = text.count("\n", 0, call.start()) + 1
+        callers.add(owners[0] if owners else f"line {line}")
+    return sorted(callers)
 
 
 # A member or qualified call of the one-pair form (not EstimateMany, not
@@ -719,6 +747,16 @@ def seed_store_friend(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_second_publisher(root: Path):
+    with (root / STORE_CC).open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "void SketchStore::PhantomSplice(Shard& shard) {\n"
+            "  PublishLocked(shard, std::make_shared<ShardView>());\n"
+            "}\n"
+            "}  // namespace ipsketch\n")
+
+
 def seed_per_pair_scan(root: Path):
     path = root / QUERY_ENGINE_CC
     text = path.read_text(encoding="utf-8")
@@ -799,6 +837,7 @@ SEEDS = {
     "store-writes": [
         ("ShardView staged outside the store", seed_staged_view),
         ("friend in sketch_store.h", seed_store_friend),
+        ("second PublishLocked caller", seed_second_publisher),
     ],
     "scoring": [("per-pair Estimate in the exact scan", seed_per_pair_scan)],
     "kernel-tiers": [
