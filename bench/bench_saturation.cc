@@ -18,16 +18,14 @@
 //   --seed         base seed for the sketch family (default 7)
 //   --out          BENCH json path (default BENCH_service.json). The run
 //                  writes only its own members through bench::WriteMembers,
-//                  the record's one writer: "saturation", "metrics_overhead"
-//                  and "metrics", or with --frontdoor "saturation_async" and
-//                  "metrics". Every other member, the other mode's sweep
-//                  included, is kept, so the runs may come in any order
+//                  the record's one writer: "saturation" and "metrics", or
+//                  with --frontdoor "saturation_async" and "metrics". Every
+//                  other member, the other mode's sweep included, is kept,
+//                  so the runs may come in any order
 //   --metrics-out  also write the post-run metrics::RenderText() snapshot
 //
-// The bench also answers "what does the instrumentation cost?": it measures
-// serial TopK scan throughput with metrics recording enabled vs disabled
-// (SetEnabledForTesting) and reports the ratio, which the README quotes and
-// the ≤3% overhead acceptance gate reads.
+// No gate reads the sweep: tools/check_bench_regression.py prints its TopK
+// p99 trends against the committed baseline without failing on them.
 
 #include <algorithm>
 #include <atomic>
@@ -263,11 +261,10 @@ void AppendLevelJson(std::string* out, const LevelResult& r, bool first) {
       r.ingest.p95_us, r.ingest.p99_us, r.ingest.max_us);
 }
 
-/// The sync sweep's members: "saturation", "metrics_overhead" and the
-/// end-of-run "metrics" snapshot.
+/// The sync sweep's members: "saturation" and the end-of-run "metrics"
+/// snapshot.
 std::vector<bench::JsonMember> SyncMembers(
-    const std::vector<LevelResult>& levels, size_t corpus, double base_rate,
-    double pairs_on, double pairs_off) {
+    const std::vector<LevelResult>& levels, size_t corpus, double base_rate) {
   std::string saturation = bench::Format(
       "{\n"
       "    \"corpus\": %zu,\n"
@@ -279,13 +276,8 @@ std::vector<bench::JsonMember> SyncMembers(
     AppendLevelJson(&saturation, levels[i], i == 0);
   }
   saturation += "\n    ]\n  }";
-  const std::string overhead = bench::Format(
-      "{\"topk_pairs_per_sec_on\": %.1f, \"topk_pairs_per_sec_off\": %.1f, "
-      "\"ratio\": %.4f}",
-      pairs_on, pairs_off, pairs_off > 0 ? pairs_on / pairs_off : 1.0);
   return {
       {"saturation", saturation},
-      {"metrics_overhead", overhead},
       {"metrics", metrics::MetricsRegistry::Global().RenderJson()},
   };
 }
@@ -346,8 +338,7 @@ int main(int argc, char** argv) {
                       "FrontDoor: completed-request latency percentiles plus "
                       "shed/expired counts vs offered concurrency"
                     : "Open-loop ingest+TopK load sweep: client-observed "
-                      "latency percentiles vs offered concurrency, plus "
-                      "metrics overhead",
+                      "latency percentiles vs offered concurrency",
                 scale);
   std::printf("hardware_concurrency: %u%s%s\n\n",
               std::thread::hardware_concurrency(), smoke ? "  [smoke]" : "",
@@ -356,7 +347,7 @@ int main(int argc, char** argv) {
   const size_t corpus = smoke ? 120 : 600 * scale;
   const double level_window_secs = smoke ? 0.25 : 1.5;
   const size_t max_ops_per_level = smoke ? 300 : 6000;
-  const double overhead_window_secs = smoke ? 0.1 : 0.3;
+  const double base_window_secs = smoke ? 0.1 : 0.3;
 
   auto store = SketchStore::Make(bench::ServiceStoreOptions(g_seed)).value();
   {
@@ -380,47 +371,18 @@ int main(int argc, char** argv) {
               bench::kServiceNnz, bench::kServiceFamily,
               bench::kServiceNumSamples);
 
-  // Serial TopK scan throughput in estimated pairs/sec (queries/sec times
-  // catalog size) over a measurement window: the metrics-overhead probe.
-  const auto topk_pairs_per_sec = [&] {
-    const QueryEngine engine(&store, /*pool=*/nullptr);
-    const auto topk = [&](size_t call) {
-      if (!engine.TopK(queries[call % queries.size()], kTopK).ok()) {
-        std::exit(1);
-      }
-    };
-    return bench::SustainedRate(overhead_window_secs, topk) *
-           static_cast<double>(store.size());
-  };
-
-  // --- metrics overhead A/B (serial engine, nothing else in flight) --------
-  // Alternating best-of rounds: on a shared box a single long window per
-  // mode folds scheduler noise into the ratio; interference only ever slows
-  // a round down, so the per-mode maximum is the clean comparison. The
-  // --frontdoor run skips the probe (the ratio is mode-independent) and
-  // leaves the committed "metrics_overhead" section alone.
-  topk_pairs_per_sec();  // warm up
-  double pairs_on = 0.0, pairs_off = 0.0;
-  if (!frontdoor) {
-    const int ab_rounds = smoke ? 3 : 5;
-    for (int round = 0; round < ab_rounds; ++round) {
-      metrics::SetEnabledForTesting(true);
-      pairs_on = std::max(pairs_on, topk_pairs_per_sec());
-      metrics::SetEnabledForTesting(false);
-      pairs_off = std::max(pairs_off, topk_pairs_per_sec());
-    }
-    metrics::SetEnabledForTesting(true);
-    const double ratio = pairs_off > 0 ? pairs_on / pairs_off : 1.0;
-    std::printf("\nmetrics overhead on TopK scan: on %.0f pairs/s, off %.0f "
-                "pairs/s, ratio %.4f\n",
-                pairs_on, pairs_off, ratio);
-  }
-
   // --- saturation sweep -----------------------------------------------------
-  // Base rate: sustained serial TopK throughput. Offered load at level c is
-  // c times that — level 1 should keep one worker busy, higher levels queue.
-  const double base_rate =
-      topk_pairs_per_sec() / static_cast<double>(store.size());
+  // Base rate: sustained serial TopK throughput over one window, after a
+  // warm-up window. Offered load at level c is c times that — level 1
+  // should keep one worker busy, higher levels queue.
+  const QueryEngine serial_engine(&store, /*pool=*/nullptr);
+  const auto serial_topk = [&](size_t call) {
+    if (!serial_engine.TopK(queries[call % queries.size()], kTopK).ok()) {
+      std::exit(1);
+    }
+  };
+  bench::SustainedRate(base_window_secs, serial_topk);  // warm up
+  const double base_rate = bench::SustainedRate(base_window_secs, serial_topk);
   std::printf("base serial TopK rate: %.1f queries/sec\n\n", base_rate);
 
   const size_t pool_threads =
@@ -481,7 +443,7 @@ int main(int argc, char** argv) {
                   r.ingest.p99_us);
       levels.push_back(r);
     }
-    members = SyncMembers(levels, corpus, base_rate, pairs_on, pairs_off);
+    members = SyncMembers(levels, corpus, base_rate);
   }
 
   // --- outputs --------------------------------------------------------------

@@ -1,13 +1,12 @@
-// Service-layer throughput: vectors/sec for batch ingest into a SketchStore,
-// queries/sec for QueryEngine::TopK at 1/2/4/8 worker threads, serial
-// exact-scan TopKSketchBatch µs per query at batch 1/8/32, and pairwise
-// estimate throughput per family under the dispatched SIMD kernel vs the
-// scalar tier.
+// Service-layer throughput: vectors/sec for batch ingest into a SketchStore
+// per WMH engine on one thread, queries/sec for QueryEngine::TopK at 1/2/4/8
+// worker threads, serial exact-scan TopKSketchBatch µs per query at batch
+// 1/8/32, and pairwise estimate throughput per family under the dispatched
+// SIMD kernel vs the scalar tier.
 //
 //   build/bench_service_throughput [scale] [--out PATH] [--seed N]
 //
-// Ingest parallelizes over vectors (one family Sketcher per worker);
-// queries parallelize over shards. Speedups track the machine's core count
+// Queries parallelize over shards. Speedups track the machine's core count
 // — hardware_concurrency is printed so single-core results read correctly,
 // and a point with more threads than that is marked oversubscribed: it
 // measures time-slicing, not scaling.
@@ -231,8 +230,8 @@ int main(int argc, char** argv) {
   const size_t scale = bench::ScaleFromArgs(argc, argv);
   g_seed = bench::SeedFromArgs(argc, argv, g_seed);
   bench::Banner("service_throughput",
-                "SketchStore batch ingest and QueryEngine::TopK throughput "
-                "at 1/2/4/8 threads",
+                "SketchStore batch ingest at 1 thread and QueryEngine::TopK "
+                "throughput at 1/2/4/8 threads",
                 scale);
   std::printf("hardware_concurrency: %u\n",
               std::thread::hardware_concurrency());
@@ -249,53 +248,43 @@ int main(int argc, char** argv) {
               bench::kServiceNnz, bench::kServiceFamily,
               bench::kServiceNumSamples);
 
-  // --- ingest, per WMH engine ----------------------------------------------
+  // --- ingest, per WMH engine, on one thread --------------------------------
   // "dart" is the default ingest engine; "active_index" is kept as the
   // head-to-head baseline so the speedup is visible in every bench record.
-  // Each point is the fastest of `builds` fresh-store builds of the corpus,
-  // as the estimate points take the fastest of several windows. One
-  // active_index build of the scale-1 corpus takes about 14 s on one
-  // thread, so its points are timed once.
+  // Each rate is the fastest of `builds` fresh-store builds of the corpus,
+  // sketched serially on this thread, as the estimate points take the
+  // fastest of several windows. One active_index build of the scale-1
+  // corpus takes about 14 s, so it is timed once. There are no thread
+  // points: a shared host can stall a whole process's pool, which no best
+  // of N builds inside one process mends; servicebench's setup_s times a
+  // pooled BuildAndInsertBatch instead.
   struct Engine {
     const char* name;
     int builds;
   };
   const std::vector<Engine> kEngines = {{"dart", 5}, {"active_index", 1}};
-  std::vector<std::vector<RatePoint>> ingest_rates_by_engine(kEngines.size());
+  std::vector<double> ingest_rates(kEngines.size(), 0.0);
+  std::printf("%-24s %14s\n", "ingest, 1 thread", "vectors/sec");
   for (size_t e = 0; e < kEngines.size(); ++e) {
-    std::printf("%-24s %14s %10s  (fastest of %d build%s)\n",
-                (std::string("ingest[") + kEngines[e].name + "]").c_str(),
-                "vectors/sec", "speedup", kEngines[e].builds,
-                kEngines[e].builds == 1 ? "" : "s");
-    // "speedup" is thread scaling within this engine; the cross-engine
-    // ratio is printed separately below.
-    double engine_base = 0.0;
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      ThreadPool pool(threads);
-      const auto options = bench::ServiceStoreOptions(g_seed, kEngines[e].name);
-      double rate = 0.0;
-      for (int build = 0; build < kEngines[e].builds; ++build) {
-        auto store = SketchStore::Make(options).value();
-        const auto start = std::chrono::steady_clock::now();
-        const Status st = store.BuildAndInsertBatch(batch, &pool);
-        const double secs = bench::SecondsSince(start);
-        if (!st.ok() || store.size() != corpus) {
-          std::printf("ingest failed: %s\n", st.ToString().c_str());
-          return 1;
-        }
-        rate = std::max(rate, static_cast<double>(corpus) / secs);
+    const auto options = bench::ServiceStoreOptions(g_seed, kEngines[e].name);
+    for (int build = 0; build < kEngines[e].builds; ++build) {
+      auto store = SketchStore::Make(options).value();
+      const auto start = std::chrono::steady_clock::now();
+      const Status st = store.BuildAndInsertBatch(batch, /*pool=*/nullptr);
+      const double secs = bench::SecondsSince(start);
+      if (!st.ok() || store.size() != corpus) {
+        std::printf("ingest failed: %s\n", st.ToString().c_str());
+        return 1;
       }
-      if (threads == 1) engine_base = rate;
-      ingest_rates_by_engine[e].push_back({threads, rate});
-      const char* mark = Oversubscribed(threads) ? "  oversubscribed" : "";
-      std::printf("%zu threads                %14.0f %9.2fx%s\n", threads, rate,
-                  rate / engine_base, mark);
+      ingest_rates[e] =
+          std::max(ingest_rates[e], static_cast<double>(corpus) / secs);
     }
-    std::printf("\n");
+    std::printf("%-24s %14.0f  (fastest of %d build%s)\n",
+                (std::string("ingest[") + kEngines[e].name + "]").c_str(),
+                ingest_rates[e], kEngines[e].builds,
+                kEngines[e].builds == 1 ? "" : "s");
   }
-  const double dart_vs_active =
-      ingest_rates_by_engine[0][0].per_sec /
-      ingest_rates_by_engine[1][0].per_sec;
+  const double dart_vs_active = ingest_rates[0] / ingest_rates[1];
   std::printf("single-thread dart vs active_index ingest: %.2fx\n\n",
               dart_vs_active);
 
@@ -355,7 +344,7 @@ int main(int argc, char** argv) {
   for (size_t e = 0; e < kEngines.size(); ++e) {
     members.emplace_back(
         std::string("ingest_vectors_per_sec_") + kEngines[e].name,
-        RatesJson(ingest_rates_by_engine[e]));
+        RatesJson({{1, ingest_rates[e]}}));
   }
   members.emplace_back("ingest_dart_vs_active_index_1thread",
                        bench::Format("%.3f", dart_vs_active));

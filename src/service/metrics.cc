@@ -1,39 +1,11 @@
 #include "service/metrics.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 namespace ipsketch {
 namespace metrics {
-
-namespace internal {
-
-std::atomic<int> g_enabled{-1};
-
-bool ResolveEnabledFromEnv() {
-  // getenv is read-once at first metric touch; nothing in the process
-  // calls setenv, so the mt-unsafe warning is a false positive here.
-  const char* env = std::getenv("IPSKETCH_METRICS");  // NOLINT(concurrency-mt-unsafe)
-  bool on = true;
-  if (env != nullptr) {
-    std::string v(env);
-    for (char& c : v) c = static_cast<char>(std::tolower(c));
-    if (v == "off" || v == "0" || v == "false") on = false;
-  }
-  // Several threads may race the first resolution; they all compute the
-  // same answer from the same environment, so last-write-wins is benign.
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-  return on;
-}
-
-}  // namespace internal
-
-void SetEnabledForTesting(bool enabled) {
-  internal::g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(

@@ -14,14 +14,7 @@
 // are exact to within one bucket and p100 == max is exact. All latency
 // histograms in the service record NANOSECONDS.
 //
-// Escape hatch, for proving the instrumentation costs nothing when off:
-// IPSKETCH_METRICS=off|0|false in the environment disables every instrument
-// at startup (resolved once, on first use). When disabled, Add/Set/Record
-// return immediately and the RAII timers skip their clock reads;
-// registration and rendering still work (everything reads zero).
-// SetEnabledForTesting flips the env decision at runtime — note that
-// toggling while tasks are in flight can skew paired gauge updates (queue
-// depth); it is a testing/bench hook, not a production knob.
+// Recording is unconditional: there is no switch that turns it off.
 //
 // QueryTrace is separate from the registry: a caller-owned, fixed-capacity
 // record of per-query stage spans (sketch-query, shard-scan, heap-merge)
@@ -44,22 +37,6 @@
 namespace ipsketch {
 namespace metrics {
 
-namespace internal {
-// -1 = not yet resolved from the environment; 0/1 = resolved.
-extern std::atomic<int> g_enabled;
-bool ResolveEnabledFromEnv();
-}  // namespace internal
-
-/// True iff instruments record. Resolved once from IPSKETCH_METRICS on
-/// first call; a relaxed load afterwards.
-inline bool Enabled() {
-  const int e = internal::g_enabled.load(std::memory_order_relaxed);
-  return e >= 0 ? e != 0 : internal::ResolveEnabledFromEnv();
-}
-
-/// Overrides the env decision (bench A/B and tests).
-void SetEnabledForTesting(bool enabled);
-
 /// Monotonic clock in nanoseconds — the time base of every histogram.
 uint64_t NowNs();
 
@@ -79,7 +56,6 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Add(uint64_t n = 1) {
-    if (!Enabled()) return;
     shards_[TlsShardSlot()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -104,14 +80,8 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Add(int64_t delta) {
-    if (!Enabled()) return;
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  void Set(int64_t value) {
-    if (!Enabled()) return;
-    v_.store(value, std::memory_order_relaxed);
-  }
+  void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
+  void Set(int64_t value) { v_.store(value, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -170,7 +140,6 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Record(uint64_t value) {
-    if (!Enabled()) return;
     Shard& s = shards_[TlsShardSlot()];
     s.counts[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(value, std::memory_order_relaxed);
@@ -239,12 +208,11 @@ class MetricsRegistry {
 };
 
 /// RAII histogram timer: records NowNs() - construction time into `hist`
-/// on destruction. Null hist, or metrics disabled at construction, skips
-/// the clock reads entirely.
+/// on destruction. A null hist skips the clock reads entirely.
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram* hist)
-      : hist_(Enabled() ? hist : nullptr), start_(hist_ ? NowNs() : 0) {}
+      : hist_(hist), start_(hist ? NowNs() : 0) {}
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
   ~ScopedLatency() {

@@ -43,9 +43,9 @@ SketchStore::SketchStore(SketchStoreOptions options,
                                  "Sketches erased");
   ingest_ns_ = &registry.GetHistogram(
       "ipsketch_store_ingest_ns",
-      "Per-vector ingest latency: sketch plus insert for BuildAndInsert; "
-      "the sketch alone for a BuildAndInsertBatch entry (the batch shares "
-      "its publication)");
+      "Per-vector ingest latency: the sketch of one vector, on "
+      "BuildAndInsert and each BuildAndInsertBatch entry alike (the insert "
+      "is not timed)");
   size_gauge_ = &registry.GetGauge("ipsketch_store_size",
                                    "Live sketches across all stores");
   shard_occupancy_.reserve(options_.num_shards);
@@ -248,12 +248,7 @@ Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
 }
 
 Status SketchStore::BuildAndInsert(uint64_t id, const SparseVector& vec) {
-  metrics::ScopedLatency ingest_timer(ingest_ns_);
-  auto made = family_->MakeSketcher();
-  IPS_RETURN_IF_ERROR(made.status());
-  std::unique_ptr<AnySketch> sketch = family_->NewSketch();
-  IPS_RETURN_IF_ERROR(made.value()->Sketch(vec, sketch.get()));
-  return Insert(id, std::move(sketch));
+  return BuildAndInsertBatch({{id, vec}}, /*pool=*/nullptr);
 }
 
 Status SketchStore::BuildAndInsertBatch(

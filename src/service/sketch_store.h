@@ -154,9 +154,10 @@ class SketchStore {
   /// Inserts (or replaces) a pre-built sketch: an InsertBatch of one.
   Status Insert(uint64_t id, std::unique_ptr<AnySketch> sketch);
 
-  /// Sketches `vec` with the store's family and inserts it under `id`.
-  /// Callers on a hot path that already hold a Sketcher should sketch
-  /// themselves and call Insert; this is the convenient serial form.
+  /// Sketches `vec` with the store's family and inserts it under `id`: a
+  /// one-entry BuildAndInsertBatch on the calling thread. Callers on a hot
+  /// path that already hold a Sketcher should sketch themselves and call
+  /// Insert; this is the convenient serial form.
   Status BuildAndInsert(uint64_t id, const SparseVector& vec);
 
   /// Sketches a whole batch, fanning the sketching work across `pool` (one

@@ -47,7 +47,7 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::Submit(std::function<void()> task) {
   IPS_CHECK(task != nullptr);
-  const uint64_t enqueue_ns = metrics::Enabled() ? metrics::NowNs() : 0;
+  const uint64_t enqueue_ns = metrics::NowNs();
   {
     MutexLock lock(&mu_);
     // Rejection, not IPS_CHECK: a task still draining during destruction
@@ -59,7 +59,7 @@ bool ThreadPool::Submit(std::function<void()> task) {
     }
     queue_.push_back({std::move(task), enqueue_ns});
   }
-  if (enqueue_ns != 0) queue_depth_->Add(1);
+  queue_depth_->Add(1);
   cv_.NotifyOne();
   return true;
 }
@@ -80,16 +80,11 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Gate on the submit-time stamp, not Enabled() now: the depth +1/-1
-    // and wait window always pair per task.
-    uint64_t start_ns = 0;
-    if (task.enqueue_ns != 0) {
-      queue_depth_->Add(-1);
-      start_ns = metrics::NowNs();
-      task_wait_ns_->Record(start_ns - task.enqueue_ns);
-    }
+    queue_depth_->Add(-1);
+    const uint64_t start_ns = metrics::NowNs();
+    task_wait_ns_->Record(start_ns - task.enqueue_ns);
     task.fn();
-    if (start_ns != 0) task_run_ns_->Record(metrics::NowNs() - start_ns);
+    task_run_ns_->Record(metrics::NowNs() - start_ns);
     tasks_executed_->Add(1);
   }
 }

@@ -61,9 +61,7 @@ class ThreadPool {
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
  private:
-  /// A queued task plus its enqueue timestamp (0 when metrics were off at
-  /// submit time — the dequeue side then skips the depth/wait updates, so
-  /// each task's gauge adjustments stay paired whatever happens in between).
+  /// A queued task plus its enqueue timestamp, where its queue wait starts.
   struct QueuedTask {
     std::function<void()> fn;
     uint64_t enqueue_ns = 0;

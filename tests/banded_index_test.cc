@@ -213,7 +213,6 @@ TEST(BandedIndexTest, IndexTracksInsertEraseAndReplace) {
 // every resident sketch, a new id or a replace files one, an erase unfiles
 // one (a NotFound erase none), and a probe adds the stats it returns.
 TEST(BandedIndexTest, IndexCountersMoveOncePerCall) {
-  metrics::SetEnabledForTesting(true);
   SketchStore store = MakeFilledStore(25);
   const uint64_t attach_inserts = CounterValue("ipsketch_index_inserts_total");
   auto made = BandedIndex::MakeAttached(&store, {16, 4});
@@ -897,7 +896,6 @@ TEST(BandedIndexTest, IdenticalReplaceAndEraseLeaveNoStalePostings) {
 // what Insert-ing its entries one by one leaves: every shard's ids and
 // sketch bytes, the index's size and probes, and the counter deltas.
 TEST(BandedIndexTest, InsertBatchMatchesOneByOneInserts) {
-  metrics::SetEnabledForTesting(true);
   constexpr uint64_t kMax = ~uint64_t{0};
   // (id, vector seed) in batch order; the store holds ids 1..40 already.
   std::vector<std::pair<uint64_t, uint64_t>> plan = {

@@ -210,7 +210,6 @@ TEST(FrontDoorTest, DeadlineExpiresWhileQueued) {
 // A budget past the steady clock's range saturates instead of wrapping to
 // an expiry in the past: both request kinds still complete Ok.
 TEST(FrontDoorTest, HugeRelativeDeadlineNeverExpires) {
-  metrics::SetEnabledForTesting(true);
   auto& expired = metrics::MetricsRegistry::Global().GetCounter(
       "ipsketch_frontdoor_deadline_expired_total",
       "Requests whose deadline passed while queued (DeadlineExceeded)");
@@ -299,7 +298,6 @@ TEST(FrontDoorTest, BandedPolicyMatchesSyncEngineAndExactScores) {
 }
 
 TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& submitted = registry.GetCounter("ipsketch_frontdoor_submitted_total",
                                         "Requests submitted to the front door");
@@ -357,7 +355,6 @@ TEST(FrontDoorTest, CountersAccountForEveryOutcome) {
 }
 
 TEST(FrontDoorTest, BatchMetricsMoveOncePerBatch) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& batch_size = registry.GetHistogram(
       "ipsketch_frontdoor_batch_size",

@@ -16,12 +16,6 @@ namespace ipsketch {
 namespace metrics {
 namespace {
 
-class MetricsTest : public ::testing::Test {
- protected:
-  void SetUp() override { SetEnabledForTesting(true); }
-  void TearDown() override { SetEnabledForTesting(true); }
-};
-
 // --- bucket math -----------------------------------------------------------
 
 TEST(BucketMath, SmallValuesAreExact) {
@@ -66,7 +60,7 @@ TEST(BucketMath, HugeValuesLandInOverflowBucket) {
 
 // --- counters and gauges ---------------------------------------------------
 
-TEST_F(MetricsTest, CounterAccumulatesExactly) {
+TEST(MetricsTest, CounterAccumulatesExactly) {
   Counter c;
   EXPECT_EQ(c.Value(), 0u);
   c.Add();
@@ -74,7 +68,7 @@ TEST_F(MetricsTest, CounterAccumulatesExactly) {
   EXPECT_EQ(c.Value(), 42u);
 }
 
-TEST_F(MetricsTest, CounterIsExactUnderConcurrency) {
+TEST(MetricsTest, CounterIsExactUnderConcurrency) {
   Counter c;
   constexpr size_t kThreads = 8;
   constexpr size_t kPerThread = 20000;
@@ -88,7 +82,7 @@ TEST_F(MetricsTest, CounterIsExactUnderConcurrency) {
   EXPECT_EQ(c.Value(), kThreads * kPerThread);
 }
 
-TEST_F(MetricsTest, GaugeTracksSignedValue) {
+TEST(MetricsTest, GaugeTracksSignedValue) {
   Gauge g;
   g.Add(5);
   g.Add(-8);
@@ -97,25 +91,9 @@ TEST_F(MetricsTest, GaugeTracksSignedValue) {
   EXPECT_EQ(g.Value(), 17);
 }
 
-TEST_F(MetricsTest, DisabledInstrumentsRecordNothing) {
-  Counter c;
-  Gauge g;
-  Histogram h;
-  SetEnabledForTesting(false);
-  c.Add(100);
-  g.Add(100);
-  h.Record(100);
-  SetEnabledForTesting(true);
-  EXPECT_EQ(c.Value(), 0u);
-  EXPECT_EQ(g.Value(), 0);
-  EXPECT_EQ(h.Count(), 0u);
-  c.Add(1);
-  EXPECT_EQ(c.Value(), 1u);
-}
-
 // --- histogram percentiles -------------------------------------------------
 
-TEST_F(MetricsTest, EmptyHistogramReportsZero) {
+TEST(MetricsTest, EmptyHistogramReportsZero) {
   Histogram h;
   const HistogramSnapshot snap = h.Snapshot();
   EXPECT_EQ(snap.count, 0u);
@@ -124,7 +102,7 @@ TEST_F(MetricsTest, EmptyHistogramReportsZero) {
   EXPECT_EQ(snap.Mean(), 0.0);
 }
 
-TEST_F(MetricsTest, SingleSamplePercentilesClampToMax) {
+TEST(MetricsTest, SingleSamplePercentilesClampToMax) {
   Histogram h;
   h.Record(1000);
   const HistogramSnapshot snap = h.Snapshot();
@@ -138,7 +116,7 @@ TEST_F(MetricsTest, SingleSamplePercentilesClampToMax) {
   EXPECT_LE(p50, 1000.0);
 }
 
-TEST_F(MetricsTest, UniformSamplesGiveSaneMedian) {
+TEST(MetricsTest, UniformSamplesGiveSaneMedian) {
   Histogram h;
   for (uint64_t v = 1; v <= 10000; ++v) h.Record(v);
   const HistogramSnapshot snap = h.Snapshot();
@@ -150,7 +128,7 @@ TEST_F(MetricsTest, UniformSamplesGiveSaneMedian) {
   EXPECT_NEAR(snap.Mean(), 5000.5, 0.01);
 }
 
-TEST_F(MetricsTest, OverflowBucketUsesExactMaxAsUpperEdge) {
+TEST(MetricsTest, OverflowBucketUsesExactMaxAsUpperEdge) {
   Histogram h;
   const uint64_t huge = uint64_t{1} << 62;
   h.Record(huge);
@@ -164,7 +142,7 @@ TEST_F(MetricsTest, OverflowBucketUsesExactMaxAsUpperEdge) {
   EXPECT_GE(p99, static_cast<double>(BucketLowerBound(kNumBuckets - 1)));
 }
 
-TEST_F(MetricsTest, HistogramSumAndCountAreExact) {
+TEST(MetricsTest, HistogramSumAndCountAreExact) {
   Histogram h;
   uint64_t expect_sum = 0;
   for (uint64_t v : {0u, 1u, 3u, 17u, 1000u, 123456u}) {
@@ -179,7 +157,7 @@ TEST_F(MetricsTest, HistogramSumAndCountAreExact) {
 // The TSAN-matrix stress: many threads hammer one histogram and one counter
 // while a reader thread snapshots concurrently. Counts must be exact after
 // the join, and no data race may be reported.
-TEST_F(MetricsTest, ConcurrentRecordingIsRaceFreeAndExact) {
+TEST(MetricsTest, ConcurrentRecordingIsRaceFreeAndExact) {
   Histogram h;
   Counter c;
   constexpr size_t kThreads = 8;
@@ -210,7 +188,7 @@ TEST_F(MetricsTest, ConcurrentRecordingIsRaceFreeAndExact) {
 
 // --- registry --------------------------------------------------------------
 
-TEST_F(MetricsTest, RegistryReturnsSameInstrumentForSameName) {
+TEST(MetricsTest, RegistryReturnsSameInstrumentForSameName) {
   auto& registry = MetricsRegistry::Global();
   Counter& a = registry.GetCounter("ipsketch_test_identity_total", "help");
   Counter& b = registry.GetCounter("ipsketch_test_identity_total");
@@ -220,7 +198,7 @@ TEST_F(MetricsTest, RegistryReturnsSameInstrumentForSameName) {
   EXPECT_EQ(&ha, &hb);
 }
 
-TEST_F(MetricsTest, RenderTextEmitsPrometheusShape) {
+TEST(MetricsTest, RenderTextEmitsPrometheusShape) {
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("ipsketch_test_render_total", "a test counter")
       .Add(7);
@@ -238,7 +216,7 @@ TEST_F(MetricsTest, RenderTextEmitsPrometheusShape) {
             std::string::npos);
 }
 
-TEST_F(MetricsTest, RenderTextMergesEmbeddedLabels) {
+TEST(MetricsTest, RenderTextMergesEmbeddedLabels) {
   auto& registry = MetricsRegistry::Global();
   registry.GetGauge("ipsketch_test_labeled{shard=\"0\"}").Set(3);
   registry.GetGauge("ipsketch_test_labeled{shard=\"1\"}").Set(4);
@@ -254,7 +232,7 @@ TEST_F(MetricsTest, RenderTextMergesEmbeddedLabels) {
             std::string::npos);
 }
 
-TEST_F(MetricsTest, RenderJsonIsWellFormedAndCarriesValues) {
+TEST(MetricsTest, RenderJsonIsWellFormedAndCarriesValues) {
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("ipsketch_test_json_total").Add(3);
   registry.GetHistogram("ipsketch_test_json_ns").Record(2048);

@@ -601,7 +601,6 @@ TEST(StorePersistenceTest, LoadMissingFileIsNotFound) {
 // load_ns sample and the file's size to bytes_read, and only a load whose
 // checksum fails adds to checksum_failures.
 TEST(StorePersistenceTest, PersistenceMetricsMoveOncePerCall) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& save_ns = registry.GetHistogram("ipsketch_persist_save_ns");
   auto& load_ns = registry.GetHistogram("ipsketch_persist_load_ns");

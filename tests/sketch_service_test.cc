@@ -355,7 +355,6 @@ TEST(SketchStoreTest, FailingBatchInsertsNothing) {
   for (uint64_t i = 0; i < 10; ++i) {
     batch.push_back({i, vector_of(i, i == 5 ? 8192 : 4096)});
   }
-  metrics::SetEnabledForTesting(true);
   auto& inserts = metrics::MetricsRegistry::Global().GetCounter(
       "ipsketch_store_inserts_total");
   ThreadPool pool(2);
@@ -588,7 +587,6 @@ TEST(CompactCatalogTest, QuantizeStoreKeepsSourceAndLayout) {
   for (uint64_t i = 0; i < 25; ++i) {
     ASSERT_TRUE(source.BuildAndInsert(i * 3, RandomVector(i)).ok());
   }
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& inserts = registry.GetCounter("ipsketch_store_inserts_total");
   auto& size_gauge = registry.GetGauge("ipsketch_store_size");
@@ -846,7 +844,6 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
 // around the operation under test, never absolute values.
 
 TEST(ServiceMetricsTest, PoolRejectionIncrementsCounter) {
-  metrics::SetEnabledForTesting(true);
   auto& rejected = metrics::MetricsRegistry::Global().GetCounter(
       "ipsketch_pool_tasks_rejected_total");
   auto& executed = metrics::MetricsRegistry::Global().GetCounter(
@@ -873,7 +870,6 @@ TEST(ServiceMetricsTest, PoolRejectionIncrementsCounter) {
 // the inputs of the service benchmark's pool.task_wait_p99_us and
 // pool.busy_frac.
 TEST(ServiceMetricsTest, PoolMetricsMoveOncePerTask) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& depth = registry.GetGauge("ipsketch_pool_queue_depth");
   auto& wait = registry.GetHistogram("ipsketch_pool_task_wait_ns");
@@ -913,7 +909,6 @@ TEST(ServiceMetricsTest, PoolMetricsMoveOncePerTask) {
 }
 
 TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& size_gauge = registry.GetGauge("ipsketch_store_size");
   auto& inserts = registry.GetCounter("ipsketch_store_inserts_total");
@@ -947,14 +942,12 @@ TEST(ServiceMetricsTest, StoreOccupancyGaugesTrackLiveSketches) {
 }
 
 // Each write-path call moves the ingest histogram and the erase counter by
-// exactly its own work: one ingest sample per vector sketched (a batch
-// shares its publication, so its samples time the sketches alone), none
-// for a pre-built Insert, and one erase per id actually removed. An erase
-// moves the size gauge and its own shard's occupancy gauge by one and
-// publishes only its own shard; a NotFound erase moves and publishes
-// nothing.
+// exactly its own work: one ingest sample per vector sketched, timing that
+// sketch alone on BuildAndInsert and BuildAndInsertBatch alike, none for a
+// pre-built Insert, and one erase per id actually removed. An erase moves
+// the size gauge and its own shard's occupancy gauge by one and publishes
+// only its own shard; a NotFound erase moves and publishes nothing.
 TEST(ServiceMetricsTest, WritePathMetricsMoveOncePerCall) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& ingest = registry.GetHistogram("ipsketch_store_ingest_ns");
   auto& erases = registry.GetCounter("ipsketch_store_erases_total");
@@ -1066,7 +1059,6 @@ TEST(ServiceMetricsTest, QueryTraceCapturesTopKStages) {
 }
 
 TEST(ServiceMetricsTest, QueryCountersMoveOnTopK) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& queries = registry.GetCounter("ipsketch_query_total");
   auto& scanned = registry.GetCounter("ipsketch_query_sketches_scanned_total");
@@ -1086,7 +1078,6 @@ TEST(ServiceMetricsTest, QueryCountersMoveOnTopK) {
 // sample per call (per query for candidate counts), on both policies and
 // at any batch size.
 TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
-  metrics::SetEnabledForTesting(true);
   auto& registry = metrics::MetricsRegistry::Global();
   auto& topk_ns = registry.GetHistogram("ipsketch_query_topk_ns");
   auto& candidates = registry.GetHistogram("ipsketch_query_candidates");

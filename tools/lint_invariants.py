@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — rules no off-the-shelf tool knows.
 
-Nine rules, each guarding an invariant the test suite can only probe
+Ten rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
@@ -20,9 +20,10 @@ point-wise but a static scan can prove tree-wide:
                  TypedSketcher), so a family cannot fork back into a
                  hand-written class.
   metrics        Every Counter/Gauge/Histogram registration uses an
-                 ipsketch_-prefixed snake_case name and appears in README's
-                 metric inventory table — the exposition surface is
-                 documented or it does not ship.
+                 ipsketch_-prefixed snake_case name, appears in README's
+                 metric inventory table and is named in at least one file
+                 under tests/ — the exposition surface is documented and
+                 tested or it does not ship.
   raw-mutex      No std::mutex / std::condition_variable / std::lock_guard /
                  std::unique_lock outside src/common/mutex.{h,cc}: every
                  lock goes through the annotated, rank-checked
@@ -61,6 +62,10 @@ point-wise but a static scan can prove tree-wide:
                  (FAMILY_ESTIMATOR_TU), by a function that a family Spec in
                  family.cc reaches, so no kernel is kept bit-identical
                  across both tiers for a caller no registered family uses.
+  env-switches   getenv appears in src/ only in src/core/simd/dispatch.cc,
+                 which reads IPSKETCH_FORCE_SCALAR: the service has one
+                 runtime switch, so a new environment knob cannot grow
+                 back beside it.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -95,6 +100,7 @@ SIMD_DIR = "src/core/simd"
 KERNELS_H = "src/core/simd/estimate_kernels.h"
 KERNEL_TIER_FILES = {"estimate_kernels_scalar.cc", "estimate_kernels_avx2.cc"}
 KERNEL_TIER_ACCESSORS = {"ScalarKernel", "Avx2Kernel"}
+DISPATCH_CC = "src/core/simd/dispatch.cc"
 
 # family name -> the translation unit holding its kernel-backed estimator.
 # A newly registered family must be added here *and* route its estimator
@@ -281,6 +287,10 @@ DOCUMENTED_METRIC = re.compile(r"`(ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*)`")
 def check_metrics(root: Path):
     findings = []
     inventory = read(root, README)
+    tests = "\n".join(
+        path.read_text(encoding="utf-8", errors="replace")
+        for path in sorted((root / "tests").rglob("*")) if path.is_file())
+    untested = set()
     for path in sorted((root / "src").rglob("*.cc")):
         rel = path.relative_to(root).as_posix()
         for match in METRIC_CALL.finditer(path.read_text(encoding="utf-8")):
@@ -298,6 +308,13 @@ def check_metrics(root: Path):
                 findings.append(
                     f"metrics: {rel}: metric '{base}' is not documented in "
                     f"{README}'s metric inventory table")
+            # A longer name that merely starts with `base` does not count.
+            if (base not in untested and
+                    not re.search(re.escape(base) + r"(?![a-z0-9_])", tests)):
+                untested.add(base)
+                findings.append(
+                    f"metrics: {rel}: metric '{base}' is named in no file "
+                    "under tests/ — drive it in a test or delete it")
     return findings
 
 
@@ -544,6 +561,27 @@ def family_reached_bodies(root: Path):
     return [body for name in sorted(reached) for body in bodies[name]]
 
 
+GETENV = re.compile(r"\b(?:secure_)?getenv\b")
+
+
+def check_env_switches(root: Path):
+    findings = []
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel == DISPATCH_CC:
+            continue
+        for i, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            if GETENV.search(line):
+                findings.append(
+                    f"env-switches: {rel}:{i}: getenv outside {DISPATCH_CC} "
+                    "— IPSKETCH_FORCE_SCALAR is the service's one runtime "
+                    "switch")
+    return findings
+
+
 def check_kernel_tiers(root: Path):
     findings = []
     tier_files = {path.name for path in (root / SIMD_DIR).glob(
@@ -589,6 +627,7 @@ RULES = {
     "store-writes": check_store_writes,
     "scoring": check_scoring,
     "kernel-tiers": check_kernel_tiers,
+    "env-switches": check_env_switches,
 }
 
 
@@ -674,6 +713,32 @@ def seed_metrics(root: Path):
         "}", 1)
     assert seeded != text, "metrics seed did not apply"
     path.write_text(seeded, encoding="utf-8")
+
+
+def seed_untested_metric(root: Path):
+    # A registered, documented metric that no test names any more.
+    name = "ipsketch_pool_tasks_rejected_total"
+    seeded_any = False
+    for path in (root / "tests").rglob("*"):
+        if not path.is_file():
+            continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        if name in text:
+            path.write_text(text.replace(name, "ipsketch_pool_phantom_total"),
+                            encoding="utf-8")
+            seeded_any = True
+    assert seeded_any, "untested metric seed did not apply"
+
+
+def seed_env_switch(root: Path):
+    # A second runtime switch, read where the metrics layer lives.
+    with (root / "src/service/metrics.cc").open("a", encoding="utf-8") as f:
+        f.write(
+            "\nnamespace ipsketch {\n"
+            "bool PhantomSwitch() {\n"
+            '  return std::getenv("IPSKETCH_PHANTOM") != nullptr;\n'
+            "}\n"
+            "}  // namespace ipsketch\n")
 
 
 def seed_raw_mutex(root: Path):
@@ -826,7 +891,10 @@ SEEDS = {
         ("second SketchFamily subclass", seed_second_family_class),
         ("second Sketcher subclass", seed_second_sketcher_class),
     ],
-    "metrics": [("unprefixed metric", seed_metrics)],
+    "metrics": [
+        ("unprefixed metric", seed_metrics),
+        ("metric named in no test", seed_untested_metric),
+    ],
     "raw-mutex": [("raw std::mutex", seed_raw_mutex)],
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
     "docs-freshness": [
@@ -846,6 +914,7 @@ SEEDS = {
         ("unread kernel field", seed_unread_kernel_field),
         ("kernel read only by a side estimator", seed_side_estimator_kernel),
     ],
+    "env-switches": [("getenv outside dispatch.cc", seed_env_switch)],
 }
 
 
