@@ -24,6 +24,11 @@
 //                  so the runs may come in any order
 //   --metrics-out  also write the post-run metrics::RenderText() snapshot
 //
+// Each level records its sample counts (topk_n, ingest_n) and reports a
+// percentile only when at least ten samples rank beyond it, the rule
+// servicebench applies; otherwise the record holds null and the table "—".
+// A smoke level offers at most 300 operations, so its p99s are null.
+//
 // No gate reads the sweep: tools/check_bench_regression.py prints its TopK
 // p99 trends against the committed baseline without failing on them.
 
@@ -32,6 +37,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,31 +64,55 @@ constexpr size_t kIngestIdRange = 64;
 // Base seed (--seed) — governs the sketch-family randomness.
 uint64_t g_seed = 7;
 
-/// Exact percentile of `values` (sorted in place), nearest-rank. Microsec.
-double PercentileUs(std::vector<uint64_t>* values_ns, double q) {
-  if (values_ns->empty()) return 0.0;
-  std::sort(values_ns->begin(), values_ns->end());
-  const double rank = q / 100.0 * static_cast<double>(values_ns->size());
-  size_t i = static_cast<size_t>(std::ceil(rank));
-  if (i > 0) --i;
-  if (i >= values_ns->size()) i = values_ns->size() - 1;
-  return static_cast<double>((*values_ns)[i]) / 1000.0;
+// A percentile is reported only when at least this many samples rank
+// beyond it — servicebench's rule — so a smoke level's p99 is not its
+// maximum under another name.
+constexpr size_t kMinSamplesBeyond = 10;
+
+/// The q-th percentile of `sorted_ns` by nearest rank, ceil(q·n / 100), in
+/// µs; nullopt unless kMinSamplesBeyond samples rank beyond it.
+std::optional<double> PercentileUs(const std::vector<uint64_t>& sorted_ns,
+                                   double q) {
+  const size_t n = sorted_ns.size();
+  if (n == 0) return std::nullopt;
+  const auto rank = std::clamp<size_t>(
+      static_cast<size_t>(std::ceil(q * static_cast<double>(n) / 100.0)), 1,
+      n);
+  if (n - rank < kMinSamplesBeyond) return std::nullopt;
+  return static_cast<double>(sorted_ns[rank - 1]) / 1000.0;
 }
 
+/// One request class's latencies at one level. A percentile the samples
+/// cannot support, and the maximum of no samples, are nullopt: `null` in
+/// the record, "—" in the table.
 struct LatencyDigest {
-  double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0, max_us = 0.0;
-  size_t ops = 0;
+  std::optional<double> p50_us, p95_us, p99_us, max_us;
+  size_t n = 0;
 };
 
 LatencyDigest Digest(std::vector<uint64_t>* values_ns) {
+  std::sort(values_ns->begin(), values_ns->end());
   LatencyDigest d;
-  d.ops = values_ns->size();
-  if (values_ns->empty()) return d;
-  d.p50_us = PercentileUs(values_ns, 50);
-  d.p95_us = PercentileUs(values_ns, 95);
-  d.p99_us = PercentileUs(values_ns, 99);
-  d.max_us = static_cast<double>(values_ns->back()) / 1000.0;  // sorted
+  d.n = values_ns->size();
+  d.p50_us = PercentileUs(*values_ns, 50);
+  d.p95_us = PercentileUs(*values_ns, 95);
+  d.p99_us = PercentileUs(*values_ns, 99);
+  if (d.n != 0) d.max_us = static_cast<double>(values_ns->back()) / 1000.0;
   return d;
+}
+
+/// `us` as a JSON number, or null.
+std::string JsonUs(const std::optional<double>& us) {
+  return us.has_value() ? bench::Format("%.1f", *us) : "null";
+}
+
+/// `us` as a table cell ("123us", or "—"), right-aligned to `width`
+/// columns.
+std::string CellUs(const std::optional<double>& us, size_t width) {
+  const std::string text =
+      us.has_value() ? bench::Format("%.0fus", *us) : "—";
+  const size_t columns = us.has_value() ? text.size() : 1;  // "—" is 3 bytes
+  return std::string(width > columns ? width - columns : 0, ' ') + text;
 }
 
 /// One offered-concurrency level of the sweep.
@@ -247,18 +277,30 @@ AsyncLevelResult RunFrontDoorLevel(FrontDoor* door, SketchStore* ingest_store,
   return result;
 }
 
+/// The two digests' members of one level record: sample counts, then
+/// each class's percentiles and maximum.
+std::string DigestJson(const LatencyDigest& topk,
+                       const LatencyDigest& ingest) {
+  return bench::Format(
+      "       \"topk_n\": %zu, \"ingest_n\": %zu,\n"
+      "       \"topk_p50_us\": %s, \"topk_p95_us\": %s, "
+      "\"topk_p99_us\": %s, \"topk_max_us\": %s,\n"
+      "       \"ingest_p50_us\": %s, \"ingest_p95_us\": %s, "
+      "\"ingest_p99_us\": %s, \"ingest_max_us\": %s}",
+      topk.n, ingest.n, JsonUs(topk.p50_us).c_str(),
+      JsonUs(topk.p95_us).c_str(), JsonUs(topk.p99_us).c_str(),
+      JsonUs(topk.max_us).c_str(), JsonUs(ingest.p50_us).c_str(),
+      JsonUs(ingest.p95_us).c_str(), JsonUs(ingest.p99_us).c_str(),
+      JsonUs(ingest.max_us).c_str());
+}
+
 void AppendLevelJson(std::string* out, const LevelResult& r, bool first) {
   *out += bench::Format(
       "%s\n      {\"offered_concurrency\": %.2f, \"offered_per_sec\": %.1f, "
-      "\"achieved_per_sec\": %.1f, \"ops\": %zu,\n"
-      "       \"topk_p50_us\": %.1f, \"topk_p95_us\": %.1f, "
-      "\"topk_p99_us\": %.1f, \"topk_max_us\": %.1f,\n"
-      "       \"ingest_p50_us\": %.1f, \"ingest_p95_us\": %.1f, "
-      "\"ingest_p99_us\": %.1f, \"ingest_max_us\": %.1f}",
+      "\"achieved_per_sec\": %.1f, \"ops\": %zu,\n",
       first ? "" : ",", r.offered_concurrency, r.offered_per_sec,
-      r.achieved_per_sec, r.topk.ops + r.ingest.ops, r.topk.p50_us,
-      r.topk.p95_us, r.topk.p99_us, r.topk.max_us, r.ingest.p50_us,
-      r.ingest.p95_us, r.ingest.p99_us, r.ingest.max_us);
+      r.achieved_per_sec, r.topk.n + r.ingest.n);
+  *out += DigestJson(r.topk, r.ingest);
 }
 
 /// The sync sweep's members: "saturation" and the end-of-run "metrics"
@@ -287,17 +329,12 @@ void AppendAsyncLevelJson(std::string* out, const AsyncLevelResult& r,
   *out += bench::Format(
       "%s\n      {\"offered_concurrency\": %.2f, \"offered_per_sec\": %.1f, "
       "\"achieved_per_sec\": %.1f, \"ops\": %zu,\n"
-      "       \"shed\": %zu, \"expired\": %zu, \"errors\": %zu,\n"
-      "       \"topk_p50_us\": %.1f, \"topk_p95_us\": %.1f, "
-      "\"topk_p99_us\": %.1f, \"topk_max_us\": %.1f,\n"
-      "       \"ingest_p50_us\": %.1f, \"ingest_p95_us\": %.1f, "
-      "\"ingest_p99_us\": %.1f, \"ingest_max_us\": %.1f}",
+      "       \"shed\": %zu, \"expired\": %zu, \"errors\": %zu,\n",
       first ? "" : ",", r.offered_concurrency, r.offered_per_sec,
       r.achieved_per_sec,
-      r.topk.ops + r.ingest.ops + r.shed + r.expired + r.errors, r.shed,
-      r.expired, r.errors, r.topk.p50_us, r.topk.p95_us, r.topk.p99_us,
-      r.topk.max_us, r.ingest.p50_us, r.ingest.p95_us, r.ingest.p99_us,
-      r.ingest.max_us);
+      r.topk.n + r.ingest.n + r.shed + r.expired + r.errors, r.shed,
+      r.expired, r.errors);
+  *out += DigestJson(r.topk, r.ingest);
 }
 
 /// The --frontdoor sweep's members: "saturation_async" and the end-of-run
@@ -412,11 +449,11 @@ int main(int argc, char** argv) {
       AsyncLevelResult r = RunFrontDoorLevel(&door, &ingest_store, &pool,
                                              queries, offered, level,
                                              num_ops);
-      std::printf("%-12.1f %12.1f %12.1f %8.0fus %8.0fus %8.0fus %8zu "
-                  "%8zu\n",
-                  level, r.offered_per_sec, r.achieved_per_sec,
-                  r.topk.p50_us, r.topk.p95_us, r.topk.p99_us, r.shed,
-                  r.expired);
+      std::printf("%-12.1f %12.1f %12.1f %s %s %s %8zu %8zu\n", level,
+                  r.offered_per_sec, r.achieved_per_sec,
+                  CellUs(r.topk.p50_us, 10).c_str(),
+                  CellUs(r.topk.p95_us, 10).c_str(),
+                  CellUs(r.topk.p99_us, 10).c_str(), r.shed, r.expired);
       levels.push_back(r);
     }
     members = AsyncMembers(levels, corpus, base_rate, fd_options);
@@ -437,10 +474,12 @@ int main(int argc, char** argv) {
       ThreadPool pool(pool_threads);
       LevelResult r = RunLevel(store, &ingest_store, &pool, queries, offered,
                                level, num_ops);
-      std::printf("%-12.1f %12.1f %12.1f %8.0fus %8.0fus %8.0fus %10.0fus\n",
-                  level, r.offered_per_sec, r.achieved_per_sec,
-                  r.topk.p50_us, r.topk.p95_us, r.topk.p99_us,
-                  r.ingest.p99_us);
+      std::printf("%-12.1f %12.1f %12.1f %s %s %s %s\n", level,
+                  r.offered_per_sec, r.achieved_per_sec,
+                  CellUs(r.topk.p50_us, 10).c_str(),
+                  CellUs(r.topk.p95_us, 10).c_str(),
+                  CellUs(r.topk.p99_us, 10).c_str(),
+                  CellUs(r.ingest.p99_us, 12).c_str());
       levels.push_back(r);
     }
     members = SyncMembers(levels, corpus, base_rate);

@@ -215,6 +215,8 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
                                size_t shard_index, TopKHeap* heap,
                                IndexProbeStats* stats) const {
   IPS_CHECK(shard_index < shards_.size());
+  const SketchFamily& family = store_->family();
+  IPS_RETURN_IF_ERROR(family.CheckCompatible(query));
   std::vector<uint64_t> candidates;
   uint64_t buckets_hit = 0;
   {
@@ -236,8 +238,6 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
-  const SketchFamily& family = store_->family();
-  IPS_RETURN_IF_ERROR(family.CheckCompatible(query));
   const ShardViewPtr view = store_->PinShard(shard_index);
   // Keep the candidates the view still holds (an id erased since the probe
   // drops out), then score them in one family call.

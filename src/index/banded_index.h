@@ -177,8 +177,9 @@ class BandedIndex final : public SketchStore::Listener {
   /// the candidate ids under the index shard's lock and releases it, then —
   /// only if there are candidates — pins the store shard's view and offers
   /// (id, estimate) to `heap` for every deduped candidate the view holds
-  /// (an id erased since the probe is skipped). InvalidArgument unless
-  /// `query` passes the view family's CheckCompatible.
+  /// (an id erased since the probe is skipped). InvalidArgument, before
+  /// any posting is read, unless `query` passes the family's
+  /// CheckCompatible.
   Status ProbeShard(const AnySketch& query,
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "index/banded_index.h"
+#include "sketch/family.h"
 
 namespace ipsketch {
 
@@ -16,12 +17,8 @@ struct FrontDoor::Request {
   uint64_t id_a = 0;
   uint64_t id_b = 0;
   EstimateCallback est_done;
-  // kTopK: exactly one of query_vec (sketched inside the batch) or
-  // query_sketch is set.
-  std::optional<SparseVector> query_vec;
-  std::unique_ptr<AnySketch> query_sketch;
-  /// Why query_vec could not be sketched; the request completes with it.
-  Status sketch_error;
+  // kTopK: the raw query, sketched inside the batch.
+  SparseVector query;
   size_t k = 0;
   TopKCallback topk_done;
 
@@ -163,9 +160,25 @@ void FrontDoor::DispatchLoop() {
 
 void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
   const uint64_t picked_up_ns = metrics::NowNs();
-  std::vector<Request*> live;
-  live.reserve(batch.size());
-  for (auto& req : batch) {
+  // Every executed request completes exactly once, counted and timed here.
+  const auto executed = [this](Request* req) {
+    completed_->Add(1);
+    latency_ns_->Record(metrics::NowNs() - req->enqueue_ns);
+  };
+  // One pass over the batch. Expired requests complete with
+  // DeadlineExceeded and estimates run directly (snapshot lookups). Top-k
+  // queries are sketched with ONE Sketcher for the whole batch — the
+  // scratch-reuse coalescing the per-caller synchronous path never gets —
+  // and go through the engine's one-traversal batch API; a query that
+  // cannot be sketched (or a family that cannot make a sketcher) completes
+  // here with that status.
+  std::optional<Result<std::unique_ptr<Sketcher>>> sketcher;
+  std::vector<Request*> topks;
+  std::vector<std::unique_ptr<AnySketch>> sketches;
+  std::vector<const AnySketch*> topk_queries;
+  std::vector<size_t> topk_ks;
+  for (const std::unique_ptr<Request>& owned : batch) {
+    Request* req = owned.get();
     queue_wait_ns_->Record(picked_up_ns - req->enqueue_ns);
     if (req->deadline_ns != 0 && picked_up_ns > req->deadline_ns) {
       expired_->Add(1);
@@ -173,42 +186,6 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
           "deadline passed while queued at the front door"));
       continue;
     }
-    live.push_back(req.get());
-  }
-
-  // Sketch raw top-k query vectors with ONE Sketcher for the whole batch —
-  // the scratch-reuse coalescing the per-caller synchronous path never
-  // gets. A vector that fails to sketch (or a family that cannot make a
-  // sketcher) records the status on its request, completed below.
-  std::optional<Result<std::unique_ptr<Sketcher>>> sketcher;
-  for (Request* req : live) {
-    if (req->kind != Request::Kind::kTopK || !req->query_vec.has_value()) {
-      continue;
-    }
-    if (!sketcher.has_value()) {
-      sketcher.emplace(store_->family().MakeSketcher());
-    }
-    if (!sketcher->ok()) {
-      req->sketch_error = sketcher->status();
-      continue;
-    }
-    std::unique_ptr<AnySketch> sketch = store_->family().NewSketch();
-    req->sketch_error =
-        sketcher->value()->Sketch(*req->query_vec, sketch.get());
-    if (req->sketch_error.ok()) req->query_sketch = std::move(sketch);
-  }
-
-  // Every executed request completes exactly once, counted and timed here.
-  const auto executed = [this](Request* req) {
-    completed_->Add(1);
-    latency_ns_->Record(metrics::NowNs() - req->enqueue_ns);
-  };
-  // Partition: estimates run directly (snapshot lookups), top-ks go
-  // through the engine's one-traversal batch API.
-  std::vector<Request*> topks;
-  std::vector<const AnySketch*> topk_queries;
-  std::vector<size_t> topk_ks;
-  for (Request* req : live) {
     if (req->kind == Request::Kind::kEstimate) {
       EstimateResult result = engine_.EstimateInnerProduct(req->id_a,
                                                            req->id_b);
@@ -216,13 +193,20 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
       req->est_done(std::move(result));
       continue;
     }
-    if (req->query_sketch == nullptr) {
+    if (!sketcher.has_value()) {
+      sketcher.emplace(store_->family().MakeSketcher());
+    }
+    std::unique_ptr<AnySketch> sketch = store_->family().NewSketch();
+    Status st = sketcher->status();
+    if (st.ok()) st = sketcher->value()->Sketch(req->query, sketch.get());
+    if (!st.ok()) {
       executed(req);
-      req->topk_done(TopKResult(std::move(req->sketch_error)));
+      req->topk_done(TopKResult(std::move(st)));
       continue;
     }
     topks.push_back(req);
-    topk_queries.push_back(req->query_sketch.get());
+    topk_queries.push_back(sketch.get());
+    sketches.push_back(std::move(sketch));
     topk_ks.push_back(req->k);
   }
   if (topks.empty()) return;
@@ -279,33 +263,7 @@ void FrontDoor::SubmitTopK(SparseVector query, size_t k, TopKCallback done,
   IPS_CHECK(done != nullptr);
   auto req = std::make_unique<Request>();
   req->kind = Request::Kind::kTopK;
-  req->query_vec.emplace(std::move(query));
-  req->k = k;
-  req->topk_done = std::move(done);
-  req->deadline_ns = deadline_ns;
-  Enqueue(std::move(req));
-}
-
-FrontDoorFuture<std::vector<QueryHit>> FrontDoor::SubmitTopKSketch(
-    std::unique_ptr<AnySketch> query, size_t k, uint64_t deadline_ns) {
-  auto state = std::make_shared<
-      front_door_internal::FutureState<std::vector<QueryHit>>>();
-  SubmitTopKSketch(
-      std::move(query), k,
-      [state](TopKResult r) {
-        front_door_internal::Complete(state, std::move(r));
-      },
-      deadline_ns);
-  return FrontDoorFuture<std::vector<QueryHit>>(std::move(state));
-}
-
-void FrontDoor::SubmitTopKSketch(std::unique_ptr<AnySketch> query, size_t k,
-                                 TopKCallback done, uint64_t deadline_ns) {
-  IPS_CHECK(done != nullptr);
-  IPS_CHECK(query != nullptr);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::kTopK;
-  req->query_sketch = std::move(query);
+  req->query = std::move(query);
   req->k = k;
   req->topk_done = std::move(done);
   req->deadline_ns = deadline_ns;

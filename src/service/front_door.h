@@ -15,10 +15,10 @@
 //      waiting for;
 //   3. drains the queue in batches and runs each batch through
 //      QueryEngine::TopKSketchBatch, which traverses the catalog once per
-//      *batch* — shards are pinned once for all queries, raw query vectors
-//      are sketched with one shared Sketcher, and with a banded index
-//      attached each query's band keys are computed once for every shard
-//      probe;
+//      *batch* — shards are pinned once for all queries, every top-k's raw
+//      query vector is sketched with one shared Sketcher, and with a banded
+//      index attached each query's band keys are computed once for every
+//      shard probe;
 //   4. reads the store through the engine's only read path, pinned epoch
 //      views: no store shard writer-mutex acquisitions, so query traffic
 //      never waits on ingest.
@@ -48,7 +48,6 @@
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
-#include "sketch/family.h"
 #include "vector/sparse_vector.h"
 
 namespace ipsketch {
@@ -132,11 +131,12 @@ class FrontDoor {
   /// pool thread at a time (one at a time without a pool).
   static constexpr size_t kMaxBatch = 32;
 
-  /// Serves `store` through `pool`. With a non-null `index` (attached to
-  /// the same store), top-k batches follow `policy`; without one they run
-  /// the exact snapshot scan. `pool` may be null — dispatch then runs
-  /// inline on the submitting thread (degenerate but correct; useful in
-  /// tests).
+  /// Serves `store` through `pool`. Top-k batches follow `policy` over
+  /// `index` (attached to the same store): the default kExactScan runs the
+  /// exact snapshot scan, and a non-exact policy with a null `index` aborts
+  /// in the engine's constructor (IPS_CHECK). `pool` may be null — dispatch
+  /// then runs inline on the submitting thread (degenerate but correct;
+  /// useful in tests).
   FrontDoor(const SketchStore* store, ThreadPool* pool,
             const FrontDoorOptions& options = {},
             const BandedIndex* index = nullptr,
@@ -161,20 +161,16 @@ class FrontDoor {
   void SubmitEstimate(uint64_t id_a, uint64_t id_b, EstimateCallback done,
                       uint64_t deadline_ns = 0);
 
-  /// Top-k against a raw query vector. The vector is copied at submit and
-  /// sketched inside the batch (one Sketcher per batch), keeping the
-  /// expensive sketching off the submitting thread.
+  /// Top-k against a raw query vector, the front door's one top-k input.
+  /// The vector is copied at submit and sketched inside the batch with the
+  /// store's own family (one Sketcher per batch), keeping the expensive
+  /// sketching off the submitting thread. A sketch built elsewhere is
+  /// queried synchronously through QueryEngine::TopKSketch.
   FrontDoorFuture<std::vector<QueryHit>> SubmitTopK(const SparseVector& query,
                                                     size_t k,
                                                     uint64_t deadline_ns = 0);
   void SubmitTopK(SparseVector query, size_t k, TopKCallback done,
                   uint64_t deadline_ns = 0);
-
-  /// Top-k against a pre-built query sketch (must match the store family).
-  FrontDoorFuture<std::vector<QueryHit>> SubmitTopKSketch(
-      std::unique_ptr<AnySketch> query, size_t k, uint64_t deadline_ns = 0);
-  void SubmitTopKSketch(std::unique_ptr<AnySketch> query, size_t k,
-                        TopKCallback done, uint64_t deadline_ns = 0);
 
  private:
   struct Request;  // front_door.cc — queue entries never escape

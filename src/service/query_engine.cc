@@ -45,6 +45,7 @@ QueryEngine::QueryEngine(const SketchStore* store, ThreadPool* pool,
     : store_(store), pool_(pool), index_(index), policy_(policy) {
   IPS_CHECK(store_ != nullptr);
   IPS_CHECK(index_ == nullptr || index_->store() == store_);
+  IPS_CHECK(index_ != nullptr || policy_ == IndexPolicy::kExactScan);
   auto& registry = metrics::MetricsRegistry::Global();
   estimate_pair_ns_ = &registry.GetHistogram(
       "ipsketch_query_estimate_pair_ns",
@@ -64,10 +65,6 @@ QueryEngine::QueryEngine(const SketchStore* store, ThreadPool* pool,
   rerank_ns_ = &registry.GetHistogram(
       "ipsketch_index_rerank_ns",
       "Banded path latency: bucket probes plus candidate re-rank");
-  fallbacks_ = &registry.GetCounter(
-      "ipsketch_index_fallback_total",
-      "Top-k queries that wanted an index path but fell back to the exact "
-      "scan (no index attached)");
   recall_probe_expected_ = &registry.GetCounter(
       "ipsketch_index_recall_probe_expected_total",
       "Exact-scan top-k hits across ProbeRecall calls (denominator)");
@@ -198,11 +195,6 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
       continue;
     }
     live[q] = true;
-  }
-
-  if (policy != IndexPolicy::kExactScan && index_ == nullptr) {
-    fallbacks_->Add(std::count(live.begin(), live.end(), true));
-    policy = IndexPolicy::kExactScan;
   }
 
   // One private heap per (query, shard); each shard is visited by exactly

@@ -66,7 +66,7 @@ enum class IndexPolicy {
   /// LSH-banded candidate ids from the index, scored from the pinned views
   /// — sublinear, recall governed by the index's (b, r); every returned
   /// estimate is bit-identical to the exact scan's for that id. Requires an
-  /// index; falls back to kExactScan without one.
+  /// index: an engine built with this policy and no index aborts.
   kBandedRerank,
 };
 
@@ -78,14 +78,14 @@ class QueryEngine {
  public:
   /// Queries run against `store`, fanning across `pool` (nullptr = serial).
   /// Both pointers must outlive the engine; the engine owns neither. This
-  /// form pins IndexPolicy::kExactScan (no index, no fallback accounting).
+  /// form pins IndexPolicy::kExactScan with no index.
   explicit QueryEngine(const SketchStore* store, ThreadPool* pool = nullptr);
 
   /// Index-aware engine: top-k queries follow `policy` against `index`
   /// (which must be attached to the same `store`; all pointers must outlive
-  /// the engine). A null `index` with a non-exact policy is permitted —
-  /// every top-k query then falls back to the exact scan and counts on
-  /// ipsketch_index_fallback_total.
+  /// the engine). The policy is decided here, once: a non-exact policy with
+  /// a null `index` aborts (IPS_CHECK). Under kExactScan the index may be
+  /// null, and a non-null one serves only ProbeRecall.
   QueryEngine(const SketchStore* store, ThreadPool* pool,
               const BandedIndex* index,
               IndexPolicy policy = IndexPolicy::kBandedRerank);
@@ -170,7 +170,6 @@ class QueryEngine {
   metrics::Counter* sketches_scanned_ = nullptr;
   metrics::Counter* queries_ = nullptr;
   metrics::Histogram* rerank_ns_ = nullptr;
-  metrics::Counter* fallbacks_ = nullptr;
   metrics::Counter* recall_probe_expected_ = nullptr;
   metrics::Counter* recall_probe_hits_ = nullptr;
 };

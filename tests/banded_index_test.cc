@@ -1,8 +1,9 @@
 // BandedIndex + index-aware QueryEngine: listener attach/replay coherence
 // under insert/erase/replace, banded hits bit-identical to the exact scan
 // and to the pairwise estimator for every banding family and kernel tier,
-// TopK edge cases on both paths, deterministic tie-breaks, null-index
-// fallback accounting, recall probes, a concurrent insert/erase/query
+// TopK edge cases on both paths, deterministic tie-breaks, the
+// construction check that a banded policy has an index, a probe's
+// compatibility check, recall probes, a concurrent insert/erase/query
 // stress the TSAN job runs, the flat postings table (reserved-value-free
 // ids and keys, wrap-around deletion, growth, long single-key runs) on its
 // own and through the store against a reference multimap, one InsertBatch
@@ -27,6 +28,7 @@
 #include "core/simd/dispatch.h"
 #include "data/synthetic.h"
 #include "index/banded_index.h"
+#include "service/front_door.h"
 #include "service/metrics.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
@@ -442,27 +444,55 @@ TEST(BandedIndexTest, TiedEstimatesBreakTowardSmallerIdsOnEveryPath) {
   }
 }
 
-TEST(BandedIndexTest, NullIndexFallsBackToExactScanAndCounts) {
+// The policy is decided once, at construction: a banded policy without an
+// index aborts there (and a FrontDoor inherits the check from its engine),
+// while the exact policy needs no index.
+TEST(BandedIndexDeathTest, BandedPolicyWithoutIndexAbortsAtConstruction) {
   SketchStore store = MakeFilledStore(15);
-  QueryEngine exact(&store, nullptr);
-  QueryEngine no_index(&store, nullptr, nullptr, IndexPolicy::kBandedRerank);
-  const SparseVector query = RandomVector(31337);
+  EXPECT_DEATH(
+      {
+        QueryEngine engine(&store, nullptr, nullptr,
+                           IndexPolicy::kBandedRerank);
+      },
+      "IPS_CHECK failed.*kExactScan");
+  EXPECT_DEATH(
+      {
+        FrontDoor door(&store, nullptr, FrontDoorOptions{}, nullptr,
+                       IndexPolicy::kBandedRerank);
+      },
+      "IPS_CHECK failed.*kExactScan");
+  QueryEngine exact(&store, nullptr, nullptr, IndexPolicy::kExactScan);
+  auto hits = exact.TopK(RandomVector(31337), 5);
+  ASSERT_TRUE(hits.ok());
+  EXPECT_EQ(hits.value().size(), 5u);
+}
 
-  const uint64_t fallbacks_before = CounterValue("ipsketch_index_fallback_total");
-  auto expected = exact.TopK(query, 5);
-  auto got = no_index.TopK(query, 5);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(expected.value().size(), got.value().size());
-  for (size_t i = 0; i < expected.value().size(); ++i) {
-    EXPECT_EQ(expected.value()[i].id, got.value()[i].id);
-    EXPECT_EQ(std::bit_cast<uint64_t>(expected.value()[i].estimate),
-              std::bit_cast<uint64_t>(got.value()[i].estimate));
+// ProbeShard checks the query before it reads any posting, so a foreign
+// sketch fails even on a probe that yields no candidates.
+TEST(BandedIndexTest, ProbeShardRejectsIncompatibleQueryWithoutCandidates) {
+  SketchStore store = MakeFilledStore(15);
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+  SketchStoreOptions other_opts = SmallStoreOptions();
+  other_opts.sketch.seed = 4242;
+  auto made = SketchStore::Make(other_opts);
+  ASSERT_TRUE(made.ok());
+  SketchStore other = std::move(made).value();
+  ASSERT_TRUE(other.BuildAndInsert(1, RandomVector(100)).ok());
+  const auto foreign = other.Lookup(1);
+  ASSERT_TRUE(foreign.ok());
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    TopKHeap heap(10);
+    IndexProbeStats stats;
+    EXPECT_EQ(index.value()
+                  ->ProbeShard(*foreign.value(), {}, s, &heap, &stats)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "shard " << s;
+    EXPECT_EQ(stats.buckets_probed, 0u);
+    EXPECT_EQ(stats.candidates, 0u);
+    EXPECT_TRUE(heap.TakeSorted().empty());
   }
-  EXPECT_EQ(CounterValue("ipsketch_index_fallback_total"),
-            fallbacks_before + 1);
-  // The dedicated-exact engine never counts a fallback.
-  EXPECT_EQ(expected.value().size(), 5u);
 }
 
 TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
@@ -475,27 +505,63 @@ TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
   EXPECT_EQ(no_index.ProbeRecall(RandomVector(1), 10).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const uint64_t expected_before =
-      CounterValue("ipsketch_index_recall_probe_expected_total");
-  const uint64_t hits_before =
-      CounterValue("ipsketch_index_recall_probe_hits_total");
-  uint64_t probes = 0;
+  // Stored id 2 is RandomVector(101). Its scaled copies have the same
+  // normalized weights, hence the same samples, so all five collide in
+  // every band and lead the exact top-10 of that vector.
+  for (uint64_t c = 2; c <= 5; ++c) {
+    ASSERT_TRUE(store
+                    .BuildAndInsert(1000 + c,
+                                    RandomVector(101).Scaled(
+                                        static_cast<double>(c)))
+                    .ok());
+  }
+
+  // Each probe moves the denominator by |exact top-k| (k: the store holds
+  // 44) and the numerator by exactly its overlap, the banded top-k ids
+  // that the exact top-k holds, which is recall × |exact top-k|.
+  struct Probe {
+    SparseVector query;
+    size_t k;
+    uint64_t min_overlap;
+  };
+  std::vector<Probe> probes;
   for (uint64_t seed = 0; seed < 5; ++seed) {
-    auto recall = engine.ProbeRecall(RandomVector(6000 + seed), 10);
+    probes.push_back({RandomVector(6000 + seed), 10, 0});
+  }
+  probes.push_back({RandomVector(101), 10, 5});
+  // A self-query's top-1 is the stored twin on both paths: recall 1.0.
+  probes.push_back({RandomVector(100), 1, 1});
+  for (const Probe& probe : probes) {
+    const auto exact = no_index.TopK(probe.query, probe.k);
+    const auto banded = engine.TopK(probe.query, probe.k);
+    ASSERT_TRUE(exact.ok());
+    ASSERT_TRUE(banded.ok());
+    ASSERT_EQ(exact.value().size(), probe.k);
+    std::set<uint64_t> exact_ids;
+    for (const QueryHit& hit : exact.value()) exact_ids.insert(hit.id);
+    uint64_t overlap = 0;
+    for (const QueryHit& hit : banded.value()) {
+      overlap += exact_ids.count(hit.id);
+    }
+    EXPECT_GE(overlap, probe.min_overlap);
+
+    const uint64_t expected_before =
+        CounterValue("ipsketch_index_recall_probe_expected_total");
+    const uint64_t hits_before =
+        CounterValue("ipsketch_index_recall_probe_hits_total");
+    auto recall = engine.ProbeRecall(probe.query, probe.k);
     ASSERT_TRUE(recall.ok());
     EXPECT_GE(recall.value(), 0.0);
     EXPECT_LE(recall.value(), 1.0);
-    ++probes;
+    EXPECT_EQ(recall.value(), static_cast<double>(overlap) /
+                                  static_cast<double>(probe.k));
+    EXPECT_EQ(CounterValue("ipsketch_index_recall_probe_expected_total") -
+                  expected_before,
+              probe.k);
+    EXPECT_EQ(CounterValue("ipsketch_index_recall_probe_hits_total") -
+                  hits_before,
+              overlap);
   }
-  // A self-query's top-1 is the stored twin on both paths: recall 1.0.
-  auto self = engine.ProbeRecall(RandomVector(100), 1);
-  ASSERT_TRUE(self.ok());
-  EXPECT_EQ(self.value(), 1.0);
-  EXPECT_EQ(CounterValue("ipsketch_index_recall_probe_expected_total") -
-                expected_before,
-            probes * 10 + 1);
-  EXPECT_GE(CounterValue("ipsketch_index_recall_probe_hits_total"),
-            hits_before + 1);
 
   // Empty store: exact set is empty, recall defined as 1.0.
   SketchStore empty_store = MakeFilledStore(0);

@@ -108,11 +108,7 @@ TEST(FrontDoorTest, CallbackFormDelivers) {
     if (!r.ok() || r.value().size() != 4) all_ok.store(false);
     pending.fetch_sub(1);
   });
-  auto sketch = store.family().NewSketch();
-  auto sketcher = store.family().MakeSketcher();
-  ASSERT_TRUE(sketcher.ok());
-  ASSERT_TRUE(sketcher.value()->Sketch(RandomVector(6), sketch.get()).ok());
-  door.SubmitTopKSketch(std::move(sketch), 4, [&](FrontDoor::TopKResult r) {
+  door.SubmitTopK(RandomVector(6), 4, [&](FrontDoor::TopKResult r) {
     if (!r.ok() || r.value().size() != 4) all_ok.store(false);
     pending.fetch_sub(1);
   });
@@ -123,36 +119,28 @@ TEST(FrontDoorTest, CallbackFormDelivers) {
 TEST(FrontDoorTest, MissingIdsAndBadQueriesFailPerRequest) {
   SketchStore store = MakePopulatedStore(8);
   ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  BlockPool(&pool, &release);
   FrontDoor door(&store, &pool);
 
-  auto missing = door.SubmitEstimate(3, 99999).Take();
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-
-  // An incompatible pre-built sketch gets its own error slot; a healthy
-  // request in the same window still completes.
-  SketchStoreOptions other_opts = SmallStoreOptions();
-  other_opts.sketch.seed = 4242;
-  SketchStore other = MakeStoreOrDie(other_opts);
-  ASSERT_TRUE(other.BuildAndInsert(0, RandomVector(0)).ok());
-  auto bad = other.Lookup(0);
-  ASSERT_TRUE(bad.ok());
-  auto bad_future =
-      door.SubmitTopKSketch(std::move(bad).value(), 3);
+  // A raw query that cannot be sketched gets its own error slot, the
+  // sketcher's status naming the dimension mismatch; a healthy request in
+  // the same window still completes. Both queue behind the parked worker,
+  // so one batch carries them.
+  auto wide_future =
+      door.SubmitTopK(SparseVector::MakeOrDie(kDim * 2, {{0, 1.0}}), 3);
   auto good_future = door.SubmitTopK(RandomVector(9), 3);
-  auto bad_result = bad_future.Take();
-  ASSERT_FALSE(bad_result.ok());
-  EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(good_future.Take().ok());
-
-  // A raw query that cannot be sketched fails with the sketcher's own
-  // status, which names the dimension mismatch.
-  auto wide = door.SubmitTopK(SparseVector::MakeOrDie(kDim * 2, {{0, 1.0}}), 3)
-                  .Take();
+  release.store(true);
+  auto wide = wide_future.Take();
   ASSERT_FALSE(wide.ok());
   EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(wide.status().message().find("dimension"), std::string::npos)
       << wide.status().ToString();
+  EXPECT_TRUE(good_future.Take().ok());
+
+  auto missing = door.SubmitEstimate(3, 99999).Take();
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
 TEST(FrontDoorTest, ShedsOnFullQueueWithUnavailable) {

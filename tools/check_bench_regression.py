@@ -58,11 +58,14 @@ noise. Malformed records produce a one-line error, not a traceback. Exit
 status: 0 ok, 1 regression or gap, 2 usage/parse error.
 
 --self-test writes records derived from the committed baseline to a temp
-dir and checks the verdicts: the baseline against itself passes, and each
-seeded fault fails (a wmh@128 speedup cut below half, a quartered index
-speedup, no "index" member, no gated wmh@128 point, a scalar kernel —
-what a host without AVX2 dispatches — under --require-kernel avx2). CI's
-static-analysis job runs it.
+dir and checks the verdicts: the baseline against itself passes, and so
+does a record whose saturation TopK p99s are all null (bench_saturation
+reports a percentile only when ten samples rank beyond it, so smoke levels
+leave p99 null), which must print "—" in every level's current column;
+each seeded fault fails (a wmh@128 speedup cut below half, a quartered
+index speedup, no "index" member, no gated wmh@128 point, a scalar kernel
+— what a host without AVX2 dispatches — under --require-kernel avx2).
+CI's static-analysis job runs it.
 """
 
 import argparse
@@ -331,32 +334,54 @@ def self_test():
         record["estimate_pairs_per_sec"].remove(
             estimate_point(record, "wmh", 128))
 
+    saturation_levels = [lvl for key in ("saturation", "saturation_async")
+                         for lvl in baseline[key]["levels"]]
+
+    def null_p99(record):
+        for key in ("saturation", "saturation_async"):
+            for lvl in record[key]["levels"]:
+                lvl["topk_p99_us"] = None
+
+    def dash_in_every_p99_row(out):
+        # A saturation row reads "conc base_p99 curr_p99 ..."; no other
+        # row of a passing run has "—" as its third cell.
+        rows = [line.split() for line in out.splitlines()]
+        return sum(row[2:3] == ["—"] for row in rows) == \
+            len(saturation_levels)
+
     cases = [
-        ("the baseline against itself", lambda record: None, 0),
-        ("wmh@128 speedup cut to 0.49x", cut_wmh128, 1),
-        ("index b=16,r=8,n=4000 speedup quartered", quarter_index, 1),
-        ("no index member", lambda record: record.pop("index"), 1),
-        ("no wmh@128 estimate point", drop_wmh128, 1),
-        ("kernel scalar", lambda record: record.update(kernel="scalar"), 1),
+        ("the baseline against itself", lambda record: None, 0, None),
+        ("saturation TopK p99s null", null_p99, 0, dash_in_every_p99_row),
+        ("wmh@128 speedup cut to 0.49x", cut_wmh128, 1, None),
+        ("index b=16,r=8,n=4000 speedup quartered", quarter_index, 1, None),
+        ("no index member", lambda record: record.pop("index"), 1, None),
+        ("no wmh@128 estimate point", drop_wmh128, 1, None),
+        ("kernel scalar", lambda record: record.update(kernel="scalar"), 1,
+         None),
     ]
     failures = 0
     with tempfile.TemporaryDirectory(prefix="bench_gate_selftest_") as tmp:
         current = Path(tmp) / "BENCH_service.json"
-        for label, seed, expected in cases:
+        for label, seed, expected, printed in cases:
             record = copy.deepcopy(baseline)
             seed(record)
             current.write_text(json.dumps(record), encoding="utf-8")
-            with contextlib.redirect_stdout(io.StringIO()), \
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
                     status = check(str(BASELINE), str(current), 0.25,
                                    "avx2", 1.75)
                 except SystemExit as e:
                     status = e.code
-            verdict = "OK" if status == expected else \
-                f"exit {status}, expected {expected}"
+            if status != expected:
+                verdict = f"exit {status}, expected {expected}"
+            elif printed is not None and not printed(out.getvalue()):
+                verdict = "the output lacks the expected text"
+            else:
+                verdict = "OK"
             print(f"self-test: {label}: {verdict}")
-            failures += status != expected
+            failures += verdict != "OK"
     return 1 if failures else 0
 
 
