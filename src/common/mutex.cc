@@ -11,7 +11,8 @@ namespace lock_rank_internal {
 namespace {
 
 // Per-thread stack of held mutexes. Real chains are ≤ 4 deep
-// (kListenerRegistry → kStoreShard → kIndexShard → kLeaf); 16 leaves
+// (kListenerRegistry → kStoreShard → kIndexShard, one band's lock at a
+// time → kLeaf); 16 leaves
 // headroom without ever allocating on a lock path.
 constexpr size_t kMaxHeld = 16;
 

@@ -22,9 +22,9 @@
 // The rank order encodes the service layer's documented acquisition
 // chains (see each rank's comment); the deepest real chain is
 // AttachListener's kListenerRegistry → kStoreShard → kIndexShard — the
-// store-shard → index-shard order in which the store's one write path
-// calls SketchStore::Listener::OnWrite and the banded index mirrors the
-// write (index/banded_index.h).
+// store-shard → band order in which the store's one write path calls
+// SketchStore::Listener::OnWrite and the banded index mirrors the write
+// into each band's postings in turn (index/banded_index.h).
 
 #ifndef IPSKETCH_COMMON_MUTEX_H_
 #define IPSKETCH_COMMON_MUTEX_H_
@@ -51,9 +51,10 @@ enum class LockRank : int {
   /// listener's OnWrite while holding one, so everything a listener
   /// acquires must rank above this.
   kStoreShard = 20,
-  /// BandedIndex per-shard locks — acquired inside OnWrite under the store
-  /// shard lock (the store-shard → index-shard order of the mirror
-  /// protocol).
+  /// BandedIndex per-band locks — acquired inside OnWrite under the store
+  /// shard lock (the store-shard → band order of the mirror protocol), and
+  /// with no lock held by a probe's candidate walk. One band lock at a
+  /// time: OnWrite and probes visit the bands in turn, never nested.
   kIndexShard = 30,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
   /// for queue pushes/pops and the batch-slot bookkeeping. It is taken with
@@ -63,8 +64,8 @@ enum class LockRank : int {
   /// the checker's work here is same-rank re-entry, which a completion
   /// callback run under the lock would cause by calling Submit. Its place
   /// between kIndexShard and kPoolQueue permits what no caller does yet:
-  /// taking it under a store or index shard lock, and taking the pool's
-  /// queue lock under it.
+  /// taking it under a store shard or index band lock, and taking the
+  /// pool's queue lock under it.
   kFrontDoorQueue = 45,
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,

@@ -114,9 +114,9 @@ BandedIndex::BandedIndex(SketchStore* store, const BandedLshParams& params)
     : store_(store),
       params_(params),
       key_seed_(store->options().sketch.seed) {
-  shards_.reserve(store->num_shards());
-  for (size_t i = 0; i < store->num_shards(); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+  bands_.reserve(params.bands);
+  for (size_t j = 0; j < params.bands; ++j) {
+    bands_.push_back(std::make_unique<Band>());
   }
   auto& registry = metrics::MetricsRegistry::Global();
   inserts_ = &registry.GetCounter("ipsketch_index_inserts_total",
@@ -162,13 +162,9 @@ BandedIndex::~BandedIndex() {
 }
 
 size_t BandedIndex::size() const {
-  size_t postings = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    postings += shard->postings.size();
-  }
-  // Every resident id is filed under exactly b keys.
-  return postings / params_.bands;
+  const Band& band = *bands_.front();
+  MutexLock lock(&band.mu);
+  return band.postings.size();
 }
 
 std::vector<uint64_t> BandedIndex::BandKeys(
@@ -190,14 +186,17 @@ std::vector<uint64_t> BandedIndex::SketchKeys(const AnySketch* sketch) const {
 
 void BandedIndex::OnWrite(uint64_t id, const AnySketch* stored,
                           const AnySketch* displaced) {
-  // Keys are computed before taking the lock. The id is unfiled under the
-  // displaced sketch's keys, then filed under the stored one's.
+  // Keys are computed before taking any lock. In each band, one hold of
+  // its lock unfiles the id under the displaced sketch's key and files it
+  // under the stored one's, so no probe of that band sees the id missing.
   const std::vector<uint64_t> stale = SketchKeys(displaced);
   const std::vector<uint64_t> keys = SketchKeys(stored);
-  Shard& shard = *shards_[store_->ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  for (uint64_t key : stale) IPS_CHECK(shard.postings.Erase(key, id));
-  for (uint64_t key : keys) shard.postings.Insert(key, id);
+  for (size_t j = 0; j < bands_.size(); ++j) {
+    Band& band = *bands_[j];
+    MutexLock lock(&band.mu);
+    if (!stale.empty()) IPS_CHECK(band.postings.Erase(stale[j], id));
+    if (!keys.empty()) band.postings.Insert(keys[j], id);
+  }
   (stored != nullptr ? inserts_ : erases_)->Add(1);
   size_gauge_->Add(int64_t{stored != nullptr} - int64_t{displaced != nullptr});
 }
@@ -210,55 +209,99 @@ Status BandedIndex::QueryBandKeys(const AnySketch& query,
   return Status::Ok();
 }
 
-Status BandedIndex::ProbeShard(const AnySketch& query,
-                               const std::vector<uint64_t>& keys,
-                               size_t shard_index, TopKHeap* heap,
-                               IndexProbeStats* stats) const {
-  IPS_CHECK(shard_index < shards_.size());
-  const SketchFamily& family = store_->family();
-  IPS_RETURN_IF_ERROR(family.CheckCompatible(query));
-  std::vector<uint64_t> candidates;
-  uint64_t buckets_hit = 0;
-  {
-    const Shard& shard = *shards_[shard_index];
-    MutexLock lock(&shard.mu);
-    // Issue every home-slot load before walking any run, so the b cache
-    // misses overlap instead of queueing behind one another.
-    for (uint64_t key : keys) shard.postings.Prefetch(key);
-    for (uint64_t key : keys) {
-      if (shard.postings.Append(key, &candidates) != 0) ++buckets_hit;
+BandCandidates BandedIndex::CollectCandidates(
+    const std::vector<uint64_t>& keys) const {
+  IPS_CHECK(keys.empty() || keys.size() == bands_.size());
+  const size_t n = store_->num_shards();
+  BandCandidates found;
+  found.begin.assign(n + 1, 0);
+  found.buckets.assign(n, 0);
+  // Ask the cache for every band's home slot before walking any, so the b
+  // misses overlap instead of queueing behind one another.
+  for (size_t j = 0; j < keys.size(); ++j) {
+    const Band& band = *bands_[j];
+    MutexLock lock(&band.mu);
+    band.postings.Prefetch(keys[j]);
+  }
+  // (store shard, id) of every posting the buckets hold, sized for the
+  // one or two postings a band's bucket typically yields. A bucket counts
+  // once per shard it yields ids for: counted[s] is the last band that
+  // counted shard s.
+  std::vector<std::pair<size_t, uint64_t>> filed;
+  filed.reserve(2 * keys.size());
+  std::vector<size_t> counted(n, keys.size());
+  std::vector<uint64_t> bucket;
+  bucket.reserve(2);
+  for (size_t j = 0; j < keys.size(); ++j) {
+    bucket.clear();
+    {
+      const Band& band = *bands_[j];
+      MutexLock lock(&band.mu);
+      band.postings.Append(keys[j], &bucket);
+    }
+    for (uint64_t id : bucket) {
+      const size_t shard = store_->ShardOf(id);
+      filed.emplace_back(shard, id);
+      if (counted[shard] != j) {
+        counted[shard] = j;
+        ++found.buckets[shard];
+      }
     }
   }
-  stats->buckets_probed += buckets_hit;
-  buckets_probed_->Add(buckets_hit);
-  if (candidates.empty()) return Status::Ok();
-  // A sketch colliding in several bands appears once per collision; dedup
-  // (outside the lock) before the much more expensive re-rank.
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  // A sketch colliding in several bands is filed once per collision; dedup
+  // before the much more expensive re-rank.
+  std::sort(filed.begin(), filed.end());
+  filed.erase(std::unique(filed.begin(), filed.end()), filed.end());
+  found.ids.reserve(filed.size());
+  for (const auto& [shard, id] : filed) {
+    found.ids.push_back(id);
+    ++found.begin[shard + 1];
+  }
+  for (size_t s = 0; s < n; ++s) found.begin[s + 1] += found.begin[s];
+  return found;
+}
 
-  const ShardViewPtr view = store_->PinShard(shard_index);
-  // Keep the candidates the view still holds (an id erased since the probe
+Status BandedIndex::ScoreShard(const AnySketch& query,
+                               const BandCandidates& found, size_t shard,
+                               const ShardView& view, TopKHeap* heap,
+                               IndexProbeStats* stats) const {
+  stats->buckets_probed += found.buckets[shard];
+  buckets_probed_->Add(found.buckets[shard]);
+  // Keep the candidates the view still holds (an id erased since step one
   // drops out), then score them in one family call.
+  const std::span<const uint64_t> group = found.Shard(shard);
+  std::vector<uint64_t> ids;
   std::vector<const AnySketch*> sketches;
-  sketches.reserve(candidates.size());
-  size_t scored = 0;
-  for (uint64_t id : candidates) {
-    const AnySketch* sketch = view->Find(id);
+  ids.reserve(group.size());
+  sketches.reserve(group.size());
+  for (uint64_t id : group) {
+    const AnySketch* sketch = view.Find(id);
     if (sketch == nullptr) continue;
-    candidates[scored++] = id;
+    ids.push_back(id);
     sketches.push_back(sketch);
   }
-  std::vector<double> estimates(scored);
+  std::vector<double> estimates(ids.size());
   const AnySketch* q = &query;
-  IPS_RETURN_IF_ERROR(family.EstimateMany({&q, 1}, sketches, estimates));
-  for (size_t i = 0; i < scored; ++i) {
-    heap->Offer(static_cast<size_t>(candidates[i]), estimates[i]);
+  IPS_RETURN_IF_ERROR(
+      store_->family().EstimateMany({&q, 1}, sketches, estimates));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    heap->Offer(static_cast<size_t>(ids[i]), estimates[i]);
   }
-  stats->candidates += scored;
-  candidates_->Add(scored);
+  stats->candidates += ids.size();
+  candidates_->Add(ids.size());
   return Status::Ok();
+}
+
+Status BandedIndex::ProbeShard(const AnySketch& query,
+                               const std::vector<uint64_t>& keys,
+                               size_t shard, TopKHeap* heap,
+                               IndexProbeStats* stats) const {
+  IPS_CHECK(shard < store_->num_shards());
+  IPS_RETURN_IF_ERROR(store_->family().CheckCompatible(query));
+  const BandCandidates found = CollectCandidates(keys);
+  if (found.Shard(shard).empty()) return Status::Ok();
+  return ScoreShard(query, found, shard, *store_->PinShard(shard), heap,
+                    stats);
 }
 
 }  // namespace ipsketch

@@ -15,22 +15,26 @@
 // estimate is bit-identical to the exact scan's for that id — banding only
 // ever *misses* true hits, never mis-scores them.
 //
-// Each index shard is one flat BandPostings table of 16-byte (band key, id)
-// postings — no per-bucket or per-id allocation, and no record of which
-// keys an id was filed under: the store's one write callback hands the
-// listener the sketch a write displaced, and the index recomputes that
-// sketch's b keys to unfile it.
+// The index is b flat BandPostings tables, one per band, of 16-byte
+// (band key, id) postings — no per-bucket or per-id allocation, and no
+// record of which keys an id was filed under: the store's one write
+// callback hands the listener the sketch a write displaced, and the index
+// recomputes that sketch's b keys to unfile it.
 //
 // The index is a SketchStore::Listener: MakeAttached subscribes it to the
 // store and replays what is already resident, after which every write —
 // insert, replace or erase — is mirrored synchronously by its one callback,
-// OnWrite, under the store's shard lock for that id: it unfiles the
-// displaced sketch's keys and files the stored one's. The index's shard
-// partition mirrors the store's (SketchStore::ShardOf), and each index
-// shard has its own mutex; the only lock order is store-shard →
-// index-shard. A probe holds one index-shard lock while it collects
-// candidate ids and releases it before scoring, so queries never deadlock
-// against writers.
+// OnWrite, under the store's shard lock for that id. OnWrite visits each
+// band once: in one hold of that band's mutex it unfiles the displaced
+// sketch's key and files the stored one's, so no probe finds an id missing
+// from a band whose key the write left unchanged. Band locks are taken one
+// at a time, never nested; the only lock order is store-shard → band.
+//
+// A probe is two steps. CollectCandidates walks the query's bucket in
+// each band once, under that band's lock, and groups the ids it finds by
+// store shard (SketchStore::ShardOf); ScoreShard then scores one shard's
+// group against that shard's pinned view, under no index lock, so queries
+// never deadlock against writers.
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -44,6 +48,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/mutex.h"
@@ -57,10 +62,12 @@ namespace ipsketch {
 /// The (b, r) banding knob. Recall for similarity J is 1 − (1 − J^r)^b:
 /// more bands = more recall and more candidates; more rows = sharper
 /// selectivity. bands·rows ≤ m; samples beyond bands·rows are unused by the
-/// filter (re-ranking always uses all m).
+/// filter (re-ranking always uses all m). The default is the documented
+/// operating point, the full filter width of the families' default
+/// m = 128.
 struct BandedLshParams {
   size_t bands = 16;
-  size_t rows = 4;
+  size_t rows = 8;
 
   /// Ok iff bands, rows ≥ 1 and bands·rows ≤ num_samples.
   Status Validate(size_t num_samples) const;
@@ -68,11 +75,28 @@ struct BandedLshParams {
 
 /// Per-query probe counters, aggregated across shards by the caller.
 struct IndexProbeStats {
-  uint64_t buckets_probed = 0;  ///< non-empty buckets hit
+  uint64_t buckets_probed = 0;  ///< buckets that yielded an id of the shard
   uint64_t candidates = 0;      ///< deduped candidates re-ranked
 };
 
-/// One index shard's postings: an open-addressing multimap from 64-bit band
+/// One query's candidates from a walk of every band (step one of a probe),
+/// grouped by store shard.
+struct BandCandidates {
+  /// Deduped ids in (store shard, id) order; shard s's group is
+  /// ids[begin[s], begin[s + 1]).
+  std::vector<uint64_t> ids;
+  std::vector<size_t> begin;
+  /// buckets[s]: the buckets that yielded an id of shard s. A bucket counts
+  /// once for each shard it yields ids for.
+  std::vector<uint64_t> buckets;
+
+  /// Shard s's group of ids.
+  std::span<const uint64_t> Shard(size_t s) const {
+    return {ids.data() + begin[s], ids.data() + begin[s + 1]};
+  }
+};
+
+/// One band's postings: an open-addressing multimap from 64-bit band
 /// key to 64-bit id, stored as a flat power-of-two array of 16-byte
 /// (key, id) slots probed linearly from `key & (capacity − 1)` — band keys
 /// are Mix64 outputs, so their low bits are already uniform. Occupancy lives
@@ -82,7 +106,7 @@ struct IndexProbeStats {
 /// the probe run back instead of leaving tombstones, and nothing is
 /// allocated per posting.
 ///
-/// Not thread-safe: BandedIndex guards each shard's table with that shard's
+/// Not thread-safe: BandedIndex guards each band's table with that band's
 /// mutex. Public so its probing edge cases can be tested directly.
 class BandPostings {
  public:
@@ -159,8 +183,8 @@ class BandedIndex final : public SketchStore::Listener {
   /// The banding knob the index was built with.
   const BandedLshParams& params() const { return params_; }
 
-  /// Total resident sketches (sums shards; not a point-in-time snapshot
-  /// across them, same caveat as SketchStore::size).
+  /// Total resident sketches: the postings of band 0, where every resident
+  /// id is filed once.
   size_t size() const;
 
   // SketchStore::Listener — called under the store's shard lock.
@@ -168,29 +192,42 @@ class BandedIndex final : public SketchStore::Listener {
                const AnySketch* displaced) override;
 
   /// The query's b band keys, in band order — computed once per query and
-  /// shared across shard probes. InvalidArgument unless `query` passes the
+  /// shared by both probe steps. InvalidArgument unless `query` passes the
   /// family's CheckCompatible.
   Status QueryBandKeys(const AnySketch& query,
                        std::vector<uint64_t>* keys) const;
 
-  /// Probes one shard's postings with `keys` (from QueryBandKeys): collects
-  /// the candidate ids under the index shard's lock and releases it, then —
-  /// only if there are candidates — pins the store shard's view and offers
-  /// (id, estimate) to `heap` for every deduped candidate the view holds
-  /// (an id erased since the probe is skipped). InvalidArgument, before
-  /// any posting is read, unless `query` passes the family's
-  /// CheckCompatible.
+  /// Probe step one: walks band j's bucket for keys[j] (from QueryBandKeys)
+  /// once per band, each under that band's lock alone, and groups the ids
+  /// found by store shard. Empty `keys` find nothing.
+  BandCandidates CollectCandidates(const std::vector<uint64_t>& keys) const;
+
+  /// Probe step two: scores `found`'s group for `shard` against `view`,
+  /// that shard's pinned view, in one EstimateMany, and offers
+  /// (id, estimate) to `heap` for every id the view holds (an id erased
+  /// since step one is skipped). Adds the shard's buckets and scored
+  /// candidates to `stats` and to the index counters. `query` must be
+  /// compatible with the store's family.
+  Status ScoreShard(const AnySketch& query, const BandCandidates& found,
+                    size_t shard, const ShardView& view, TopKHeap* heap,
+                    IndexProbeStats* stats) const;
+
+  /// Both probe steps for one shard: step one over `keys` (from
+  /// QueryBandKeys), then — only if the shard has candidates — step two
+  /// against a fresh pin of its view. InvalidArgument, before any posting
+  /// is read, unless `query` passes the family's CheckCompatible.
   Status ProbeShard(const AnySketch& query,
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;
 
  private:
-  struct Shard {
+  struct Band {
     /// kIndexShard: acquired inside OnWrite while the store's shard lock
-    /// (kStoreShard) is held — the mirror protocol's only order.
+    /// (kStoreShard) is held — the mirror protocol's only order — and
+    /// alone by probes. Never nested with another band's.
     mutable Mutex mu{LockRank::kIndexShard};
-    /// One posting per (band, resident id) of this shard. Keys are salted
-    /// per band, so cross-band collisions are as unlikely as any other.
+    /// One posting per resident id, under its key in this band. Keys are
+    /// salted per band, so the bands' buckets are independent.
     BandPostings postings IPS_GUARDED_BY(mu);
   };
 
@@ -206,7 +243,7 @@ class BandedIndex final : public SketchStore::Listener {
 
   SketchStore* store_;
   BandedLshParams params_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Band>> bands_;
   uint64_t key_seed_ = 0;
   bool attached_ = false;
 

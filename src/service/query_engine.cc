@@ -254,7 +254,7 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
       break;
     }
     case IndexPolicy::kBandedRerank: {
-      // Band keys once per query, shared across every shard probe.
+      // Band keys once per query, shared by both probe steps.
       std::vector<std::vector<uint64_t>> keys(q_count);
       {
         metrics::ScopedSpan span(trace, "band-query");
@@ -269,11 +269,19 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
       }
       metrics::ScopedSpan span(trace, "index-probe");
       metrics::ScopedLatency rerank_latency(rerank_ns_);
+      // Step one walks each band once per live query; step two scores each
+      // shard's share of every query from one pin of that shard's view.
+      std::vector<BandCandidates> found(q_count);
+      for (size_t q = 0; q < q_count; ++q) {
+        if (live[q]) found[q] = index_->CollectCandidates(keys[q]);
+      }
       probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));
       ForEachShard(pool_, n, [&](size_t s) {
+        ShardViewPtr view;
         for (size_t q = 0; q < q_count; ++q) {
-          if (!live[q]) continue;
-          Status st = index_->ProbeShard(*queries[q], keys[q], s,
+          if (!live[q] || found[q].Shard(s).empty()) continue;
+          if (view == nullptr) view = store_->PinShard(s);
+          Status st = index_->ScoreShard(*queries[q], found[q], s, *view,
                                          &heaps[q][s], &probe_stats[q][s]);
           if (!st.ok()) record_error(q, st);
         }

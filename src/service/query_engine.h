@@ -18,11 +18,12 @@
 // of thread count, shard order, or batch size.
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
-// it owns no mutex. A banded probe holds one index shard Mutex
-// (kIndexShard) while it collects candidates; view pins and errors take
-// short-lived kLeaf locks (the store's pin lock, an error-slot Mutex local
-// to each query) with nothing else held. Engine queries therefore never
-// take part in a lock-order cycle with ingest or index maintenance.
+// it owns no mutex. A banded probe holds one index band Mutex
+// (kIndexShard) at a time while it walks that band's bucket; view pins and
+// errors take short-lived kLeaf locks (the store's pin lock, an error-slot
+// Mutex local to each query) with nothing else held. Engine queries
+// therefore never take part in a lock-order cycle with ingest or index
+// maintenance.
 
 #ifndef IPSKETCH_SERVICE_QUERY_ENGINE_H_
 #define IPSKETCH_SERVICE_QUERY_ENGINE_H_
@@ -127,8 +128,9 @@ class QueryEngine {
   /// body TopK and TopKSketch run as a batch of one. Shards are visited
   /// once per *batch* instead of once per query: the exact path pins each
   /// shard view once for all queries and estimates every query against
-  /// each stored sketch while it is hot, and the banded path computes each
-  /// query's band keys once up front. `ks[i]` is query i's k. Results are
+  /// each stored sketch while it is hot, and the banded path walks each
+  /// band once per query up front, then pins only the shards holding
+  /// candidates, once each. `ks[i]` is query i's k. Results are
   /// per query, in input order; a query whose sketch is incompatible (or
   /// whose estimates fail) gets an error slot without failing the batch.
   std::vector<Result<std::vector<QueryHit>>> TopKSketchBatch(

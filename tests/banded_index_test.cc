@@ -4,13 +4,15 @@
 // TopK edge cases on both paths, deterministic tie-breaks, the
 // construction check that a banded policy has an index, a probe's
 // compatibility check, recall probes, a concurrent insert/erase/query
-// stress the TSAN job runs, the flat postings table (reserved-value-free
-// ids and keys, wrap-around deletion, growth, long single-key runs) on its
-// own and through the store against a reference multimap, one InsertBatch
-// against the same inserts one by one, and the family-side LSH code
-// contract.
+// stress and a concurrent unchanged re-store under readers (both run by
+// the TSAN job), the flat postings table (reserved-value-free ids and
+// keys, wrap-around deletion, growth, long single-key runs) on its own and
+// through the store against a reference multimap (per-shard probes and the
+// engine's banded top-k alike), one InsertBatch against the same inserts
+// one by one, and the family-side LSH code contract.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -136,6 +138,11 @@ class ScopedKernel {
 };
 
 TEST(BandedLshParamsTest, ValidateEnforcesTheBandsTimesRowsBudget) {
+  // The default is the documented operating point, (16, 8), and fits the
+  // families' default m.
+  EXPECT_EQ(BandedLshParams{}.bands, 16u);
+  EXPECT_EQ(BandedLshParams{}.rows, 8u);
+  EXPECT_TRUE(BandedLshParams{}.Validate(FamilyOptions{}.num_samples).ok());
   EXPECT_TRUE((BandedLshParams{16, 4}).Validate(64).ok());
   EXPECT_TRUE((BandedLshParams{1, 1}).Validate(1).ok());
   EXPECT_TRUE((BandedLshParams{21, 3}).Validate(64).ok());  // 63 ≤ 64
@@ -640,6 +647,67 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   }
 }
 
+// TSAN coverage: a writer re-storing sketches unchanged while readers run
+// self-queries. Each write unfiles and refiles its id in every band; a
+// reader walking the bands meanwhile must still find the id, so its
+// self-query's top hit never goes missing.
+TEST(BandedIndexTest, UnchangedReStoreNeverHidesAnIdFromReaders) {
+  auto made = SketchStore::Make(SmallStoreOptions());
+  ASSERT_TRUE(made.ok());
+  SketchStore store = std::move(made).value();
+  // Disjoint supports: no two vectors share a sample, so each one's own
+  // sketch is the only candidate of its self-query.
+  constexpr uint64_t kVectors = 64;
+  constexpr uint64_t kWidth = kDim / kVectors;
+  std::vector<std::unique_ptr<AnySketch>> sketches;
+  for (uint64_t id = 0; id < kVectors; ++id) {
+    std::vector<Entry> entries;
+    for (uint64_t i = 0; i < kWidth; ++i) {
+      entries.push_back({id * kWidth + i, 1.0 + static_cast<double>(i)});
+    }
+    sketches.push_back(SketchOrDie(
+        store.family(), SparseVector::MakeOrDie(kDim, std::move(entries))));
+    ASSERT_TRUE(store.Insert(id, sketches.back()->Clone()).ok());
+  }
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+  const QueryEngine engine(&store, nullptr, index.value().get(),
+                           IndexPolicy::kBandedRerank);
+
+  constexpr uint64_t kRewritten = 8;
+  std::atomic<bool> writing{true};
+  std::thread writer([&] {
+    for (size_t i = 0; i < 20000; ++i) {
+      const uint64_t id = i % kRewritten;
+      EXPECT_TRUE(store.Insert(id, sketches[id]->Clone()).ok());
+    }
+    writing = false;
+  });
+  struct Reads {
+    size_t probes = 0;
+    size_t missed = 0;
+  };
+  const auto read = [&](uint64_t offset, Reads* reads) {
+    do {
+      const uint64_t id = (reads->probes + offset) % kRewritten;
+      const auto hits = engine.TopKSketch(*sketches[id], 1);
+      ++reads->probes;
+      if (!hits.ok() || hits.value().empty() || hits.value()[0].id != id) {
+        ++reads->missed;
+      }
+    } while (writing);
+  };
+  Reads first;
+  Reads second;
+  std::thread first_reader([&] { read(0, &first); });
+  std::thread second_reader([&] { read(3, &second); });
+  writer.join();
+  first_reader.join();
+  second_reader.join();
+  EXPECT_EQ(first.missed, 0u) << "of " << first.probes << " probes";
+  EXPECT_EQ(second.missed, 0u) << "of " << second.probes << " probes";
+}
+
 // --- the postings table ------------------------------------------------------
 
 /// A reference multimap: band key → ids filed under it, with multiplicity.
@@ -841,7 +909,7 @@ ShardProbe ProbeIds(const BandedIndex& index, const AnySketch& query,
 
 /// Mirrors a store's mutations as (band key, id) postings per shard, with
 /// keys from the index's own QueryBandKeys, and checks every shard's probe
-/// against it.
+/// against it, then the banded engine's top-k against the probes.
 class ReferenceIndex {
  public:
   ReferenceIndex(const SketchStore* store, const BandedIndex* index)
@@ -865,9 +933,44 @@ class ReferenceIndex {
 
   size_t size() const { return keys_.size(); }
 
+  /// One banded top-k with k past the store's size returns the union of
+  /// the shard probes, each hit scored bit for bit as the pairwise
+  /// estimate, and moves the index counters by the probes' summed stats.
+  void ExpectEngineMatches(const AnySketch& query,
+                           const std::set<uint64_t>& union_ids,
+                           const IndexProbeStats& summed) const {
+    const QueryEngine engine(store_, nullptr, index_,
+                             IndexPolicy::kBandedRerank);
+    const uint64_t buckets =
+        CounterValue("ipsketch_index_buckets_probed_total");
+    const uint64_t candidates = CounterValue("ipsketch_index_candidates_total");
+    const auto hits = engine.TopKSketch(query, store_->size() + 1);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    EXPECT_EQ(CounterValue("ipsketch_index_buckets_probed_total") - buckets,
+              summed.buckets_probed);
+    EXPECT_EQ(CounterValue("ipsketch_index_candidates_total") - candidates,
+              summed.candidates);
+    std::vector<uint64_t> ids;
+    for (const QueryHit& hit : hits.value()) {
+      ids.push_back(hit.id);
+      const ShardViewPtr view = store_->PinShard(store_->ShardOf(hit.id));
+      const AnySketch* stored = view->Find(hit.id);
+      ASSERT_NE(stored, nullptr) << "id " << hit.id;
+      const auto pairwise = store_->family().Estimate(query, *stored);
+      ASSERT_TRUE(pairwise.ok());
+      EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
+                std::bit_cast<uint64_t>(pairwise.value()))
+          << "id " << hit.id;
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, std::vector<uint64_t>(union_ids.begin(), union_ids.end()));
+  }
+
   void ExpectProbesMatch(const AnySketch& query) const {
     std::vector<uint64_t> keys;
     IPS_CHECK(index_->QueryBandKeys(query, &keys).ok());
+    std::set<uint64_t> union_ids;
+    IndexProbeStats summed;
     for (size_t s = 0; s < shards_.size(); ++s) {
       std::set<uint64_t> expected;
       uint64_t buckets = 0;
@@ -882,7 +985,11 @@ class ReferenceIndex {
                 std::vector<uint64_t>(expected.begin(), expected.end()))
           << "shard " << s;
       EXPECT_EQ(probe.buckets, buckets) << "shard " << s;
+      union_ids.insert(expected.begin(), expected.end());
+      summed.buckets_probed += probe.buckets;
+      summed.candidates += probe.ids.size();
     }
+    ExpectEngineMatches(query, union_ids, summed);
   }
 
  private:
