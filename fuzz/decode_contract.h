@@ -8,9 +8,9 @@
 //      and the harness caps the input size itself — the byte-budget guard).
 //   2. If decoding succeeds, re-encoding the decoded value produces bytes
 //      the decoder accepts again, and that re-encoding is a fixed point:
-//      encode(decode(encode(s))) == encode(s). Legacy (v1) inputs re-encode
-//      to current-version bytes, so the fixed point is checked on the
-//      re-encoded bytes, not the raw input.
+//      encode(decode(encode(s))) == encode(s). The fixed point is checked
+//      on the re-encoded bytes, not the raw input, which may differ from
+//      them (e.g. a store file's entries re-encode in (shard, id) order).
 //
 // Violations abort after printing the offending codec — libFuzzer turns the
 // abort into a crash artifact, ctest into a test failure.

@@ -1,8 +1,7 @@
 // Fuzz target: store-file load — header magic/version, family name and
-// resolved-options block, shard and entry parsing, checksum trailer, and the
-// v1 (WMH-only fixed header) compatibility shim. The harness also re-seals
-// the input with a correct checksum trailer so coverage reaches past the
-// trailer check (see CheckStore).
+// resolved-options block, shard and entry parsing, and checksum trailer.
+// The harness also re-seals the input with a correct checksum trailer so
+// coverage reaches past the trailer check (see CheckStore).
 #include <cstdint>
 #include <string_view>
 

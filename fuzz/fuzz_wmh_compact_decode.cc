@@ -1,5 +1,5 @@
 // Fuzz target: compact (quantized) WMH sketch wire decode (tag 8),
-// covering the engine byte; tag 8 is v2-only, so no v1 path exists.
+// covering the engine byte.
 #include <cstdint>
 #include <string_view>
 

@@ -1,5 +1,5 @@
 // Fuzz target: Weighted MinHash sketch wire decode (tag 1), covering the
-// engine byte and the v1 (engine-less) compatibility path.
+// engine byte.
 #include <cstdint>
 #include <string_view>
 

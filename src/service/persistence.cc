@@ -51,10 +51,6 @@ metrics::Counter& ChecksumFailuresCounter() {
 
 constexpr uint32_t kStoreMagic = 0x49505354;  // "IPST"
 constexpr uint8_t kStoreVersion = 2;
-// The pre-SketchFamily format: WMH-only, fixed header
-// [dimension u64][num_shards u64][num_samples u64][seed u64][L u64]
-// [engine u8], entries framed with SerializeWmh.
-constexpr uint8_t kStoreVersionV1 = 1;
 // Decode-time sanity cap: shards are allocated up front, so an absurd
 // header value must become InvalidArgument, not a giant allocation. Real
 // stores use dozens of shards; 2^16 is far beyond any sane deployment.
@@ -70,48 +66,6 @@ uint64_t Checksum(std::string_view bytes) {
     h *= 0x100000001b3ull;
   }
   return h;
-}
-
-// Reads the v1 header into family-generic store options.
-Status ReadV1Header(wire::BoundedReader* r, SketchStoreOptions* opts) {
-  uint64_t num_shards = 0, num_samples = 0, L = 0;
-  uint8_t engine = 0;
-  IPS_RETURN_IF_ERROR(r->ReadU64(&opts->sketch.dimension));
-  IPS_RETURN_IF_ERROR(r->ReadU64(&num_shards));
-  IPS_RETURN_IF_ERROR(r->ReadU64(&num_samples));
-  IPS_RETURN_IF_ERROR(r->ReadU64(&opts->sketch.seed));
-  IPS_RETURN_IF_ERROR(r->ReadU64(&L));
-  IPS_RETURN_IF_ERROR(r->ReadU8(&engine));
-  if (engine > 1) {
-    return Status::InvalidArgument("unknown sketch engine in v1 store file");
-  }
-  opts->family = "wmh";
-  opts->num_shards = static_cast<size_t>(num_shards);
-  opts->sketch.num_samples = static_cast<size_t>(num_samples);
-  opts->sketch.params["L"] = std::to_string(L);
-  opts->sketch.params["engine"] =
-      engine == 0 ? "active_index" : "expanded_reference";
-  return Status::Ok();
-}
-
-Status ReadV2Header(wire::BoundedReader* r, SketchStoreOptions* opts) {
-  std::string_view family;
-  IPS_RETURN_IF_ERROR(r->ReadBytes(&family));
-  opts->family = std::string(family);
-  uint64_t num_shards = 0;
-  IPS_RETURN_IF_ERROR(r->ReadU64(&num_shards));
-  opts->num_shards = static_cast<size_t>(num_shards);
-  IPS_RETURN_IF_ERROR(ReadFamilyOptions(r, &opts->sketch));
-  // v2 files written before the icws engine param existed carry an empty
-  // params block; every sketch in them was built by the exact engine. The
-  // modern default (dart) must not be substituted — the family would
-  // reject the stored sketches (or, worse, relabel them), so pin the
-  // legacy engine explicitly. (wmh files always carried their engine.)
-  if (opts->family == "icws" &&
-      opts->sketch.params.count("engine") == 0) {
-    opts->sketch.params["engine"] = "icws";
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -167,20 +121,22 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes) {
   }
   uint8_t version = 0;
   IPS_RETURN_IF_ERROR(r.ReadU8(&version));
-
-  SketchStoreOptions opts;
-  if (version == kStoreVersionV1) {
-    IPS_RETURN_IF_ERROR(ReadV1Header(&r, &opts));
-  } else if (version == kStoreVersion) {
-    IPS_RETURN_IF_ERROR(ReadV2Header(&r, &opts));
-  } else {
+  if (version != kStoreVersion) {
     return Status::InvalidArgument("unsupported sketch-store version " +
                                    std::to_string(version));
   }
 
-  if (opts.num_shards == 0 || opts.num_shards > kMaxDecodedShards) {
+  SketchStoreOptions opts;
+  std::string_view family;
+  IPS_RETURN_IF_ERROR(r.ReadBytes(&family));
+  opts.family = std::string(family);
+  uint64_t num_shards = 0;
+  IPS_RETURN_IF_ERROR(r.ReadU64(&num_shards));
+  IPS_RETURN_IF_ERROR(ReadFamilyOptions(&r, &opts.sketch));
+  if (num_shards == 0 || num_shards > kMaxDecodedShards) {
     return Status::InvalidArgument("sketch-store shard count out of range");
   }
+  opts.num_shards = static_cast<size_t>(num_shards);
   auto made = SketchStore::Make(opts);
   IPS_RETURN_IF_ERROR(made.status());
   SketchStore store = std::move(made).value();

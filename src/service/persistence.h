@@ -13,9 +13,9 @@
 // The header carries the *family tag* and the family's fully resolved
 // options, so a file is self-describing for any registered family and a
 // reopening process can verify it got the catalog it expected
-// (LoadSketchStoreAs). Version-1 files — the WMH-only format that predates
-// the SketchFamily interface — are still readable: their fixed header maps
-// onto family "wmh" with params {L, engine}.
+// (LoadSketchStoreAs). Version 2 is the only version read: a version-1
+// file (the WMH-only format that predates the SketchFamily interface) fails
+// with InvalidArgument "unsupported sketch-store version 1".
 //
 // Each entry's payload is exactly the per-sketch wire format, so a store
 // file is also a valid container of individually-parseable sketches. Load
@@ -45,12 +45,12 @@ namespace ipsketch {
 /// (shard, id) order from the pinned shard views.
 std::string EncodeSketchStore(const SketchStore& store);
 
-/// Decodes a store previously produced by EncodeSketchStore (version 2) or
-/// by the pre-SketchFamily WMH-only format (version 1), reproducing family,
-/// options, shard layout, and every sketch. InvalidArgument on malformed
-/// bytes. Every entry is deserialized, then all go in with one
-/// SketchStore::InsertBatch: each is checked against the family's resolved
-/// options, any order is accepted, and a later entry for an id wins.
+/// Decodes a store previously produced by EncodeSketchStore (version 2),
+/// reproducing family, options, shard layout, and every sketch.
+/// InvalidArgument on malformed bytes or any other version. Every entry is
+/// deserialized, then all go in with one SketchStore::InsertBatch: each is
+/// checked against the family's resolved options, any order is accepted,
+/// and a later entry for an id wins.
 Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 
 /// Ok iff the store's family tag and resolved options match `expected`

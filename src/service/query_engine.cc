@@ -1,6 +1,5 @@
 #include "service/query_engine.h"
 
-#include <algorithm>
 #include <span>
 #include <unordered_set>
 
@@ -50,8 +49,6 @@ QueryEngine::QueryEngine(const SketchStore* store, ThreadPool* pool,
   estimate_pair_ns_ = &registry.GetHistogram(
       "ipsketch_query_estimate_pair_ns",
       "EstimateInnerProduct latency: two lookups plus one estimate");
-  scan_ns_ = &registry.GetHistogram(
-      "ipsketch_query_scan_ns", "EstimateAgainstQuery end-to-end latency");
   topk_ns_ = &registry.GetHistogram("ipsketch_query_topk_ns",
                                     "TopK/TopKSketch end-to-end latency");
   candidates_per_query_ = &registry.GetHistogram(
@@ -101,52 +98,6 @@ Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
   std::unique_ptr<AnySketch> sketch = store_->family().NewSketch();
   IPS_RETURN_IF_ERROR(sketcher.value()->Sketch(query, sketch.get()));
   return sketch;
-}
-
-Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
-    const SparseVector& query, metrics::QueryTrace* trace) const {
-  metrics::ScopedLatency latency(scan_ns_);
-  queries_->Add(1);
-  Result<std::unique_ptr<AnySketch>> sketched = [&] {
-    metrics::ScopedSpan span(trace, "sketch-query");
-    return SketchQuery(query);
-  }();
-  IPS_RETURN_IF_ERROR(sketched.status());
-  const AnySketch* qs = sketched.value().get();
-  const SketchFamily& family = store_->family();
-
-  std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
-  // kLeaf: taken from shard workers, which hold no lock; nothing nests
-  // under it.
-  Mutex error_mu;
-  Status first_error;
-  {
-    metrics::ScopedSpan span(trace, "shard-scan");
-    ForEachShard(pool_, store_->num_shards(), [&](size_t s) {
-      const ShardViewPtr view = store_->PinShard(s);
-      std::vector<double> estimates(view->ids.size());
-      Status st = family.EstimateMany({&qs, 1}, SketchesOf(*view), estimates);
-      if (!st.ok()) {
-        MutexLock lock(&error_mu);
-        if (first_error.ok()) first_error = std::move(st);
-        return;
-      }
-      per_shard[s].reserve(estimates.size());
-      for (size_t i = 0; i < estimates.size(); ++i) {
-        per_shard[s].push_back({view->ids[i], estimates[i]});
-      }
-    });
-  }
-  IPS_RETURN_IF_ERROR(first_error);
-
-  std::vector<QueryHit> all;
-  for (auto& shard_hits : per_shard) {
-    all.insert(all.end(), shard_hits.begin(), shard_hits.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const QueryHit& a, const QueryHit& b) { return a.id < b.id; });
-  sketches_scanned_->Add(all.size());
-  return all;
 }
 
 Result<std::vector<QueryHit>> QueryEngine::TopK(

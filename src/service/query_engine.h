@@ -98,13 +98,6 @@ class QueryEngine {
   /// absent.
   Result<double> EstimateInnerProduct(uint64_t id_a, uint64_t id_b) const;
 
-  /// Sketches `query` once with the store's family, then scans every shard
-  /// (in parallel when a pool is present) and returns an estimate for every
-  /// stored vector, sorted by id. A non-null `trace` receives stage spans
-  /// (sketch-query, shard-scan).
-  Result<std::vector<QueryHit>> EstimateAgainstQuery(
-      const SparseVector& query, metrics::QueryTrace* trace = nullptr) const;
-
   /// The `k` stored vectors with the largest estimated inner product
   /// against `query` (sketched once), best first; ties break toward the
   /// smaller id. Returns fewer than `k` hits iff the store is smaller.
@@ -166,7 +159,6 @@ class QueryEngine {
   // Process-wide query metrics (all QueryEngine instances aggregate).
   // Registry-owned; valid forever.
   metrics::Histogram* estimate_pair_ns_ = nullptr;
-  metrics::Histogram* scan_ns_ = nullptr;
   metrics::Histogram* topk_ns_ = nullptr;
   metrics::Histogram* candidates_per_query_ = nullptr;
   metrics::Counter* sketches_scanned_ = nullptr;

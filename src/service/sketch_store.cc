@@ -295,10 +295,6 @@ Status SketchStore::BuildAndInsertBatch(
   return InsertBatch(std::move(sketched));
 }
 
-bool SketchStore::Contains(uint64_t id) const {
-  return PinShard(ShardOf(id))->Find(id) != nullptr;
-}
-
 Result<std::unique_ptr<AnySketch>> SketchStore::Lookup(uint64_t id) const {
   const ShardViewPtr view = PinShard(ShardOf(id));
   const AnySketch* sketch = view->Find(id);
@@ -353,27 +349,6 @@ Status SketchStore::DetachListener(Listener* listener) {
   }
   listener_ = nullptr;
   return Status::Ok();
-}
-
-std::vector<uint64_t> SketchStore::Ids() const {
-  std::vector<uint64_t> out;
-  for (const ShardViewPtr& view : PinStore()) {
-    out.insert(out.end(), view->ids.begin(), view->ids.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-double SketchStore::TotalStorageWords() const {
-  double total = 0.0;
-  for (const ShardViewPtr& view : PinStore()) {
-    for (const auto& sketch : view->sketches) {
-      // Every stored sketch passed CheckCompatible on insert, so the
-      // family-side cast cannot fail.
-      total += family_->StorageWords(*sketch).value();
-    }
-  }
-  return total;
 }
 
 double SketchStore::TotalResidentWords() const {

@@ -11,8 +11,8 @@
 //
 // Concurrency model: N shards (hash-on-id). Each shard is one immutable
 // epoch view (ShardView), and that view is the shard's only copy of its
-// sketches. Every read — size, Contains, Lookup, Ids, the storage totals,
-// query scans — pins views and never takes a shard's writer mutex (see
+// sketches. Every read — size, Lookup, TotalResidentWords, query scans —
+// pins views and never takes a shard's writer mutex (see
 // docs/ARCHITECTURE.md's snapshot-epoch protocol). One mutex per shard
 // serializes that shard's writers, which build and publish the successor
 // view; writers to different shards never contend.
@@ -170,9 +170,6 @@ class SketchStore {
       const std::vector<std::pair<uint64_t, SparseVector>>& batch,
       ThreadPool* pool);
 
-  /// True iff `id` is present.
-  bool Contains(uint64_t id) const;
-
   /// Copies out the sketch stored under `id`; NotFound if absent.
   Result<std::unique_ptr<AnySketch>> Lookup(uint64_t id) const;
 
@@ -205,16 +202,9 @@ class SketchStore {
   /// across shards: concurrent writers may publish between two pins.
   std::vector<ShardViewPtr> PinStore() const;
 
-  /// All ids, sorted.
-  std::vector<uint64_t> Ids() const;
-
   /// The shard an id maps to (stable across runs — persistence relies on a
   /// load with equal num_shards reproducing the layout).
   size_t ShardOf(uint64_t id) const;
-
-  /// Sum of family().StorageWords over every stored sketch — the catalog's
-  /// size under the paper's §5 accounting model.
-  double TotalStorageWords() const;
 
   /// Sum of family().ResidentWords over every stored sketch — the actual
   /// in-memory catalog footprint in 64-bit words. For a full-precision

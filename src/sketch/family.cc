@@ -488,20 +488,8 @@ struct WmhSpec {
   }
   static std::string Serialize(const WmhSketch& s) { return SerializeWmh(s); }
 
-  Result<WmhSketch> Deserialize(std::string_view bytes) const {
-    bool v1_payload = false;
-    auto parsed = DeserializeWmh(bytes, &v1_payload);
-    IPS_RETURN_IF_ERROR(parsed.status());
-    WmhSketch sketch = std::move(parsed).value();
-    // Engine-less v1 payloads were built by whichever v1-era engine this
-    // family resolves to (the store header is authoritative) — adopt it so
-    // legacy expanded_reference catalogs keep loading. A dart family never
-    // adopts: no v1 producer existed for it.
-    if (v1_payload && (concrete.engine == WmhEngine::kActiveIndex ||
-                       concrete.engine == WmhEngine::kExpandedReference)) {
-      sketch.engine = concrete.engine;
-    }
-    return sketch;
+  static Result<WmhSketch> Deserialize(std::string_view bytes) {
+    return DeserializeWmh(bytes);
   }
 };
 

@@ -147,13 +147,8 @@ Status BoundedReader::ReadF32s(std::vector<float>* xs) {
 namespace {
 
 constexpr uint32_t kMagic = 0x49505348;  // "IPSH"
-// Version 2 added the engine byte to WMH payloads and the engine byte + L
-// to ICWS payloads; every other payload is unchanged. Version-1 bytes still
-// parse: they predate the dart engines, so their sketches were by
-// definition built by the legacy engines (WMH kActiveIndex, ICWS kExact) —
-// that is what the missing fields decode to.
+// The only version decoded: version 1 is retired (docs/WIRE_FORMAT.md).
 constexpr uint8_t kVersion = 2;
-constexpr uint8_t kVersionV1 = 1;
 
 // --- encoding ---------------------------------------------------------------
 
@@ -206,23 +201,16 @@ class Reader : public wire::BoundedReader {
  public:
   using wire::BoundedReader::BoundedReader;
 
-  /// Header check for payloads that are identical across accepted format
-  /// versions (everything except WMH and ICWS).
+  /// Reads and validates the header: magic, version 2, and `tag`.
   Status ExpectHeader(SketchTypeTag tag) {
-    uint8_t version = 0;
-    return ExpectHeader(tag, &version);
-  }
-
-  /// Reads and validates the header; `*version` reports which accepted
-  /// format version (1 or 2) the payload uses.
-  Status ExpectHeader(SketchTypeTag tag, uint8_t* version) {
     uint32_t magic = 0;
     IPS_RETURN_IF_ERROR(ReadU32(&magic));
     if (magic != kMagic) return Status::InvalidArgument("bad sketch magic");
-    IPS_RETURN_IF_ERROR(ReadU8(version));
-    if (*version != kVersion && *version != kVersionV1) {
+    uint8_t version = 0;
+    IPS_RETURN_IF_ERROR(ReadU8(&version));
+    if (version != kVersion) {
       return Status::InvalidArgument("unsupported sketch version " +
-                                     std::to_string(*version));
+                                     std::to_string(version));
     }
     uint8_t got = 0;
     IPS_RETURN_IF_ERROR(ReadU8(&got));
@@ -263,20 +251,14 @@ std::string SerializeWmh(const WmhSketch& sketch) {
   return out;
 }
 
-Result<WmhSketch> DeserializeWmh(std::string_view bytes, bool* v1_payload) {
+Result<WmhSketch> DeserializeWmh(std::string_view bytes) {
   Reader r(bytes);
-  uint8_t version = 0;
-  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kWmh, &version));
-  if (v1_payload != nullptr) *v1_payload = version < 2;
+  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kWmh));
   WmhSketch s;
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.seed));
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.L));
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.dimension));
-  if (version >= 2) {
-    IPS_RETURN_IF_ERROR(ReadWmhEngine(&r, &s.engine));
-  } else {
-    s.engine = WmhEngine::kActiveIndex;  // the only v1 production engine
-  }
+  IPS_RETURN_IF_ERROR(ReadWmhEngine(&r, &s.engine));
   IPS_RETURN_IF_ERROR(r.ReadDouble(&s.norm));
   IPS_RETURN_IF_ERROR(r.ReadDoubles(&s.hashes));
   IPS_RETURN_IF_ERROR(r.ReadDoubles(&s.values));
@@ -455,23 +437,17 @@ std::string SerializeIcws(const IcwsSketch& sketch) {
 
 Result<IcwsSketch> DeserializeIcws(std::string_view bytes) {
   Reader r(bytes);
-  uint8_t version = 0;
-  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kIcws, &version));
+  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kIcws));
   IcwsSketch s;
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.seed));
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.dimension));
-  if (version >= 2) {
-    uint8_t engine = 0;
-    IPS_RETURN_IF_ERROR(r.ReadU8(&engine));
-    if (engine > static_cast<uint8_t>(IcwsEngine::kDart)) {
-      return Status::InvalidArgument("unknown ICWS engine");
-    }
-    s.engine = static_cast<IcwsEngine>(engine);
-    IPS_RETURN_IF_ERROR(r.ReadU64(&s.L));
-  } else {
-    s.engine = IcwsEngine::kExact;  // v1 predates the dart variant
-    s.L = 0;
+  uint8_t engine = 0;
+  IPS_RETURN_IF_ERROR(r.ReadU8(&engine));
+  if (engine > static_cast<uint8_t>(IcwsEngine::kDart)) {
+    return Status::InvalidArgument("unknown ICWS engine");
   }
+  s.engine = static_cast<IcwsEngine>(engine);
+  IPS_RETURN_IF_ERROR(r.ReadU64(&s.L));
   IPS_RETURN_IF_ERROR(r.ReadDouble(&s.norm));
   IPS_RETURN_IF_ERROR(r.ReadU64s(&s.fingerprints));
   IPS_RETURN_IF_ERROR(r.ReadDoubles(&s.values));
@@ -483,23 +459,6 @@ Result<IcwsSketch> DeserializeIcws(std::string_view bytes) {
 }
 
 // --- compact / b-bit WMH -------------------------------------------------------
-
-namespace {
-
-// The quantized payloads are new in wire version 2: no version-1 producer
-// ever existed for these tags, so unlike WMH/ICWS there is no legacy
-// decode path — a version-1 header on them is corruption, not history.
-Status ExpectQuantizedHeader(Reader* r, SketchTypeTag tag) {
-  uint8_t version = 0;
-  IPS_RETURN_IF_ERROR(r->ExpectHeader(tag, &version));
-  if (version < 2) {
-    return Status::InvalidArgument(
-        "quantized WMH payloads require wire version 2");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 std::string SerializeCompactWmh(const CompactWmhSketch& sketch) {
   std::string out;
@@ -516,8 +475,7 @@ std::string SerializeCompactWmh(const CompactWmhSketch& sketch) {
 
 Result<CompactWmhSketch> DeserializeCompactWmh(std::string_view bytes) {
   Reader r(bytes);
-  IPS_RETURN_IF_ERROR(
-      ExpectQuantizedHeader(&r, SketchTypeTag::kCompactWmh));
+  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kCompactWmh));
   CompactWmhSketch s;
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.seed));
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.L));
@@ -550,7 +508,7 @@ std::string SerializeBbitWmh(const BbitWmhSketch& sketch) {
 
 Result<BbitWmhSketch> DeserializeBbitWmh(std::string_view bytes) {
   Reader r(bytes);
-  IPS_RETURN_IF_ERROR(ExpectQuantizedHeader(&r, SketchTypeTag::kBbitWmh));
+  IPS_RETURN_IF_ERROR(r.ExpectHeader(SketchTypeTag::kBbitWmh));
   BbitWmhSketch s;
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.seed));
   IPS_RETURN_IF_ERROR(r.ReadU64(&s.L));

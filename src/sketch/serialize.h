@@ -7,9 +7,9 @@
 //   [magic u32][version u8][type u8][payload ...]
 //
 // with all integers little-endian and doubles as IEEE-754 bit patterns.
-// Deserialization validates the magic, version, type tag, and payload
-// length, returning InvalidArgument on any mismatch — corrupted bytes never
-// produce a silently wrong sketch.
+// Deserialization validates the magic, version (2 is the only one read),
+// type tag, and payload length, returning InvalidArgument on any mismatch —
+// corrupted bytes never produce a silently wrong sketch.
 //
 // Note that the wire sizes here are engineering-faithful but not identical
 // to the paper's §5 *accounting* model (which charges 32 bits per stored
@@ -105,13 +105,7 @@ class BoundedReader : public Reader {
 /// Serializes a Weighted MinHash sketch.
 std::string SerializeWmh(const WmhSketch& sketch);
 /// Parses a Weighted MinHash sketch; InvalidArgument on malformed input.
-/// Version-1 payloads predate the engine field and decode with
-/// `engine = kActiveIndex`; `*v1_payload` (when non-null) reports that the
-/// payload was engine-less, so a caller that knows the true v1-era engine
-/// (e.g. a store file's header) can adopt it instead — see
-/// WmhSpec::Deserialize in sketch/family.cc.
-Result<WmhSketch> DeserializeWmh(std::string_view bytes,
-                                 bool* v1_payload = nullptr);
+Result<WmhSketch> DeserializeWmh(std::string_view bytes);
 
 std::string SerializeMh(const MhSketch& sketch);
 Result<MhSketch> DeserializeMh(std::string_view bytes);
@@ -130,9 +124,7 @@ Result<IcwsSketch> DeserializeIcws(std::string_view bytes);
 
 /// Serializes a compact (32-bit hash, float32 value) WMH sketch. The wire
 /// form carries the engine byte, exactly as full-precision WMH payloads do:
-/// compact sketches are only comparable across equal engines. These tags
-/// are new in wire version 2, so no version-1 payload exists for them and
-/// none is accepted.
+/// compact sketches are only comparable across equal engines.
 std::string SerializeCompactWmh(const CompactWmhSketch& sketch);
 Result<CompactWmhSketch> DeserializeCompactWmh(std::string_view bytes);
 

@@ -36,6 +36,7 @@
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
 #include "sketch/family.h"
+#include "tests/store_test_util.h"
 
 namespace ipsketch {
 namespace {
@@ -317,15 +318,16 @@ TEST_P(BandedBitIdentityTest, HitsMatchExactScanAndPairwiseBitForBit) {
     const auto query_sketch = SketchOrDie(store.family(), query);
     for (const simd::EstimateKernel* kernel : simd::AvailableKernels()) {
       ScopedKernel scoped(kernel);
-      auto all = exact.EstimateAgainstQuery(query);
+      auto all = exact.TopKSketch(*query_sketch, store.size());
       ASSERT_TRUE(all.status().ok());
+      const std::vector<QueryHit> rows = SortedById(all.value());
       auto hits = banded.TopKSketch(*query_sketch, kCorpus);
       ASSERT_TRUE(hits.status().ok()) << hits.status().ToString();
       bool twin_found = false;
       for (const QueryHit& hit : hits.value()) {
         EXPECT_NE(hit.id, absent);
         twin_found = twin_found || hit.id == twin;
-        const QueryHit* row = FindRow(all.value(), hit.id);
+        const QueryHit* row = FindRow(rows, hit.id);
         ASSERT_NE(row, nullptr) << "id " << hit.id;
         EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
                   std::bit_cast<uint64_t>(row->estimate))
@@ -616,7 +618,6 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
       auto looked_up = store.Lookup(id);
       ASSERT_TRUE(looked_up.ok() ||
                   looked_up.status().code() == StatusCode::kNotFound);
-      static_cast<void>(store.Contains(id));
       ASSERT_LE(store.size(), 32 + kOps);
     }
   };
@@ -633,14 +634,15 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   EXPECT_EQ(index.value()->size(), store.size());
   const SparseVector query = RandomVector(7148);
   QueryEngine exact(&store, nullptr);
-  auto all = exact.EstimateAgainstQuery(query);
+  auto all = exact.TopK(query, store.size());
   auto hits = serial.TopK(query, store.size());
   ASSERT_TRUE(all.ok());
   ASSERT_TRUE(hits.ok());
   ASSERT_FALSE(hits.value().empty());
   EXPECT_EQ(hits.value()[0].id, 1148u);
+  const std::vector<QueryHit> rows = SortedById(all.value());
   for (const QueryHit& hit : hits.value()) {
-    const QueryHit* row = FindRow(all.value(), hit.id);
+    const QueryHit* row = FindRow(rows, hit.id);
     ASSERT_NE(row, nullptr) << "id " << hit.id;
     EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
               std::bit_cast<uint64_t>(row->estimate));
@@ -1017,7 +1019,7 @@ TEST(BandedIndexTest, ProbesMatchAReferenceMultimapUnderRandomMutations) {
   for (size_t op = 0; op < 400; ++op) {
     const uint64_t id = id_pool[rng.NextBounded(id_pool.size())];
     if (rng.NextBounded(4) == 0) {
-      const bool present = store.Contains(id);
+      const bool present = store.Lookup(id).ok();
       EXPECT_EQ(store.Erase(id).ok(), present);
       reference.Erase(id);
     } else {

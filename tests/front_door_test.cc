@@ -19,6 +19,7 @@
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
+#include "tests/store_test_util.h"
 
 namespace ipsketch {
 namespace {
@@ -273,14 +274,15 @@ TEST(FrontDoorTest, BandedPolicyMatchesSyncEngineAndExactScores) {
     auto sync_hits = banded.TopK(query, 8);
     ASSERT_TRUE(sync_hits.status().ok());
     ASSERT_EQ(door_hits.value().size(), sync_hits.value().size());
-    auto all = exact.EstimateAgainstQuery(query);
+    auto all = exact.TopK(query, store.size());
     ASSERT_TRUE(all.status().ok());
+    const std::vector<QueryHit> rows = SortedById(all.value());
     for (size_t j = 0; j < door_hits.value().size(); ++j) {
       const QueryHit& hit = door_hits.value()[j];
       EXPECT_EQ(hit.id, sync_hits.value()[j].id);
       EXPECT_EQ(hit.estimate, sync_hits.value()[j].estimate);
       // Ids are 0..count-1, so the id-sorted exact row is at index id.
-      EXPECT_EQ(hit.estimate, all.value()[hit.id].estimate);
+      EXPECT_EQ(hit.estimate, rows[hit.id].estimate);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Golden-bytes lock on the wire formats: the exact serialized bytes of one
-// hand-built sketch per registered family, the persistence v2 store header,
-// and the legacy per-sketch v1 decoding rules.
+// hand-built sketch per registered family and the persistence v2 store
+// header. Version 2 is the only version decoded.
 //
 // Sketches are *stored* — a drifting wire format (a reordered field, a
 // changed default, an endianness slip on a new platform) silently corrupts
@@ -11,8 +11,9 @@
 // platform and compiler.
 //
 // If a test here fails because the format was *intentionally* changed: bump
-// the wire version, keep a decode path for the old one (as v1 → v2 did),
-// and only then regenerate the constants.
+// the wire version, keep a decode path for the old one while files in the
+// old version exist (retiring it is a change of its own, recorded in
+// docs/WIRE_FORMAT.md as v1's was), and only then regenerate the constants.
 
 #include <string>
 #include <string_view>
@@ -274,52 +275,6 @@ TEST(GoldenBytesTest, PersistenceCompactStoreHeader) {
   EXPECT_EQ(decoded.value().options().sketch, store.options().sketch);
 }
 
-// --- legacy v1 per-sketch bytes ---------------------------------------------
-
-// Version-1 payloads predate the engine fields; they must keep decoding,
-// with the engines every v1 producer used: WMH kActiveIndex, ICWS kExact.
-TEST(GoldenBytesTest, LegacyV1WmhBytesDecodeAsActiveIndex) {
-  std::string v1;
-  wire::AppendU32(&v1, 0x49505348);  // "IPSH"
-  wire::AppendU8(&v1, 1);            // version 1
-  wire::AppendU8(&v1, 1);            // kWmh
-  wire::AppendU64(&v1, 7);           // seed
-  wire::AppendU64(&v1, 4096);        // L
-  wire::AppendU64(&v1, 512);         // dimension  (no engine byte in v1)
-  wire::AppendDouble(&v1, 2.5);      // norm
-  wire::AppendU64(&v1, 1);
-  wire::AppendDouble(&v1, 0.5);      // hashes
-  wire::AppendU64(&v1, 1);
-  wire::AppendDouble(&v1, 0.75);     // values
-
-  const auto parsed = DeserializeWmh(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().engine, WmhEngine::kActiveIndex);
-  EXPECT_EQ(parsed.value().L, 4096u);
-  EXPECT_EQ(parsed.value().norm, 2.5);
-  // Re-encoding writes the current version; v1 is decode-only.
-  EXPECT_EQ(ToHex(SerializeWmh(parsed.value())).substr(8, 2), "02");
-}
-
-TEST(GoldenBytesTest, LegacyV1IcwsBytesDecodeAsExact) {
-  std::string v1;
-  wire::AppendU32(&v1, 0x49505348);  // "IPSH"
-  wire::AppendU8(&v1, 1);            // version 1
-  wire::AppendU8(&v1, 6);            // kIcws
-  wire::AppendU64(&v1, 7);           // seed
-  wire::AppendU64(&v1, 512);         // dimension  (no engine/L in v1)
-  wire::AppendDouble(&v1, 2.5);      // norm
-  wire::AppendU64(&v1, 1);
-  wire::AppendU64(&v1, 42);          // fingerprints
-  wire::AppendU64(&v1, 1);
-  wire::AppendDouble(&v1, 0.75);     // values
-
-  const auto parsed = DeserializeIcws(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().engine, IcwsEngine::kExact);
-  EXPECT_EQ(parsed.value().L, 0u);
-}
-
 TEST(GoldenBytesTest, UnknownVersionsAndEnginesAreRejected) {
   std::string v3 = FromHex(kGoldenWmh);
   v3[4] = 3;  // version byte
@@ -332,7 +287,7 @@ TEST(GoldenBytesTest, UnknownVersionsAndEnginesAreRejected) {
 
 TEST(GoldenBytesTest, QuantizedPayloadsRejectVersionOne) {
   // The quantized tags are new in wire version 2: no v1 producer ever
-  // existed, so a v1 header on them is corruption, never legacy data.
+  // existed for them, and no decoder accepts a v1 header.
   for (const char* golden : {kGoldenCompactWmh, kGoldenBbitWmh}) {
     std::string v1 = FromHex(golden);
     v1[4] = 1;  // version byte

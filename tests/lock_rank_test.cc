@@ -13,6 +13,7 @@
 
 #include "index/banded_index.h"
 #include "service/sketch_store.h"
+#include "tests/store_test_util.h"
 #include "vector/sparse_vector.h"
 
 namespace ipsketch {
@@ -147,7 +148,7 @@ TEST(LockRankTest, QuantizeStoreRegression) {
   auto compact = QuantizeStore(source, "wmh_compact");
   ASSERT_TRUE(compact.ok()) << compact.status().ToString();
   EXPECT_EQ(compact.value().size(), 16u);
-  EXPECT_EQ(compact.value().Ids(), source.Ids());
+  EXPECT_EQ(StoreIds(compact.value()), StoreIds(source));
   EXPECT_EQ(HeldDepthForTesting(), 0u);
 }
 

@@ -16,11 +16,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/wmh_sketch.h"
 #include "data/synthetic.h"
 #include "service/metrics.h"
 #include "service/query_engine.h"
 #include "sketch/serialize.h"
+#include "tests/store_test_util.h"
 
 namespace ipsketch {
 namespace {
@@ -59,8 +59,8 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-// FNV-1a, mirroring the persistence trailer — used to hand-build legacy
-// v1 files.
+// FNV-1a, mirroring the persistence trailer — used to hand-build store
+// files.
 uint64_t Fnv1a(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (char c : bytes) {
@@ -68,25 +68,6 @@ uint64_t Fnv1a(std::string_view bytes) {
     h *= 0x100000001b3ull;
   }
   return h;
-}
-
-// The per-sketch *v1* WMH payload — same fields as today's v2 minus the
-// engine byte. Legacy store files contain exactly these bytes; building
-// them by hand keeps the legacy tests faithful to what v1 writers emitted.
-std::string V1WmhPayload(const WmhSketch& wmh) {
-  std::string blob;
-  wire::AppendU32(&blob, 0x49505348);  // "IPSH"
-  wire::AppendU8(&blob, 1);
-  wire::AppendU8(&blob, 1);  // kWmh
-  wire::AppendU64(&blob, wmh.seed);
-  wire::AppendU64(&blob, wmh.L);
-  wire::AppendU64(&blob, wmh.dimension);
-  wire::AppendDouble(&blob, wmh.norm);
-  wire::AppendU64(&blob, wmh.hashes.size());
-  for (double h : wmh.hashes) wire::AppendDouble(&blob, h);
-  wire::AppendU64(&blob, wmh.values.size());
-  for (double v : wmh.values) wire::AppendDouble(&blob, v);
-  return blob;
 }
 
 TEST(StorePersistenceTest, SaveLoadPreservesOptionsAndContents) {
@@ -104,7 +85,7 @@ TEST(StorePersistenceTest, SaveLoadPreservesOptionsAndContents) {
   // survive verbatim.
   EXPECT_EQ(reloaded.options().sketch, store.options().sketch);
   EXPECT_EQ(reloaded.size(), store.size());
-  EXPECT_EQ(reloaded.Ids(), store.Ids());
+  EXPECT_EQ(StoreIds(reloaded), StoreIds(store));
   std::remove(path.c_str());
 }
 
@@ -117,7 +98,7 @@ TEST(StorePersistenceTest, ReloadedEstimatesAreByteIdentical) {
 
   QueryEngine before(&store);
   QueryEngine after(&loaded.value());
-  const auto ids = store.Ids();
+  const auto ids = StoreIds(store);
   Xoshiro256StarStar rng(123);
   for (int trial = 0; trial < 100; ++trial) {
     const uint64_t a = ids[rng.NextBounded(ids.size())];
@@ -141,11 +122,11 @@ TEST(StorePersistenceTest, EveryFamilyRoundTripsWithIdenticalEstimates) {
         << info.name << ": " << reloaded.status().ToString();
     EXPECT_EQ(reloaded.value().options().family, info.name);
     EXPECT_EQ(reloaded.value().options().sketch, store.options().sketch);
-    ASSERT_EQ(reloaded.value().Ids(), store.Ids()) << info.name;
+    ASSERT_EQ(StoreIds(reloaded.value()), StoreIds(store)) << info.name;
 
     QueryEngine before(&store);
     QueryEngine after(&reloaded.value());
-    const auto ids = store.Ids();
+    const auto ids = StoreIds(store);
     for (size_t i = 1; i < ids.size(); ++i) {
       EXPECT_EQ(before.EstimateInnerProduct(ids[0], ids[i]).value(),
                 after.EstimateInnerProduct(ids[0], ids[i]).value())
@@ -187,14 +168,13 @@ TEST(StorePersistenceTest, QuantizedStoreRoundTripsByteIdentically) {
   auto reloaded = LoadSketchStoreAs(path, expected);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded.value().options().family, "wmh_compact");
-  EXPECT_EQ(reloaded.value().TotalStorageWords(),
-            store.TotalStorageWords());
+  EXPECT_EQ(StoreStorageWords(reloaded.value()), StoreStorageWords(store));
 
   // Byte-identical round trip, byte-identical estimates.
   EXPECT_EQ(EncodeSketchStore(reloaded.value()), EncodeSketchStore(store));
   QueryEngine before(&store);
   QueryEngine after(&reloaded.value());
-  const auto ids = store.Ids();
+  const auto ids = StoreIds(store);
   for (size_t i = 1; i < ids.size(); ++i) {
     EXPECT_EQ(before.EstimateInnerProduct(ids[0], ids[i]).value(),
               after.EstimateInnerProduct(ids[0], ids[i]).value());
@@ -204,70 +184,6 @@ TEST(StorePersistenceTest, QuantizedStoreRoundTripsByteIdentically) {
   EXPECT_EQ(LoadSketchStoreAs(path, SmallStoreOptions()).status().code(),
             StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
-}
-
-// A legacy version-1 file — the WMH-only format written before the
-// SketchFamily redesign — must still load, as a "wmh" store with identical
-// estimates. The v1 bytes are built by hand here, field for field.
-TEST(StorePersistenceTest, ReadsLegacyV1WmhFile) {
-  // v1 files predate the dart engine: their header can only declare
-  // active_index or expanded_reference, so the comparison store is pinned
-  // to active_index rather than the current default.
-  auto v1_options = SmallStoreOptions();
-  v1_options.sketch.params["engine"] = "active_index";
-  auto store = SketchStore::Make(v1_options).value();
-  for (uint64_t i = 0; i < 25; ++i) {
-    ASSERT_TRUE(store.BuildAndInsert(i * 11, RandomVector(i)).ok());
-  }
-  const WmhOptions wmh_options = [&] {
-    WmhOptions o;
-    o.num_samples = store.options().sketch.num_samples;
-    o.seed = store.options().sketch.seed;
-    o.L = std::stoull(store.options().sketch.params.at("L"));
-    return o;
-  }();
-
-  // v1 layout: [magic][version=1][dimension][num_shards][num_samples]
-  // [seed][L][engine u8][count][id, SerializeWmh bytes]*[fnv1a].
-  std::string v1;
-  wire::AppendU32(&v1, 0x49505354);  // "IPST"
-  wire::AppendU8(&v1, 1);
-  wire::AppendU64(&v1, kDim);
-  wire::AppendU64(&v1, store.options().num_shards);
-  wire::AppendU64(&v1, wmh_options.num_samples);
-  wire::AppendU64(&v1, wmh_options.seed);
-  wire::AppendU64(&v1, wmh_options.L);
-  wire::AppendU8(&v1, 0);  // kActiveIndex
-  const auto views = store.PinStore();
-  wire::AppendU64(&v1, store.size());
-  for (const auto& view : views) {
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*view->sketches[i]);
-      ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, view->ids[i]);
-      wire::AppendBytes(&v1, V1WmhPayload(*wmh));
-    }
-  }
-  wire::AppendU64(&v1, Fnv1a(v1));
-
-  auto loaded = DecodeSketchStore(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().options().family, "wmh");
-  EXPECT_EQ(loaded.value().options().sketch, store.options().sketch);
-  EXPECT_EQ(loaded.value().Ids(), store.Ids());
-
-  QueryEngine before(&store);
-  QueryEngine after(&loaded.value());
-  const auto ids = store.Ids();
-  for (size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_EQ(before.EstimateInnerProduct(ids[0], ids[i]).value(),
-              after.EstimateInnerProduct(ids[0], ids[i]).value());
-  }
-
-  // Re-encoding a v1-loaded store produces a v2 file that round-trips.
-  auto reencoded = DecodeSketchStore(EncodeSketchStore(loaded.value()));
-  ASSERT_TRUE(reencoded.ok());
-  EXPECT_EQ(reencoded.value().Ids(), store.Ids());
 }
 
 // Decode stages each shard and publishes it once. It must still accept
@@ -304,115 +220,8 @@ TEST(StorePersistenceTest, DecodeAcceptsUnorderedAndRepeatedIds) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().size(), 40u);
   EXPECT_EQ(decoded.value().size(), reference.size());
-  EXPECT_EQ(decoded.value().Ids(), reference.Ids());
+  EXPECT_EQ(StoreIds(decoded.value()), StoreIds(reference));
   EXPECT_EQ(EncodeSketchStore(decoded.value()), EncodeSketchStore(reference));
-}
-
-// Per-sketch v1 payloads carry no engine byte; their engine comes from the
-// store header. A v1 file declaring expanded_reference must load with its
-// sketches adopted to that engine — not rejected as active_index.
-TEST(StorePersistenceTest, ReadsLegacyV1ExpandedReferenceFile) {
-  auto options = SmallStoreOptions();
-  options.sketch.params["engine"] = "expanded_reference";
-  options.sketch.params["L"] = "2048";  // small enough for the oracle
-  auto store = SketchStore::Make(options).value();
-  for (uint64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(store.BuildAndInsert(i * 7, RandomVector(i)).ok());
-  }
-
-  std::string v1;
-  wire::AppendU32(&v1, 0x49505354);  // "IPST"
-  wire::AppendU8(&v1, 1);
-  wire::AppendU64(&v1, kDim);
-  wire::AppendU64(&v1, store.options().num_shards);
-  wire::AppendU64(&v1, store.options().sketch.num_samples);
-  wire::AppendU64(&v1, store.options().sketch.seed);
-  wire::AppendU64(&v1, 2048);
-  wire::AppendU8(&v1, 1);  // kExpandedReference
-  const auto views = store.PinStore();
-  wire::AppendU64(&v1, store.size());
-  for (const auto& view : views) {
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*view->sketches[i]);
-      ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, view->ids[i]);
-      wire::AppendBytes(&v1, V1WmhPayload(*wmh));
-    }
-  }
-  wire::AppendU64(&v1, Fnv1a(v1));
-
-  auto loaded = DecodeSketchStore(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().options().sketch.params.at("engine"),
-            "expanded_reference");
-  EXPECT_EQ(loaded.value().Ids(), store.Ids());
-  QueryEngine before(&store);
-  QueryEngine after(&loaded.value());
-  const auto ids = store.Ids();
-  for (size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_EQ(before.EstimateInnerProduct(ids[0], ids[i]).value(),
-              after.EstimateInnerProduct(ids[0], ids[i]).value());
-  }
-}
-
-// v2 icws store files written before the engine/L params existed carry an
-// empty params block and exact-engine sketches; they must keep loading as
-// the exact engine, not resolve to the modern dart default (which would
-// reject every stored sketch).
-TEST(StorePersistenceTest, ReadsEnginelessV2IcwsFile) {
-  auto exact_options = SmallStoreOptions("icws");
-  exact_options.sketch.params["engine"] = "icws";
-  auto store = SketchStore::Make(exact_options).value();
-  for (uint64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(store.BuildAndInsert(i * 5, RandomVector(i)).ok());
-  }
-
-  // Hand-build the old file: v2 store header with NO params, per-sketch v1
-  // payloads (no engine/L fields) — exactly what the pre-dart writer
-  // produced.
-  std::string old_file;
-  wire::AppendU32(&old_file, 0x49505354);  // "IPST"
-  wire::AppendU8(&old_file, 2);
-  wire::AppendBytes(&old_file, "icws");
-  wire::AppendU64(&old_file, store.options().num_shards);
-  wire::AppendU64(&old_file, kDim);
-  wire::AppendU64(&old_file, store.options().sketch.num_samples);
-  wire::AppendU64(&old_file, store.options().sketch.seed);
-  wire::AppendU64(&old_file, 0);  // param count: engine-less era
-  const auto views = store.PinStore();
-  wire::AppendU64(&old_file, store.size());
-  for (const auto& view : views) {
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      const IcwsSketch* icws = GetSketchAs<IcwsSketch>(*view->sketches[i]);
-      ASSERT_NE(icws, nullptr);
-      std::string blob;
-      wire::AppendU32(&blob, 0x49505348);  // "IPSH"
-      wire::AppendU8(&blob, 1);
-      wire::AppendU8(&blob, 6);  // kIcws
-      wire::AppendU64(&blob, icws->seed);
-      wire::AppendU64(&blob, icws->dimension);
-      wire::AppendDouble(&blob, icws->norm);
-      wire::AppendU64(&blob, icws->fingerprints.size());
-      for (uint64_t fp : icws->fingerprints) wire::AppendU64(&blob, fp);
-      wire::AppendU64(&blob, icws->values.size());
-      for (double v : icws->values) wire::AppendDouble(&blob, v);
-      wire::AppendU64(&old_file, view->ids[i]);
-      wire::AppendBytes(&old_file, blob);
-    }
-  }
-  wire::AppendU64(&old_file, Fnv1a(old_file));
-
-  auto loaded = DecodeSketchStore(old_file);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().options().sketch.params.at("engine"), "icws");
-  EXPECT_EQ(loaded.value().Ids(), store.Ids());
-  QueryEngine before(&store);
-  QueryEngine after(&loaded.value());
-  const auto ids = store.Ids();
-  for (size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_EQ(before.EstimateInnerProduct(ids[0], ids[i]).value(),
-              after.EstimateInnerProduct(ids[0], ids[i]).value());
-  }
 }
 
 // Opening a file with the wrong expectations must fail loudly, not load

@@ -24,6 +24,7 @@
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
 #include "sketch/count_sketch.h"
+#include "tests/store_test_util.h"
 
 namespace ipsketch {
 namespace {
@@ -195,8 +196,7 @@ TEST(SketchStoreTest, ResolvesDefaultLOnce) {
 TEST(SketchStoreTest, InsertLookupEraseRoundTrip) {
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   ASSERT_TRUE(store.BuildAndInsert(7, RandomVector(1)).ok());
-  EXPECT_TRUE(store.Contains(7));
-  EXPECT_FALSE(store.Contains(8));
+  EXPECT_TRUE(store.Lookup(7).ok());
   EXPECT_EQ(store.size(), 1u);
 
   auto sketch = store.Lookup(7);
@@ -207,7 +207,7 @@ TEST(SketchStoreTest, InsertLookupEraseRoundTrip) {
   EXPECT_EQ(store.Lookup(8).status().code(), StatusCode::kNotFound);
 
   EXPECT_TRUE(store.Erase(7).ok());
-  EXPECT_FALSE(store.Contains(7));
+  EXPECT_EQ(store.Lookup(7).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(store.Erase(7).code(), StatusCode::kNotFound);
 }
 
@@ -410,23 +410,6 @@ TEST(QueryEngineTest, EstimateInnerProductMatchesDirectEstimator) {
             StatusCode::kNotFound);
 }
 
-TEST(QueryEngineTest, EstimateAgainstQueryCoversWholeStoreSortedById) {
-  auto store = SketchStore::Make(SmallStoreOptions()).value();
-  for (uint64_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE(store.BuildAndInsert(i * 3, RandomVector(i)).ok());
-  }
-  ThreadPool pool(4);
-  QueryEngine engine(&store, &pool);
-  const auto hits = engine.EstimateAgainstQuery(RandomVector(1000)).value();
-  ASSERT_EQ(hits.size(), 40u);
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].id, i * 3);
-    if (i > 0) {
-      EXPECT_LT(hits[i - 1].id, hits[i].id);
-    }
-  }
-}
-
 TEST(QueryEngineTest, ParallelTopKMatchesSerialTopK) {
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t i = 0; i < 200; ++i) {
@@ -462,8 +445,9 @@ TEST(QueryEngineTest, TopKRanksByEstimate) {
   for (size_t i = 1; i < hits.size(); ++i) {
     EXPECT_GE(hits[i - 1].estimate, hits[i].estimate);
   }
-  // Every estimate agrees with the full scan.
-  const auto all = engine.EstimateAgainstQuery(query).value();
+  // Every estimate agrees with the full scan (ids are 0..49, so the
+  // id-sorted row for an id is at index id).
+  const auto all = SortedById(engine.TopK(query, store.size()).value());
   for (const auto& hit : hits) {
     EXPECT_EQ(hit.estimate, all[hit.id].estimate);
   }
@@ -507,9 +491,12 @@ TEST(QueryEngineTest, CountSketchStoreMatchesDirectEstimator) {
   const SparseVector query = RandomVector(900);
   const auto query_cs = SketchCount(query, cs_options).value();
 
-  const auto hits = engine.EstimateAgainstQuery(query).value();
+  // The exact scan at k = store size: one row per stored id.
+  const auto hits = SortedById(engine.TopK(query, store.size()).value());
   ASSERT_EQ(hits.size(), 30u);
-  for (const auto& hit : hits) {
+  for (size_t i = 0; i < hits.size(); ++i) {
+    const QueryHit& hit = hits[i];
+    EXPECT_EQ(hit.id, i);
     const auto direct = EstimateCountSketchInnerProduct(
         query_cs, SketchCount(RandomVector(hit.id), cs_options).value());
     EXPECT_EQ(hit.estimate, direct.value()) << "id " << hit.id;
@@ -542,7 +529,7 @@ TEST(CompactCatalogTest, QuantizeStoreHalvesResidentStorage) {
     ASSERT_TRUE(store.BuildAndInsert(i, RandomVector(i)).ok());
   }
   const double full_resident = store.TotalResidentWords();
-  const double full_storage = store.TotalStorageWords();
+  const double full_storage = StoreStorageWords(store);
   std::vector<double> before;
   {
     QueryEngine engine(&store);
@@ -562,7 +549,7 @@ TEST(CompactCatalogTest, QuantizeStoreHalvesResidentStorage) {
   // full-precision footprint (§5 accounting shrinks too: 1·m+1 words per
   // sketch instead of 1.5·m+1).
   EXPECT_LE(store.TotalResidentWords() / full_resident, 0.52);
-  EXPECT_LT(store.TotalStorageWords(), full_storage);
+  EXPECT_LT(StoreStorageWords(store), full_storage);
 
   // Point and top-k estimates run unchanged through the family interface,
   // within quantization distance (float32 values, 32-bit hashes) of the
@@ -599,7 +586,7 @@ TEST(CompactCatalogTest, QuantizeStoreKeepsSourceAndLayout) {
   // shards, each shard published once as a whole staged view.
   EXPECT_EQ(source.family().name(), "wmh");
   EXPECT_EQ(source.size(), 25u);
-  EXPECT_EQ(compact.value().Ids(), source.Ids());
+  EXPECT_EQ(StoreIds(compact.value()), StoreIds(source));
   for (size_t s = 0; s < source.num_shards(); ++s) {
     const ShardViewPtr view = compact.value().PinShard(s);
     EXPECT_EQ(view->ids, source.PinShard(s)->ids) << "shard " << s;
@@ -683,12 +670,12 @@ TEST(CompactCatalogTest, BbitCompactionShrinksAccountingFurther) {
   for (uint64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(store.BuildAndInsert(i, RandomVector(i)).ok());
   }
-  const double full_storage = store.TotalStorageWords();
+  const double full_storage = StoreStorageWords(store);
   store = QuantizeStore(store, "wmh_bbit", {{"bits", "8"}}).value();
   EXPECT_EQ(store.family().name(), "wmh_bbit");
   EXPECT_EQ(store.options().sketch.params.at("bits"), "8");
   // (8+32)/64 = 0.625 words/sample vs 1.5: under half the §5 accounting.
-  EXPECT_LT(store.TotalStorageWords() / full_storage, 0.5);
+  EXPECT_LT(StoreStorageWords(store) / full_storage, 0.5);
 
   QueryEngine engine(&store);
   const auto hits = engine.TopK(RandomVector(3), 5).value();
@@ -802,7 +789,7 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   EXPECT_EQ(insert_failures.load(), 0u);
   EXPECT_EQ(reader_errors.load(), 0u);
   ASSERT_EQ(store.size(), kWriters * kPerWriter);
-  const auto ids = store.Ids();
+  const auto ids = StoreIds(store);
   ASSERT_EQ(ids.size(), kWriters * kPerWriter);
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
 
@@ -1092,7 +1079,6 @@ TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
   auto& topk_ns = registry.GetHistogram("ipsketch_query_topk_ns");
   auto& candidates = registry.GetHistogram("ipsketch_query_candidates");
   auto& rerank_ns = registry.GetHistogram("ipsketch_index_rerank_ns");
-  auto& scan_ns = registry.GetHistogram("ipsketch_query_scan_ns");
   auto& pair_ns = registry.GetHistogram("ipsketch_query_estimate_pair_ns");
   auto& queries = registry.GetCounter("ipsketch_query_total");
 
@@ -1107,13 +1093,13 @@ TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
                      IndexPolicy::kBandedRerank);
 
   struct Counts {
-    uint64_t topk, cand, cand_sum, rerank, scan, pair, queries;
+    uint64_t topk, cand, cand_sum, rerank, pair, queries;
   };
   const auto read = [&] {
     const auto cand = candidates.Snapshot();
-    return Counts{topk_ns.Snapshot().count, cand.count,   cand.sum,
-                  rerank_ns.Snapshot().count, scan_ns.Snapshot().count,
-                  pair_ns.Snapshot().count,  queries.Value()};
+    return Counts{topk_ns.Snapshot().count, cand.count, cand.sum,
+                  rerank_ns.Snapshot().count, pair_ns.Snapshot().count,
+                  queries.Value()};
   };
 
   // Exact TopK: one latency sample, one candidate sample of the whole
@@ -1154,15 +1140,13 @@ TEST(ServiceMetricsTest, QueryHistogramsMoveOncePerCall) {
   EXPECT_EQ(after.cand_sum - before.cand_sum, 36u);
   EXPECT_EQ(after.queries - before.queries, 3u);
 
-  // EstimateAgainstQuery and EstimateInnerProduct: one sample each.
+  // EstimateInnerProduct: one pair sample and one query, no top-k sample.
   before = read();
-  ASSERT_TRUE(exact.EstimateAgainstQuery(RandomVector(41)).ok());
   ASSERT_TRUE(exact.EstimateInnerProduct(1, 2).ok());
   after = read();
-  EXPECT_EQ(after.scan - before.scan, 1u);
   EXPECT_EQ(after.pair - before.pair, 1u);
   EXPECT_EQ(after.topk - before.topk, 0u);
-  EXPECT_EQ(after.queries - before.queries, 2u);
+  EXPECT_EQ(after.queries - before.queries, 1u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 #include "service/thread_pool.h"
+#include "tests/store_test_util.h"
 
 namespace ipsketch {
 namespace {
@@ -350,9 +351,9 @@ TEST(StoreSnapshotTest, TopKSketchBatchMatchesSingleQueries) {
     }
 
     // Single and batch share one traversal, so check the batch against a
-    // reference that does not: every estimate EstimateAgainstQuery makes
-    // for the same vector, ranked by BetterHit and cut at k.
-    auto all = engine.EstimateAgainstQuery(RandomVector(500 + i));
+    // reference that does not: the per-pair estimate of every stored
+    // sketch, ranked by BetterHit and cut at k.
+    auto all = PairwiseEstimates(store, *queries[i]);
     ASSERT_TRUE(all.status().ok());
     std::vector<SimilarityHit> ranked;
     for (const QueryHit& hit : all.value()) {

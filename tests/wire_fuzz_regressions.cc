@@ -212,8 +212,6 @@ struct GoldenCase {
 const GoldenCase kGoldenCases[] = {
     {"fuzz/corpus/fuzz_wmh_decode/golden_wmh",
      [](std::string_view b) { return DeserializeWmh(b).status(); }},
-    {"fuzz/corpus/fuzz_wmh_decode/v1_wmh",
-     [](std::string_view b) { return DeserializeWmh(b).status(); }},
     {"fuzz/corpus/fuzz_mh_decode/golden_mh",
      [](std::string_view b) { return DeserializeMh(b).status(); }},
     {"fuzz/corpus/fuzz_kmv_decode/golden_kmv",
@@ -224,8 +222,6 @@ const GoldenCase kGoldenCases[] = {
      [](std::string_view b) { return DeserializeCountSketch(b).status(); }},
     {"fuzz/corpus/fuzz_icws_decode/golden_icws",
      [](std::string_view b) { return DeserializeIcws(b).status(); }},
-    {"fuzz/corpus/fuzz_icws_decode/v1_icws",
-     [](std::string_view b) { return DeserializeIcws(b).status(); }},
     {"fuzz/corpus/fuzz_wmh_compact_decode/golden_compact_wmh",
      [](std::string_view b) { return DeserializeCompactWmh(b).status(); }},
     {"fuzz/corpus/fuzz_wmh_bbit_decode/golden_bbit_wmh",
@@ -233,8 +229,6 @@ const GoldenCase kGoldenCases[] = {
     {"fuzz/corpus/fuzz_store_decode/golden_store_v2_empty",
      [](std::string_view b) { return DecodeSketchStore(b).status(); }},
     {"fuzz/corpus/fuzz_store_decode/golden_store_compact_empty",
-     [](std::string_view b) { return DecodeSketchStore(b).status(); }},
-    {"fuzz/corpus/fuzz_store_decode/v1_store_empty",
      [](std::string_view b) { return DecodeSketchStore(b).status(); }},
 };
 
@@ -310,15 +304,39 @@ TEST(WireFuzzRegressions, UnknownTagAndVersionBytesRejected) {
     b[5] = static_cast<char>(tag);  // tag byte follows magic + version
     EXPECT_FALSE(DeserializeWmh(b).ok()) << unsigned{tag};
   }
-  std::string bad_version = golden;
-  bad_version[4] = 3;
-  EXPECT_FALSE(DeserializeWmh(bad_version).ok());
-  // Tags 8/9 are v2-only: a v1 header on them is corruption, not history.
-  const std::string compact = ReadFileOrDie(
-      SourcePath("fuzz/corpus/fuzz_wmh_compact_decode/golden_compact_wmh"));
-  std::string v1_compact = compact;
-  v1_compact[4] = 1;
-  EXPECT_FALSE(DeserializeCompactWmh(v1_compact).ok());
+
+  // Version 2 is the only version any decoder reads: 1 is retired and 3
+  // was never written. Byte 4 follows the magic in sketch payloads and
+  // store files alike; a store file is re-sealed, so its version check,
+  // not its checksum, must reject it.
+  for (const GoldenCase& c : kGoldenCases) {
+    const bool store =
+        std::string_view(c.corpus_file).starts_with("fuzz/corpus/fuzz_store");
+    const std::string bytes = ReadFileOrDie(SourcePath(c.corpus_file));
+    ASSERT_GT(bytes.size(), 16u) << c.corpus_file;
+    for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+      SCOPED_TRACE(std::string(c.corpus_file) + " at version " +
+                   std::to_string(version));
+      std::string b = bytes;
+      b[4] = static_cast<char>(version);
+      if (store) {
+        b.resize(b.size() - 8);
+        wire::AppendU64(&b, fuzz::StoreChecksum(b));
+      }
+      const Status st = c.decode(b);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_EQ(st.message(), std::string(store ? "unsupported sketch-store"
+                                                : "unsupported sketch") +
+                                  " version " + std::to_string(version));
+    }
+  }
+  // A v2 store holding a v1 payload, the shape a writer from before the
+  // engine byte left behind: the entry's version rejects the file.
+  std::string v1_wmh = golden;
+  v1_wmh[4] = 1;
+  const Status st = DecodeSketchStore(StoreWithOneEntry(v1_wmh)).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(st.message(), "unsupported sketch version 1");
 }
 
 TEST(WireFuzzRegressions, UnknownEngineAndHashKindBytesRejected) {
@@ -339,18 +357,6 @@ TEST(WireFuzzRegressions, UnknownEngineAndHashKindBytesRejected) {
         SourcePath("fuzz/corpus/fuzz_kmv_decode/golden_kmv"));
     b[30] = 99;  // hash-kind byte: 6-byte header + seed + dimension + k
     EXPECT_FALSE(DeserializeKmv(b).ok());
-  }
-  {
-    // v1 store files carry a trailing engine byte in the fixed header;
-    // only 0 and 1 ever existed.
-    std::string bytes = ReadFileOrDie(
-        SourcePath("fuzz/corpus/fuzz_store_decode/v1_store_empty"));
-    ASSERT_GE(bytes.size(), 16u);
-    std::string payload = bytes.substr(0, bytes.size() - 8);
-    payload[4 + 1 + 8 * 5] = 2;  // magic + version + five u64 fields
-    std::string resealed = payload;
-    wire::AppendU64(&resealed, fuzz::StoreChecksum(payload));
-    EXPECT_FALSE(DecodeSketchStore(resealed).ok());
   }
 }
 

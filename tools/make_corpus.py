@@ -4,10 +4,8 @@
 Every locked wire payload in tests/golden_bytes_test.cc (the kGolden*
 constants) becomes one seed file under fuzz/corpus/<target>/, so each fuzz
 target starts from bytes the decoder is known to accept and mutates from
-there instead of fighting the magic/version/tag gate by chance. Legacy v1
-payloads (engine-less sketches, the WMH-only store header) are synthesized
-here byte-for-byte the way tests/golden_bytes_test.cc builds them, keeping
-the v1 compatibility paths seeded too.
+there instead of fighting the magic/version/tag gate by chance. Wire version
+2 is the only one decoded, so no version-1 seed is generated.
 
 Dictionaries under fuzz/dicts/<target>.dict hold the magics, version/tag/
 engine bytes, family names, and param keys, so the mutator can splice whole
@@ -49,8 +47,6 @@ GOLDEN_TO_TARGET = {
 
 SKETCH_MAGIC = 0x49505348  # "IPSH"
 STORE_MAGIC = 0x49505354  # "IPST"
-FNV_OFFSET = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
 
 
 def u8(v):
@@ -73,13 +69,6 @@ def wire_bytes(b):
     return u64(len(b)) + b
 
 
-def fnv1a(data):
-    h = FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def parse_golden_constants():
     """Returns {constant name: payload bytes} from golden_bytes_test.cc."""
     text = GOLDEN_TEST.read_text()
@@ -94,36 +83,6 @@ def parse_golden_constants():
     return found
 
 
-def v1_wmh_payload():
-    # Mirrors GoldenBytesTest.LegacyV1WmhBytesDecodeAsActiveIndex.
-    out = u32(SKETCH_MAGIC) + u8(1) + u8(1)  # version 1, tag kWmh
-    out += u64(7) + u64(4096) + u64(512)  # seed, L, dimension (no engine)
-    out += f64(2.5)  # norm
-    out += u64(1) + f64(0.5)  # hashes
-    out += u64(1) + f64(0.75)  # values
-    return out
-
-
-def v1_icws_payload():
-    # Mirrors GoldenBytesTest.LegacyV1IcwsBytesDecodeAsExact.
-    out = u32(SKETCH_MAGIC) + u8(1) + u8(6)  # version 1, tag kIcws
-    out += u64(7) + u64(512)  # seed, dimension (no engine/L)
-    out += f64(2.5)  # norm
-    out += u64(1) + u64(42)  # fingerprints
-    out += u64(1) + f64(0.75)  # values
-    return out
-
-
-def v1_store_payload():
-    # The pre-SketchFamily WMH-only store: fixed header
-    # [dimension][num_shards][num_samples][seed][L][engine u8], zero
-    # entries, FNV-1a trailer.
-    out = u32(STORE_MAGIC) + u8(1)
-    out += u64(512) + u64(4) + u64(16) + u64(7) + u64(4096) + u8(0)
-    out += u64(0)  # entry count
-    return out + u64(fnv1a(out))
-
-
 def family_options_wire(dimension, num_samples, seed, params):
     out = u64(dimension) + u64(num_samples) + u64(seed)
     out += u64(len(params))
@@ -135,9 +94,6 @@ def family_options_wire(dimension, num_samples, seed, params):
 def synthesized_seeds():
     """Seeds not derivable from a single golden constant."""
     seeds = {
-        "fuzz_wmh_decode": {"v1_wmh": v1_wmh_payload()},
-        "fuzz_icws_decode": {"v1_icws": v1_icws_payload()},
-        "fuzz_store_decode": {"v1_store_empty": v1_store_payload()},
         "fuzz_family_options": {
             # Wire-format options block (the store-header surface).
             "wire_wmh": family_options_wire(
